@@ -487,35 +487,71 @@ func (s *Server) AccountantName() string { return s.acct.Name() }
 // answer spends (Gaussian oracles certify a zCDP ρ alongside (ε₀, δ₀)).
 func (s *Server) CallCost() mech.Cost { return s.callCost }
 
-// publicMin solves argmin_θ ℓ(θ; D̂t) on the public hypothesis.
-func (s *Server) publicMin(l convex.Loss) ([]float64, error) {
-	iters := s.cfg.SolverIters
-	if iters <= 0 {
-		iters = 400
-	}
-	res, err := optimize.Minimize(l, s.state.Histogram(), optimize.Options{MaxIters: iters, Engine: s.eng})
-	if err != nil {
-		return nil, err
-	}
-	return res.Theta, nil
+// view is one query's evaluation frame for the Figure-3 step: the public
+// hypothesis and the private data as histograms over the universe u the
+// step sweeps, and the sink for the ⊤ certificate (indexed like u). The
+// engines differ only here. The dense view is the whole universe; the
+// factored view is the loss's declared support sub-cube — a loss supported
+// on coordinates C takes identical values on the embedded sub-universe
+// (universe.SupportUniverse pins non-support coordinates, the loss never
+// reads them), so the same minimization and evaluation machinery runs over
+// |C|-many coordinates instead of |X| elements and the released answers
+// follow the exact definitions of the dense step.
+type view struct {
+	hyp, data *histogram.Histogram
+	u         universe.Universe
+	update    func(uvec []float64) error
 }
 
-// privateErr computes the sensitive SV query value
-// q(D) = err_ℓ(D, D̂t) = ℓ_D(θ̂t) − min_θ ℓ_D(θ), given θ̂t.
-func (s *Server) privateErr(l convex.Loss, thetaHat []float64) (float64, error) {
-	iters := s.cfg.SolverIters
-	if iters <= 0 {
-		iters = 400
+// viewFor builds l's evaluation frame under the server's engine.
+func (s *Server) viewFor(l convex.Loss) (view, error) {
+	if s.fstate == nil {
+		return view{hyp: s.state.Histogram(), data: s.hist, u: s.data.U, update: s.state.Update}, nil
 	}
-	minD, err := optimize.MinValue(l, s.hist, optimize.Options{MaxIters: iters, Engine: s.eng})
+	coords, ok := convex.SupportOf(l)
+	if !ok {
+		return view{}, fmt.Errorf("%w: loss %q declares none", ErrNeedsSupport, l.Name())
+	}
+	subU, err := universe.SupportUniverse(s.fu, coords)
 	if err != nil {
-		return 0, err
+		return view{}, fmt.Errorf("core: factored engine: %w", err)
 	}
-	e := convex.EvalOn(s.eng, l, thetaHat, s.hist) - minD
-	if e < 0 {
-		e = 0
+	// The hypothesis's support marginal weights E[x ∈ cell] match the dense
+	// hypothesis exactly (product form is exact under junta updates), and
+	// ℓ_D(θ) = Σ_cell P_D(cell)·ℓ_cell(θ) because the loss reads only the
+	// support coordinates, so argmin and err_ℓ(D, D̂t) are unchanged from
+	// their dense definitions.
+	hyp, err := s.fstate.SupportHistogram(coords)
+	if err != nil {
+		return view{}, err
 	}
-	return e, nil
+	hyp.U = subU // one materialization of the sub-cube for the whole answer
+	data, err := s.supportData(coords, subU)
+	if err != nil {
+		return view{}, err
+	}
+	// The certificate is computed over subU, in the SupportIndex layout
+	// FactoredState.Update expects (SupportUniverse enumerates the same
+	// order).
+	update := func(uvec []float64) error {
+		if err := s.fstate.Update(coords, uvec); err != nil {
+			return fmt.Errorf("core: factored MW update: %w", err)
+		}
+		return nil
+	}
+	return view{hyp: hyp, data: data, u: subU, update: update}, nil
+}
+
+// supportData returns the private dataset's exact marginal histogram over
+// the support sub-cube: each row contributes to the cell its support
+// coordinates project to. O(n·dim), never enumerating the universe.
+func (s *Server) supportData(coords []int, subU universe.Universe) (*histogram.Histogram, error) {
+	counts := make([]int, subU.Size())
+	buf := make([]int, s.fu.Dim())
+	for _, r := range s.data.Rows {
+		counts[universe.ProjectIndex(s.fu, coords, r, buf)]++
+	}
+	return histogram.FromCounts(subU, counts)
 }
 
 // Answer processes the analyst's next loss function and returns the
@@ -527,19 +563,31 @@ func (s *Server) Answer(l convex.Loss) ([]float64, error) {
 	if got := convex.ScaleBound(l); got > s.cfg.S+1e-9 {
 		return nil, fmt.Errorf("core: query scale bound %v exceeds configured S = %v", got, s.cfg.S)
 	}
-	if s.engine == EngineFactored {
-		return s.answerFactored(l)
+	v, err := s.viewFor(l)
+	if err != nil {
+		return nil, err
 	}
+	iters := s.cfg.SolverIters
+	if iters <= 0 {
+		iters = 400
+	}
+	opts := optimize.Options{MaxIters: iters, Engine: s.eng}
 
 	// θ̂t: public minimizer on the current hypothesis.
-	thetaHat, err := s.publicMin(l)
+	res, err := optimize.Minimize(l, v.hyp, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Sensitive query value for SV.
-	qval, err := s.privateErr(l, thetaHat)
+	thetaHat := res.Theta
+	// Sensitive query value for SV:
+	// q(D) = err_ℓ(D, D̂t) = ℓ_D(θ̂t) − min_θ ℓ_D(θ).
+	minD, err := optimize.MinValue(l, v.data, opts)
 	if err != nil {
 		return nil, err
+	}
+	qval := convex.EvalOn(s.eng, l, thetaHat, v.data) - minD
+	if qval < 0 {
+		qval = 0
 	}
 	top, err := s.sv.Query(qval)
 	if err != nil {
@@ -575,159 +623,37 @@ func (s *Server) Answer(l convex.Loss) ([]float64, error) {
 		theta = dom.Project(theta)
 	}
 
-	if err := s.update(l, theta, thetaHat, qval); err != nil {
-		return nil, err
-	}
-	return theta, nil
-}
-
-// answerFactored is the factored engine's Answer: the same Figure-3
-// protocol, run entirely on the loss's declared support sub-cube. A loss
-// supported on coordinates C takes identical values on the embedded
-// sub-universe (universe.SupportUniverse pins non-support coordinates, the
-// loss never reads them), so the dense minimization and evaluation
-// machinery runs unchanged over |C|-many coordinates instead of |X|
-// elements — the released answers follow the exact definitions of the
-// dense path.
-func (s *Server) answerFactored(l convex.Loss) ([]float64, error) {
-	coords, ok := convex.SupportOf(l)
-	if !ok {
-		return nil, fmt.Errorf("%w: loss %q declares none", ErrNeedsSupport, l.Name())
-	}
-	subU, err := universe.SupportUniverse(s.fu, coords)
-	if err != nil {
-		return nil, fmt.Errorf("core: factored engine: %w", err)
-	}
-	iters := s.cfg.SolverIters
-	if iters <= 0 {
-		iters = 400
-	}
-	opts := optimize.Options{MaxIters: iters, Engine: s.eng}
-
-	// θ̂t: public minimizer on the hypothesis's support marginal. The
-	// marginal weights E[x ∈ cell] match the dense hypothesis exactly
-	// (product form is exact under junta updates), so this is the same
-	// argmin the dense path solves.
-	hyp, err := s.fstate.SupportHistogram(coords)
-	if err != nil {
-		return nil, err
-	}
-	hyp.U = subU // one materialization of the sub-cube for the whole answer
-	res, err := optimize.Minimize(l, hyp, opts)
-	if err != nil {
-		return nil, err
-	}
-	thetaHat := res.Theta
-
-	// Sensitive query value for SV, on the data's support marginal:
-	// ℓ_D(θ) = Σ_cell P_D(cell)·ℓ_cell(θ) because the loss reads only the
-	// support coordinates, so err_ℓ(D, D̂t) is unchanged from its dense
-	// definition.
-	dataHist, err := s.supportData(coords, subU)
-	if err != nil {
-		return nil, err
-	}
-	minD, err := optimize.MinValue(l, dataHist, opts)
-	if err != nil {
-		return nil, err
-	}
-	qval := convex.EvalOn(s.eng, l, thetaHat, dataHist) - minD
-	if qval < 0 {
-		qval = 0
-	}
-	top, err := s.sv.Query(qval)
-	if err != nil {
-		if err == sparse.ErrHalted {
-			return nil, ErrHalted
-		}
-		return nil, err
-	}
-	s.answered++
-	if !top {
-		return thetaHat, nil
-	}
-
-	// ⊤: private single-query solve, then the MW update on the support.
-	theta, err := s.cfg.Oracle.Answer(s.src, l, s.data, s.params.Eps0, s.params.Delta0)
-	if err != nil {
-		return nil, fmt.Errorf("core: oracle %q failed: %w", s.cfg.Oracle.Name(), err)
-	}
-	if err := s.acct.Spend(s.callCost); err != nil {
-		return nil, fmt.Errorf("core: recording oracle spend: %w", err)
-	}
-	if dom := l.Domain(); len(theta) != dom.Dim() {
-		return nil, fmt.Errorf("core: oracle %q returned dimension %d, want %d",
-			s.cfg.Oracle.Name(), len(theta), dom.Dim())
-	} else if !dom.Contains(theta, 1e-9) {
-		theta = dom.Project(theta)
-	}
-
-	// Claim-3.5 certificate over the sub-cube, in the SupportIndex layout
-	// FactoredState.Update expects (SupportUniverse enumerates the same
-	// order).
-	uvec := make([]float64, subU.Size())
-	convex.DirGradOn(s.eng, l, uvec, vecmath.Sub(theta, thetaHat), thetaHat, subU)
-	s.eng.ForEach(subU.Size(), func(lo, hi int) {
+	// The dual-certificate MW step: u_t(x) = ⟨θt − θ̂t, ∇ℓ_x(θ̂t)⟩, computed
+	// chunk-parallel on the server's engine via the loss's DirGradBatch
+	// kernel.
+	uvec := make([]float64, v.u.Size())
+	convex.DirGradOn(s.eng, l, uvec, vecmath.Sub(theta, thetaHat), thetaHat, v.u)
+	s.eng.ForEach(len(uvec), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			v := uvec[i]
-			if v > s.cfg.S && v <= s.cfg.S*(1+1e-12) {
-				uvec[i] = s.cfg.S
-			} else if v < -s.cfg.S && v >= -s.cfg.S*(1+1e-12) {
-				uvec[i] = -s.cfg.S
-			}
-		}
-	})
-	if err := s.fstate.Update(coords, uvec); err != nil {
-		return nil, fmt.Errorf("core: factored MW update: %w", err)
-	}
-	return theta, nil
-}
-
-// supportData returns the private dataset's exact marginal histogram over
-// the support sub-cube: each row contributes to the cell its support
-// coordinates project to. O(n·dim), never enumerating the universe.
-func (s *Server) supportData(coords []int, subU universe.Universe) (*histogram.Histogram, error) {
-	counts := make([]int, subU.Size())
-	buf := make([]int, s.fu.Dim())
-	for _, r := range s.data.Rows {
-		counts[universe.ProjectIndex(s.fu, coords, r, buf)]++
-	}
-	return histogram.FromCounts(subU, counts)
-}
-
-// update applies the dual-certificate MW step of Figure 3. The certificate
-// u_t(x) = ⟨θt − θ̂t, ∇ℓ_x(θ̂t)⟩ is computed chunk-parallel on the server's
-// engine via the loss's DirGradBatch kernel.
-func (s *Server) update(l convex.Loss, theta, thetaHat []float64, qval float64) error {
-	u := s.data.U
-	dir := vecmath.Sub(theta, thetaHat)
-	uvec := make([]float64, u.Size())
-	convex.DirGradOn(s.eng, l, uvec, dir, thetaHat, u)
-	s.eng.ForEach(u.Size(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := uvec[i]
+			x := uvec[i]
 			// Clamp tiny overshoot of the certified scale bound; anything
-			// larger is a real contract violation that mw.Update will
+			// larger is a real contract violation that the MW update will
 			// reject.
-			if v > s.cfg.S && v <= s.cfg.S*(1+1e-12) {
+			if x > s.cfg.S && x <= s.cfg.S*(1+1e-12) {
 				uvec[i] = s.cfg.S
-			} else if v < -s.cfg.S && v >= -s.cfg.S*(1+1e-12) {
+			} else if x < -s.cfg.S && x >= -s.cfg.S*(1+1e-12) {
 				uvec[i] = -s.cfg.S
 			}
 		}
 	})
-
-	if s.cfg.Trace {
-		prog := vecmath.Dot(uvec, vecmath.Sub(s.state.Histogram().P, s.hist.P))
+	if s.cfg.Trace { // dense engine only (New rejects Trace otherwise)
 		s.traces = append(s.traces, UpdateTrace{
 			QueryIndex:  s.answered,
 			UpdateIndex: s.state.Updates() + 1,
 			TrueErr:     qval,
-			Progress:    prog,
+			Progress:    vecmath.Dot(uvec, vecmath.Sub(v.hyp.P, v.data.P)),
 			Potential:   clampKL(s.state.Potential(s.hist)),
 		})
 	}
-	return s.state.Update(uvec)
+	if err := v.update(uvec); err != nil {
+		return nil, err
+	}
+	return theta, nil
 }
 
 // clampKL guards +Inf potentials (empty hypothesis support) for traces.

@@ -77,3 +77,34 @@ func TestGoldenDefaultAccountant(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenFactoredEngine freezes the factored engine's released values on
+// the TestCrossEngineEquivalence fixture, captured before the dense and
+// factored engines shared one Figure-3 step. The cross-engine test only
+// compares the engines with each other at 1e-12; this pins the factored
+// bytes themselves, so a change to the shared step cannot drift both
+// engines together unnoticed.
+func TestGoldenFactoredEngine(t *testing.T) {
+	want := []uint64{
+		0x3fd0000000000000,
+		0x3f77812c65774640,
+		0x3fe0000000000000,
+		0x3fd7dfa734915329,
+		0x3fea62c3b46a2430,
+		0x3fe27f5f07d05ee1,
+		0x3fdfab19b18ec650,
+	}
+	const wantUpdates = 4
+	answers, srv := runEngine(t, EngineFactored, 0, 7)
+	if len(answers) != len(want) {
+		t.Fatalf("%d answers, want %d", len(answers), len(want))
+	}
+	for i, a := range answers {
+		if len(a) != 1 || math.Float64bits(a[0]) != want[i] {
+			t.Errorf("answer %d = %v, want [%v]", i, a, math.Float64frombits(want[i]))
+		}
+	}
+	if srv.Updates() != wantUpdates {
+		t.Errorf("updates = %d, want %d", srv.Updates(), wantUpdates)
+	}
+}

@@ -9,7 +9,9 @@ import (
 )
 
 // RequestIDHeader is the header the middleware reads an incoming request
-// id from and writes the effective id to on every response.
+// id from and writes the effective id to on every response and on the
+// request itself, so a handler that forwards the request (the router) can
+// pass the id on and both hops log the same value.
 const RequestIDHeader = "X-Request-ID"
 
 // MiddlewareOptions configure Middleware beyond its registry.
@@ -41,6 +43,7 @@ func Middleware(reg *Registry, next http.Handler, opts MiddlewareOptions) http.H
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := ids.assign(r)
+		r.Header.Set(RequestIDHeader, id)
 		w.Header().Set(RequestIDHeader, id)
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)

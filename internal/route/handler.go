@@ -242,6 +242,10 @@ func (rt *Router) do(r *http.Request, rep *replica, body []byte) (int, []byte, e
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
 	}
+	// The request id joins the router's log line with the replica's.
+	if id := r.Header.Get(obs.RequestIDHeader); id != "" {
+		req.Header.Set(obs.RequestIDHeader, id)
+	}
 	start := time.Now()
 	resp, err := rt.client.Do(req)
 	if err != nil {

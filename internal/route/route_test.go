@@ -11,9 +11,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -428,5 +430,75 @@ func TestRouterCatalogAndHealth(t *testing.T) {
 	}
 	if !health.OK || health.Role != "router" || len(health.Replicas) != 2 || health.ReplicasUp != 2 {
 		t.Fatalf("healthz %+v", health)
+	}
+}
+
+// lockedBuffer is a log sink the replica's server goroutine writes while
+// the test goroutine reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// requestIDs returns the request_id of every JSON log line written so far.
+func (b *lockedBuffer) requestIDs(t *testing.T) []string {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var ids []string
+	dec := json.NewDecoder(bytes.NewReader(b.buf.Bytes()))
+	for dec.More() {
+		var line struct {
+			RequestID string `json:"request_id"`
+		}
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, line.RequestID)
+	}
+	return ids
+}
+
+// TestRequestIDJoinsRouterAndReplicaLogs wraps both hops in the logging
+// middleware, as the pmwcm route and serve commands deploy them: the id
+// the router assigns to a request must reach the replica with the
+// forwarded request, so both log lines carry the same request_id.
+func TestRequestIDJoinsRouterAndReplicaLogs(t *testing.T) {
+	mgr, err := service.New(service.Config{Data: testData(t), Source: sample.New(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mgr.Shutdown)
+	var repLog, rtLog lockedBuffer
+	replica := httptest.NewServer(obs.Middleware(obs.NewRegistry(), service.NewHandler(mgr),
+		obs.MiddlewareOptions{Logger: slog.New(slog.NewJSONHandler(&repLog, nil))}))
+	t.Cleanup(replica.Close)
+	rt, err := New([]Replica{{Name: "r1", URL: replica.URL}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := obs.Middleware(obs.NewRegistry(), rt.Handler(),
+		obs.MiddlewareOptions{Logger: slog.New(slog.NewJSONHandler(&rtLog, nil))})
+
+	// No incoming id: the router generates one and must forward it.
+	rec, code := doReq(t, h, "POST", "/v1/sessions", map[string]any{}, nil)
+	if code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", code, rec.Body.String())
+	}
+	id := rec.Header().Get(obs.RequestIDHeader)
+	if id == "" {
+		t.Fatal("router response carries no request id")
+	}
+	if got := rtLog.requestIDs(t); len(got) != 1 || got[0] != id {
+		t.Fatalf("router logged request ids %v, want [%s]", got, id)
+	}
+	if got := repLog.requestIDs(t); len(got) != 1 || got[0] != id {
+		t.Fatalf("replica logged request ids %v, want [%s]", got, id)
 	}
 }

@@ -30,82 +30,103 @@ func batchStream() []convex.Spec {
 }
 
 // TestQueryBatchEquivalence is the batch acceptance invariant, per
-// accountant: a QueryBatch of N specs is bit-identical — released answers,
-// per-item errors, ⊥/⊤/cached disposition, budget ledger, and transcript
-// bytes — to the same N specs issued as sequential Query calls.
+// accountant and per manager kind (memory-only, snapshot-per-⊤ state
+// directory, WAL state directory): a QueryBatch of N specs is bit-identical
+// — released answers, per-item errors, ⊥/⊤/cached disposition, budget
+// ledger, and transcript bytes — to the same N specs issued as sequential
+// Query calls. The durable kinds exercise the gating and write-ahead commit
+// both paths share.
 func TestQueryBatchEquivalence(t *testing.T) {
+	managers := []struct {
+		name string
+		make func(t *testing.T, defaults SessionParams) *Manager
+	}{
+		{"memory", func(t *testing.T, defaults SessionParams) *Manager {
+			return durableManager(t, "", 1, 9, defaults)
+		}},
+		{"snapshot", func(t *testing.T, defaults SessionParams) *Manager {
+			return durableManager(t, t.TempDir(), 1, 9, defaults)
+		}},
+		{"wal", func(t *testing.T, defaults SessionParams) *Manager {
+			return walManager(t, t.TempDir(), 1, 9, defaults, 0)
+		}},
+	}
 	for _, acct := range []string{"basic", "advanced", "zcdp"} {
 		t.Run(acct, func(t *testing.T) {
-			defaults := SessionParams{
-				Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 8, TBudget: 4,
-				Accountant: acct,
-			}
-			specs := batchStream()
+			for _, mk := range managers {
+				t.Run(mk.name, func(t *testing.T) {
+					defaults := SessionParams{
+						Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 8, TBudget: 4,
+						Accountant: acct,
+					}
+					specs := batchStream()
 
-			seqM := durableManager(t, "", 1, 9, defaults)
-			defer seqM.Shutdown()
-			seqS, err := seqM.CreateSession(SessionParams{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqItems := make([]BatchItem, len(specs))
-			for i, q := range specs {
-				res, err := seqS.Query(q)
-				if err != nil {
-					seqItems[i].Error = err.Error()
-				} else {
-					seqItems[i].Result = res
-				}
-			}
+					seqM := mk.make(t, defaults)
+					defer seqM.Shutdown()
+					seqS, err := seqM.CreateSession(SessionParams{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					seqItems := make([]BatchItem, len(specs))
+					for i, q := range specs {
+						res, err := seqS.Query(q)
+						if err != nil {
+							seqItems[i].Error = err.Error()
+						} else {
+							seqItems[i].Result = res
+						}
+					}
 
-			batM := durableManager(t, "", 1, 9, defaults)
-			defer batM.Shutdown()
-			batS, err := batM.CreateSession(SessionParams{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			batItems, err := batS.QueryBatch(specs)
-			if err != nil {
-				t.Fatal(err)
-			}
+					batM := mk.make(t, defaults)
+					defer batM.Shutdown()
+					batS, err := batM.CreateSession(SessionParams{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					batItems, err := batS.QueryBatch(specs)
+					if err != nil {
+						t.Fatal(err)
+					}
 
-			for i := range specs {
-				a, b := seqItems[i], batItems[i]
-				if a.Error != b.Error {
-					t.Fatalf("item %d: sequential error %q, batch error %q", i, a.Error, b.Error)
-				}
-				if a.Result == nil {
-					continue
-				}
-				if a.Result.Loss != b.Result.Loss ||
-					a.Result.Top != b.Result.Top || a.Result.Cached != b.Result.Cached ||
-					a.Result.EpsSpent != b.Result.EpsSpent || a.Result.DeltaSpent != b.Result.DeltaSpent ||
-					a.Result.RhoSpent != b.Result.RhoSpent {
-					t.Fatalf("item %d differs:\nseq   %+v\nbatch %+v", i, a.Result, b.Result)
-				}
-				answersEqual(t, fmt.Sprintf("item %d", i), a.Result.Answer, b.Result.Answer)
-			}
+					for i := range specs {
+						a, b := seqItems[i], batItems[i]
+						if a.Error != b.Error {
+							t.Fatalf("item %d: sequential error %q, batch error %q", i, a.Error, b.Error)
+						}
+						if a.Result == nil {
+							continue
+						}
+						if a.Result.Loss != b.Result.Loss ||
+							a.Result.Top != b.Result.Top || a.Result.Cached != b.Result.Cached ||
+							a.Result.EpsSpent != b.Result.EpsSpent || a.Result.DeltaSpent != b.Result.DeltaSpent ||
+							a.Result.RhoSpent != b.Result.RhoSpent {
+							t.Fatalf("item %d differs:\nseq   %+v\nbatch %+v", i, a.Result, b.Result)
+						}
+						answersEqual(t, fmt.Sprintf("item %d", i), a.Result.Answer, b.Result.Answer)
+					}
 
-			// Ledger equivalence: identical composed spend, remaining
-			// budget, and counters.
-			seqSt, batSt := seqS.Status(), batS.Status()
-			seqSt.ID, batSt.ID = "", ""
-			seqSt.Created, batSt.Created = seqS.created, seqS.created
-			if seqSt != batSt {
-				t.Fatalf("status differs:\nseq   %+v\nbatch %+v", seqSt, batSt)
-			}
+					// Ledger equivalence: identical composed spend, remaining
+					// budget, and counters.
+					seqSt, batSt := seqS.Status(), batS.Status()
+					seqSt.ID, batSt.ID = "", ""
+					seqSt.Created, batSt.Created = seqS.created, seqS.created
+					if seqSt != batSt {
+						t.Fatalf("status differs:\nseq   %+v\nbatch %+v", seqSt, batSt)
+					}
 
-			// Transcript equivalence, byte for byte.
-			seqTr, err := seqS.TranscriptJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			batTr, err := batS.TranscriptJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(seqTr) != string(batTr) {
-				t.Fatalf("transcripts differ:\n%s\n%s", seqTr, batTr)
+					// Transcript equivalence, byte for byte.
+					seqTr, err := seqS.TranscriptJSON()
+					if err != nil {
+						t.Fatal(err)
+					}
+					batTr, err := batS.TranscriptJSON()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(seqTr) != string(batTr) {
+						t.Fatalf("transcripts differ:\n%s\n%s", seqTr, batTr)
+					}
+				})
 			}
 		})
 	}

@@ -228,11 +228,16 @@ func (s *Session) publishViewLocked() {
 }
 
 // stateLocked assembles the session's durable state (called under mu).
+// The state is encoded after mu is released, so the transcript is copied
+// with its event slice clipped: later answers append past the clipped
+// length (or into a fresh array), never into what the encoder reads.
 func (s *Session) stateLocked() (*persist.SessionState, error) {
 	raw, err := json.Marshal(s.params)
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding session params: %w", err)
 	}
+	tr := *s.rec.T
+	tr.Events = tr.Events[:len(tr.Events):len(tr.Events)]
 	return &persist.SessionState{
 		ID:         s.id,
 		Created:    s.created,
@@ -240,7 +245,7 @@ func (s *Session) stateLocked() (*persist.SessionState, error) {
 		Oracle:     s.oracle,
 		Params:     raw,
 		Core:       s.rec.Srv.Snapshot(),
-		Transcript: s.rec.T,
+		Transcript: &tr,
 	}, nil
 }
 
@@ -616,9 +621,11 @@ func (s *Session) answerLocked(l convex.Loss, key string, spec json.RawMessage) 
 // of an already-answered canonical query is served from the answer cache:
 // zero budget spend, no noise-stream movement, no session mutex — the
 // mechanism never sees it, so cached repeats keep working even after the
-// budget is exhausted. First-time queries go through the mechanism. Query
-// returns ErrSessionClosed after Close and ErrBudgetExhausted once the
-// session's K queries or T updates are spent.
+// budget is exhausted. First-time queries go through QueryBatch's mechanism
+// phase as a one-item pass, so both paths share one implementation of the
+// gating and write-ahead rules. Query returns ErrSessionClosed after Close
+// and ErrBudgetExhausted once the session's K queries or T updates are
+// spent.
 func (s *Session) Query(spec convex.Spec) (*QueryResult, error) {
 	key, err := convex.CanonicalKey(s.u, spec)
 	if err != nil {
@@ -627,110 +634,11 @@ func (s *Session) Query(spec convex.Spec) (*QueryResult, error) {
 	if res, err := s.lookupCached(key); err != nil || res != nil {
 		return res, err
 	}
-	l, err := convex.Build(s.u, spec)
-	if err != nil {
+	res, errs := make([]*QueryResult, 1), make([]error, 1)
+	if err := s.answerMisses([]convex.Spec{spec}, []string{key}, []int{0}, res, errs); err != nil {
 		return nil, err
 	}
-	var specRaw json.RawMessage
-	if s.walMode {
-		if specRaw, err = json.Marshal(spec); err != nil {
-			return nil, fmt.Errorf("service: encoding query spec: %w", err)
-		}
-	}
-	s.mu.Lock()
-	if s.pagedOut.Load() {
-		s.mu.Unlock()
-		return nil, ErrPagedOut
-	}
-	if s.closed.Load() {
-		s.mu.Unlock()
-		return nil, ErrSessionClosed
-	}
-	// Double-check under the lock: a concurrent miss for the same key may
-	// have just answered it. If that answer's spend is not durable yet
-	// (its writer is mid-fsync, or its write failed), re-drive the
-	// write-ahead commit before releasing the bytes — on success the skip
-	// rule makes it a cheap wait behind the in-flight writer, and after a
-	// failed write it is the retry that heals the gate.
-	if hit := s.cacheGet(key); hit != nil {
-		var st *persist.SessionState
-		var seq int
-		gated := !s.servable(hit)
-		if gated && !s.walMode {
-			if st, err = s.stateLocked(); err != nil {
-				s.mu.Unlock()
-				return nil, err
-			}
-		}
-		if gated {
-			seq = len(s.rec.T.Events)
-		}
-		res := s.hitResult(hit)
-		s.mu.Unlock()
-		if gated {
-			if s.walMode {
-				err = s.walCommit(seq, false)
-			} else {
-				err = s.save(st, seq, false)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
-	}
-	if s.rec.Srv.Halted() {
-		s.mu.Unlock()
-		return nil, ErrBudgetExhausted
-	}
-	res, err := s.answerLocked(l, key, specRaw)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	var st *persist.SessionState
-	var seq int
-	if res.Top && s.store != nil && !s.walMode {
-		// Assemble the write-ahead state under mu; the disk write happens
-		// after unlock so reads never wait on fsync.
-		if st, err = s.stateLocked(); err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-	}
-	seq = len(s.rec.T.Events)
-	s.mu.Unlock()
-	if s.walMode {
-		if res.Top {
-			// Write-ahead commit: the ⊤ record (and any queued ⊥ records
-			// before it) reaches disk through the group committer before
-			// the reply is sent.
-			if err := s.walCommit(seq, false); err != nil {
-				return nil, err
-			}
-		} else {
-			// ⊥ answers spend nothing: append the record without waiting
-			// for a sync, exactly as cheap as the pre-WAL path (which did
-			// not checkpoint ⊥ answers at all) but keeping the log the
-			// single replay source.
-			s.walIdleAppend()
-		}
-		return res, nil
-	}
-	if st != nil {
-		// Write-ahead checkpoint: a ⊤ answer spent budget, so the spend
-		// must reach disk before the reply is sent. On failure the reply is
-		// an error while the in-memory ledger and transcript keep the spend
-		// and the answer (the event stays readable via the transcript
-		// endpoint — it is already-released information and trimming it
-		// would desynchronize transcript and ledger). The guarantee is
-		// about accounting, not secrecy: budget can be over-counted by a
-		// failed reply, never spent without being counted.
-		if err := s.save(st, seq, false); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return res[0], errs[0]
 }
 
 // BatchItem is one entry of a batch response: exactly one of Result and
@@ -758,14 +666,14 @@ type BatchItem struct {
 // checkpoint withholds the whole batch's answers).
 func (s *Session) QueryBatch(specs []convex.Spec) ([]BatchItem, error) {
 	s.met.batch(len(specs))
-	items := make([]BatchItem, len(specs))
+	res, errs := make([]*QueryResult, len(specs)), make([]error, len(specs))
 	keys := make([]string, len(specs))
 	isMiss := make([]bool, len(specs))
 	var missIdx []int
 	for i, spec := range specs {
 		key, err := convex.CanonicalKey(s.u, spec)
 		if err != nil {
-			items[i].Error = err.Error()
+			errs[i] = err
 			continue
 		}
 		keys[i] = key
@@ -782,28 +690,20 @@ func (s *Session) QueryBatch(specs []convex.Spec) ([]BatchItem, error) {
 	}
 	// Misses run through the mechanism on their own goroutine while the
 	// pre-partitioned hits are resolved read-only here; the two sides write
-	// disjoint items.
+	// disjoint items, and items that failed canonicalization (keys[i] == "")
+	// already carry their error.
 	done := make(chan error, 1)
-	go func() { done <- s.answerMisses(specs, keys, missIdx, items) }()
+	go func() { done <- s.answerMisses(specs, keys, missIdx, res, errs) }()
 	var pagedErr error
 	for i := range specs {
-		// Miss items belong to the goroutine above; canonicalization
-		// failures (keys[i] == "") already carry their error. Only the
-		// pre-partitioned hits are touched here — the two sides write
-		// disjoint items.
 		if isMiss[i] || keys[i] == "" {
 			continue
 		}
-		res, err := s.lookupCached(keys[i])
-		switch {
-		case errors.Is(err, ErrPagedOut):
+		res[i], errs[i] = s.lookupCached(keys[i])
+		if errors.Is(errs[i], ErrPagedOut) {
 			// Eviction raced the batch: fail the batch as a whole so the
 			// manager pages the session back in and retries every item.
-			pagedErr = err
-		case err != nil:
-			items[i].Error = err.Error()
-		default:
-			items[i].Result = res
+			pagedErr = errs[i]
 		}
 	}
 	if err := <-done; err != nil {
@@ -812,13 +712,23 @@ func (s *Session) QueryBatch(specs []convex.Spec) ([]BatchItem, error) {
 	if pagedErr != nil {
 		return nil, pagedErr
 	}
+	items := make([]BatchItem, len(specs))
+	for i := range items {
+		if errs[i] != nil {
+			items[i].Error = errs[i].Error()
+		} else {
+			items[i].Result = res[i]
+		}
+	}
 	return items, nil
 }
 
-// answerMisses is QueryBatch's mechanism phase: every non-cached item, in
-// submission order, under one mutex hold and one trailing write-ahead
-// checkpoint.
-func (s *Session) answerMisses(specs []convex.Spec, keys []string, missIdx []int, items []BatchItem) error {
+// answerMisses is the mechanism phase of Query and QueryBatch: every
+// non-cached item, in submission order, under one mutex hold and one
+// trailing write-ahead checkpoint. Item i's outcome lands in res[i] or
+// errs[i]; the returned error is reserved for failures that withhold every
+// answer (eviction, a failed checkpoint).
+func (s *Session) answerMisses(specs []convex.Spec, keys []string, missIdx []int, res []*QueryResult, errs []error) error {
 	if len(missIdx) == 0 {
 		return nil
 	}
@@ -856,39 +766,44 @@ func (s *Session) answerMisses(specs []convex.Spec, keys []string, missIdx []int
 	for _, i := range missIdx {
 		b := byKey[keys[i]]
 		if b.err != nil {
-			items[i].Error = b.err.Error()
+			errs[i] = b.err
 			continue
 		}
 		if s.closed.Load() {
-			items[i].Error = ErrSessionClosed.Error()
+			errs[i] = ErrSessionClosed
 			continue
 		}
 		// An earlier miss in this batch (or a concurrent request) may have
 		// been this item's first occurrence; serve the repeat from the
 		// cache it filled, exactly as a sequential Query would. An entry
 		// whose spend is not durable yet may be used *inside* the batch —
-		// its release is gated by the trailing save below.
+		// its release is gated by the trailing save below, which re-drives
+		// the commit if the entry's own writer is mid-fsync or failed.
 		if hit := s.cacheGet(keys[i]); hit != nil {
 			if !s.servable(hit) {
 				needSave = true
 			}
-			items[i].Result = s.hitResult(hit)
+			res[i] = s.hitResult(hit)
 			continue
 		}
 		if s.rec.Srv.Halted() {
-			items[i].Error = ErrBudgetExhausted.Error()
+			errs[i] = ErrBudgetExhausted
 			continue
 		}
-		res, err := s.answerLocked(b.loss, keys[i], b.spec)
+		r, err := s.answerLocked(b.loss, keys[i], b.spec)
 		if err != nil {
-			items[i].Error = err.Error()
+			errs[i] = err
 			continue
 		}
-		if res.Top {
+		if r.Top {
 			needSave = true
 		}
-		items[i].Result = res
+		res[i] = r
 	}
+	// Write-ahead: every spend is on disk before any answer is released.
+	// On a failed write the caller gets an error but the in-memory ledger
+	// and transcript keep the spend: budget can be over-counted by a
+	// failed reply, never spent without being counted.
 	var st *persist.SessionState
 	var seq int
 	var stErr error

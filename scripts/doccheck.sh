@@ -4,8 +4,8 @@
 #   1. gofmt -l         : no unformatted files
 #   2. go vet ./...     : no vet diagnostics
 #   3. doccheck         : every internal package has a package doc comment,
-#                         and every exported symbol in internal/obs,
-#                         internal/persist, internal/route,
+#                         and every exported symbol in internal/core,
+#                         internal/obs, internal/persist, internal/route,
 #                         internal/service,
 #                         internal/universe, internal/vecmath,
 #                         internal/xeval, internal/fault, and
@@ -16,7 +16,8 @@
 #                         on, and the fault seam is load-bearing for every
 #                         durability claim, so all are held to the
 #                         strictest standard; internal/route joins them
-#                         as the fleet's availability seam)
+#                         as the fleet's availability seam, and
+#                         internal/core as the mechanism itself)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +33,7 @@ go vet ./...
 pkgdoc_args=()
 for d in internal/*/; do
     case "$d" in
+        internal/core/) ;; # strict-checked below
         internal/obs/|internal/persist/|internal/route/|internal/service/) ;; # strict-checked below
         internal/universe/|internal/vecmath/|internal/xeval/) ;; # strict-checked below
         internal/fault/) ;; # strict-checked below (with its nested drill package)
@@ -39,6 +41,7 @@ for d in internal/*/; do
     esac
 done
 go run ./scripts/doccheck "${pkgdoc_args[@]}" \
+    internal/core \
     internal/obs internal/persist internal/route internal/service \
     internal/universe internal/vecmath internal/xeval \
     internal/fault internal/fault/drill
