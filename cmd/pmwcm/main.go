@@ -102,7 +102,7 @@ func usage() {
               [-eps E] [-delta D] [-alpha A] [-k K] [-oracle NAME]
               [-accountant NAME] [-workers W] [-maxsessions N] [-seed S]
               [-state-dir DIR | -store-url http://h:9099/v1/stores/NAME]
-              [-wal=false] [-commit-window D] [-max-resident N] [-idle-ttl D]
+              [-commit-window D] [-compact-every N] [-max-resident N] [-idle-ttl D]
               [-log-level info] [-log-format text|json]
   pmwcm loadtest [-url http://127.0.0.1:8787] [-urls u1,u2,...] [-scenario file.json]
               [-mode closed|open|churn] [-duration SEC] [-sessions N]

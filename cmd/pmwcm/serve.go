@@ -95,13 +95,12 @@ func serveCmd(args []string) error {
 	maxSessions := fs.Int("maxsessions", 64, "maximum concurrently open sessions")
 	maxK := fs.Int("maxk", 100000, "maximum per-session query cap an analyst may request")
 	seed := fs.Int64("seed", 1, "random seed for all mechanism noise")
-	stateDir := fs.String("state-dir", "", "session state directory: sessions checkpoint on every budget spend and on shutdown, and are restored on startup (empty = memory only; budget state dies with the process)")
-	storeURL := fs.String("store-url", "", "remote blob-store base URL (a `pmwcm store` endpoint, e.g. http://host:9099/v1/stores/r1): sessions checkpoint over HTTP with fingerprint-verified loads instead of a local -state-dir; mutually exclusive with -state-dir, implies -wal=false")
+	stateDir := fs.String("state-dir", "", "session state directory: every budget spend is logged before its answer is released, sessions snapshot on shutdown, and are restored on startup (empty = memory only; budget state dies with the process)")
+	storeURL := fs.String("store-url", "", "remote blob-store base URL (a `pmwcm store` endpoint, e.g. http://host:9099/v1/stores/r1): the same logs and snapshots as -state-dir, kept as blobs over HTTP with fingerprint-verified loads; mutually exclusive with -state-dir")
 	maxResident := fs.Int("max-resident", 0, "cap on live sessions held in memory: past it the least-recently-used sessions are evicted to the store and paged back in on their next touch (0 = unlimited; requires -state-dir or -store-url)")
 	idleTTL := fs.Duration("idle-ttl", 0, "evict live sessions untouched for this long (0 = never; requires -state-dir or -store-url)")
-	wal := fs.Bool("wal", true, "write-ahead-log write path: per-session logs with group-committed fsyncs instead of a full snapshot per budget spend (default on when -state-dir is set; -wal=false opts back into snapshot-per-spend)")
-	commitWindow := fs.Duration("commit-window", 0, "upper bound on how long a group-commit batch stays open while commits keep arriving (0 = 2ms; only with -wal)")
-	compactEvery := fs.Int("compact-every", 0, "fold a session's WAL into its snapshot after this many records (0 = 256; only with -wal)")
+	commitWindow := fs.Duration("commit-window", 0, "upper bound on how long a group-commit batch stays open while commits keep arriving (0 = 2ms; needs -state-dir or -store-url)")
+	compactEvery := fs.Int("compact-every", 0, "fold a session's write-ahead log into its snapshot after this many records (0 = 256; needs -state-dir or -store-url)")
 	faultPlan := fs.String("fault-plan", "", "DEV ONLY: deterministic fault-injection plan for the durability write path (chaos drills; e.g. 'error@40,torn@90:7' or 'seed=7,window=400,faults=3,modes=error+torn'); requires -state-dir")
 	logLevel := fs.String("log-level", "info", "request/startup log level (debug, info, warn, error)")
 	logFormat := fs.String("log-format", "text", "log output format (text, json)")
@@ -185,27 +184,6 @@ func serveCmd(args []string) error {
 	} else if *faultPlan != "" {
 		return fmt.Errorf("-fault-plan requires -state-dir")
 	}
-	// WAL mode defaults on, but only means something with a state
-	// directory: without one it silently stays off, unless the operator
-	// explicitly asked for it — then refuse rather than serve a weaker
-	// durability mode than requested. The remote backend has no
-	// per-session log (every checkpoint is one atomic blob PUT), so
-	// -store-url always runs snapshot checkpoints.
-	if *stateDir == "" {
-		walSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "wal" {
-				walSet = true
-			}
-		})
-		if *wal && walSet {
-			if *storeURL != "" {
-				return fmt.Errorf("-wal is not supported with -store-url (the remote store has no per-session log; snapshot checkpoints are used)")
-			}
-			return fmt.Errorf("-wal requires -state-dir")
-		}
-		*wal = false
-	}
 	if (*maxResident > 0 || *idleTTL > 0) && backend == nil {
 		return fmt.Errorf("-max-resident/-idle-ttl require a durable store (-state-dir or -store-url): an evicted session must have somewhere to live")
 	}
@@ -235,7 +213,6 @@ func serveCmd(args []string) error {
 		Limits:       service.Limits{MaxSessions: *maxSessions, MaxK: *maxK},
 		Store:        backend,
 		Metrics:      reg,
-		WAL:          *wal,
 		CommitWindow: *commitWindow,
 		CompactEvery: *compactEvery,
 		MaxResident:  *maxResident,
@@ -247,7 +224,7 @@ func serveCmd(args []string) error {
 	logger.Info("starting", "version", obs.Version().String())
 	if backend != nil {
 		logger.Info("durable store opened", "location", backend.Location(),
-			"restored_live_sessions", mgr.OpenSessions(), "wal", *wal,
+			"restored_live_sessions", mgr.OpenSessions(),
 			"max_resident", *maxResident, "idle_ttl", idleTTL.String())
 	}
 

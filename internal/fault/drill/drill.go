@@ -1,5 +1,5 @@
 // Package drill is the crash-schedule drill harness over the fault seam:
-// it runs a deterministic WAL-mode query workload once on a tracing
+// it runs a deterministic durable query workload once on a tracing
 // filesystem to enumerate every durability syscall (the fault points),
 // then replays seeded schedules that each inject one fault — transient
 // error, torn write, or a crash latched at an arbitrary syscall — abandon
@@ -139,7 +139,7 @@ func buildData(seed int64) (*dataset.Dataset, error) {
 	return dataset.SampleFrom(sample.New(seed), pop, 20000), nil
 }
 
-// manager builds a WAL-mode manager over the store.
+// manager builds a durable manager over the store.
 func (o Options) manager(data *dataset.Dataset, st *persist.Store) (*service.Manager, error) {
 	return service.New(service.Config{
 		Data:   data,
@@ -149,7 +149,6 @@ func (o Options) manager(data *dataset.Dataset, st *persist.Store) (*service.Man
 			K: 2*o.Queries + 4, TBudget: o.Queries,
 		},
 		Store:        st,
-		WAL:          true,
 		CompactEvery: o.CompactEvery,
 	})
 }

@@ -2,40 +2,39 @@
 // against more than one durability substrate. Two implementations exist:
 //
 //   - *Store (persist.go): the original state directory on a local
-//     filesystem, reached through the fault.FS seam. Supports per-session
-//     WALs, so a serve replica on a state dir gets group-committed
-//     appends between snapshots.
+//     filesystem, reached through the fault.FS seam.
 //   - *Remote (this file): a thin HTTP client against the blob endpoint
 //     a `pmwcm store` process exposes (blobserver.go). The wire format is
-//     exactly the state-dir file format — the same envelope bytes land in
-//     the same file names, namespaced per replica — so an operator can
-//     point a state-dir replica at a copied-down namespace and vice
-//     versa. Remote does not support WALs: without a durable append
-//     primitive on the far side, the write-ahead rule falls back to
-//     snapshot-per-spend, which is the pre-WAL durability contract.
+//     exactly the state-dir file format — the same envelope and log bytes
+//     land in the same file names, namespaced per replica — so an
+//     operator can point a state-dir replica at a copied-down namespace
+//     and vice versa.
 //
-// The split the interface draws is deliberate: Manifest and SessionState
-// documents are what a Backend stores; WAL lifecycle is an optional
-// capability (SupportsWAL) so the service can decide between append and
-// snapshot durability at startup rather than failing mid-spend.
+// Both give every session the same two durable documents: a snapshot
+// (SessionState, the compaction and long-term format) and a write-ahead
+// log (WAL, the per-⊤ durable point). A remote log is a blob grown by
+// conditional appends, so a ⊤ ships one small record, not the envelope.
 package persist
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
 // Backend is a session state store: a manifest slot, a keyed set of
-// session state documents, and an optional per-session WAL facility.
+// session state documents, and a per-session WAL facility.
 // Implementations must keep the documents bit-exact across a round trip —
 // the bit-identical-restore invariant decodes what Save encoded.
 // Like *Store, per-id method calls are serialized by the caller.
@@ -61,34 +60,23 @@ type Backend interface {
 	// DeleteSession removes a session's state document; idempotent.
 	DeleteSession(id string) error
 
-	// SupportsWAL reports whether the WAL lifecycle methods work. When
-	// false, OpenWAL fails with ErrWALUnsupported, LoadWAL returns
-	// (nil, nil), HasWAL returns false, and RemoveWAL is a no-op — the
-	// shape recovery code expects from a store with no log files.
-	SupportsWAL() bool
-	// OpenWAL opens (creating or resuming) a session's append log.
+	// OpenWAL opens a session's append log. The caller guarantees the log
+	// holds no records past the session's snapshot (LoadWAL found none,
+	// or they were just folded): a file log resumes at its end, a blob
+	// log is replaced by the first Sync.
 	OpenWAL(id string) (*WAL, error)
-	// LoadWAL parses a session's log, (nil, nil) when there is none.
+	// LoadWAL parses a session's log, healing a torn tail; (nil, nil)
+	// when there is none.
 	LoadWAL(id string) ([]*WALRecord, error)
-	// HasWAL reports whether a log file exists for id.
-	HasWAL(id string) bool
 	// RemoveWAL deletes a session's log; idempotent.
 	RemoveWAL(id string) error
 }
-
-// ErrWALUnsupported is returned by OpenWAL on backends without a durable
-// append primitive. The service treats it as a configuration error at
-// startup (refusing -wal), never as a runtime condition.
-var ErrWALUnsupported = errors.New("persist: backend does not support write-ahead logs")
 
 // Store implements Backend over a state directory.
 var _ Backend = (*Store)(nil)
 
 // Location returns the state directory path.
 func (s *Store) Location() string { return s.dir }
-
-// SupportsWAL reports true: state directories get per-session logs.
-func (s *Store) SupportsWAL() bool { return true }
 
 // ValidateID reports whether id is usable as a session id: non-empty,
 // ≤128 filename-safe characters, no leading dot. Exposed so layers that
@@ -122,12 +110,8 @@ type Remote struct {
 	client  *http.Client
 	retries int
 	backoff time.Duration
-	met     *remoteMetrics
-}
-
-type remoteMetrics struct {
-	count   map[string]*obs.Counter // by checkpoint kind, mirrors storeMetrics
-	bytes   map[string]*obs.Counter
+	// Instruments (nil until Instrument; nil instruments are no-ops).
+	met     *storeMetrics
 	rtt     *obs.Histogram
 	retried *obs.Counter
 }
@@ -177,33 +161,18 @@ var _ Backend = (*Remote)(nil)
 // Location returns the namespace URL.
 func (r *Remote) Location() string { return r.base }
 
-// SupportsWAL reports false: the blob protocol has no durable append.
-func (r *Remote) SupportsWAL() bool { return false }
-
-// Instrument attaches checkpoint counters (same names and labels as the
-// state-dir store, so dashboards are backend-agnostic) plus remote-only
-// request-latency and retry instruments.
+// Instrument attaches the state-dir store's checkpoint and WAL
+// instruments (same names and labels, so dashboards are backend-agnostic)
+// plus remote-only request-latency and retry instruments.
 func (r *Remote) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	m := &remoteMetrics{
-		count: map[string]*obs.Counter{},
-		bytes: map[string]*obs.Counter{},
-		rtt: reg.Histogram("pmwcm_store_request_seconds",
-			"Remote store request latency in seconds (successful attempts).", obs.DefBuckets, nil),
-		retried: reg.Counter("pmwcm_store_retries_total",
-			"Remote store attempts retried after a transient failure.", nil),
-	}
-	const (
-		countHelp = "Durable checkpoints committed, by kind."
-		bytesHelp = "Bytes committed to durable checkpoints, by kind."
-	)
-	for _, kind := range []string{KindManifest, KindSession} {
-		m.count[kind] = reg.Counter("pmwcm_checkpoint_total", countHelp, obs.Labels{"kind": kind})
-		m.bytes[kind] = reg.Counter("pmwcm_checkpoint_bytes_total", bytesHelp, obs.Labels{"kind": kind})
-	}
-	r.met = m
+	r.met = newStoreMetrics(reg)
+	r.rtt = reg.Histogram("pmwcm_store_request_seconds",
+		"Remote store request latency in seconds (successful attempts).", obs.DefBuckets, nil)
+	r.retried = reg.Counter("pmwcm_store_retries_total",
+		"Remote store attempts retried after a transient failure.", nil)
 }
 
 // blobURL maps a blob name into the namespace.
@@ -226,12 +195,13 @@ func transient(status int, err error) bool {
 // fingerprint mismatch is treated as transient — the blob may have been
 // replaced mid-read — and retried.
 func (r *Remote) do(method, u string, body []byte, verify bool) ([]byte, int, error) {
+	if len(body) > maxBlobBytes {
+		return nil, 0, fmt.Errorf("persist: %s %s: %d-byte body exceeds the %d-byte blob cap", method, u, len(body), maxBlobBytes)
+	}
 	var lastErr error
 	for attempt := 0; attempt < r.retries; attempt++ {
 		if attempt > 0 {
-			if r.met != nil {
-				r.met.retried.Inc()
-			}
+			r.retried.Inc()
 			time.Sleep(r.backoff * time.Duration(attempt))
 		}
 		var reqBody io.Reader
@@ -254,13 +224,15 @@ func (r *Remote) do(method, u string, body []byte, verify bool) ([]byte, int, er
 			lastErr = fmt.Errorf("persist: reading %s %s response: %w", method, u, rerr)
 			continue
 		}
+		if len(data) > maxBlobBytes {
+			// Not transient: a retry reads the same oversized blob again.
+			return nil, resp.StatusCode, fmt.Errorf("persist: %s %s: response exceeds the %d-byte blob cap", method, u, maxBlobBytes)
+		}
 		if transient(resp.StatusCode, nil) {
 			lastErr = fmt.Errorf("persist: %s %s: status %d: %s", method, u, resp.StatusCode, firstLine(data))
 			continue
 		}
-		if r.met != nil {
-			r.met.rtt.Observe(time.Since(start).Seconds())
-		}
+		r.rtt.Observe(time.Since(start).Seconds())
 		if resp.StatusCode == http.StatusNotFound {
 			return nil, resp.StatusCode, fmt.Errorf("%w: %s", errNotFound, u)
 		}
@@ -372,29 +344,19 @@ func (r *Remote) list() ([]string, error) {
 	var doc struct {
 		Blobs []string `json:"blobs"`
 	}
-	if err := decodeJSON(data, &doc); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("persist: decoding blob list: %w", err)
 	}
 	return doc.Blobs, nil
 }
 
-// Sessions lists the ids with a state blob, sorted (the server sorts).
+// Sessions lists the ids with a state blob, sorted.
 func (r *Remote) Sessions() ([]string, error) {
 	names, err := r.list()
 	if err != nil {
 		return nil, err
 	}
-	var ids []string
-	for _, name := range names {
-		if !strings.HasPrefix(name, sessionPrefix) || !strings.HasSuffix(name, sessionSuffix) {
-			continue
-		}
-		id := strings.TrimSuffix(strings.TrimPrefix(name, sessionPrefix), sessionSuffix)
-		if validID(id) == nil {
-			ids = append(ids, id)
-		}
-	}
-	return ids, nil
+	return sessionIDs(names), nil
 }
 
 // DeleteSession removes a session's state blob; deleting an absent blob
@@ -403,21 +365,142 @@ func (r *Remote) DeleteSession(id string) error {
 	if err := validID(id); err != nil {
 		return err
 	}
-	_, _, err := r.do(http.MethodDelete, r.blobURL(sessionPrefix+id+sessionSuffix), nil, false)
+	return r.remove(sessionPrefix + id + sessionSuffix)
+}
+
+// remove deletes a blob, succeeding when it is already gone.
+func (r *Remote) remove(name string) error {
+	_, _, err := r.do(http.MethodDelete, r.blobURL(name), nil, false)
 	if errors.Is(err, errNotFound) {
 		return nil
 	}
 	return err
 }
 
-// OpenWAL fails: the blob protocol has no durable append primitive.
-func (r *Remote) OpenWAL(string) (*WAL, error) { return nil, ErrWALUnsupported }
+// walName is a session log's blob name — its state-dir file name.
+func walName(id string) string { return sessionPrefix + id + walSuffix }
 
-// LoadWAL reports no log, matching a store that never wrote one.
-func (r *Remote) LoadWAL(string) ([]*WALRecord, error) { return nil, nil }
+// OpenWAL returns the session's log over its blob without a request: the
+// header waits in the buffer, and the first Sync writes header and
+// records with one atomic PUT, replacing whatever header-only (or absent)
+// blob the session had. Every later Sync is one conditional append.
+func (r *Remote) OpenWAL(id string) (*WAL, error) {
+	if err := validID(id); err != nil {
+		return nil, err
+	}
+	header := headerFrame(id)
+	return &WAL{
+		sink:  &blobSink{r: r, url: r.blobURL(walName(id)), buf: header, off: -1},
+		id:    id,
+		met:   r.met,
+		bytes: int64(len(header)),
+	}, nil
+}
 
-// HasWAL reports false: remote sessions have no log files.
-func (r *Remote) HasWAL(string) bool { return false }
+// LoadWAL reads and parses a session's log blob, (nil, nil) when there is
+// none. A torn tail is healed by an atomic PUT of the clean prefix, the
+// blob form of the state dir's truncate.
+func (r *Remote) LoadWAL(id string) ([]*WALRecord, error) {
+	if err := validID(id); err != nil {
+		return nil, err
+	}
+	u := r.blobURL(walName(id))
+	data, _, err := r.do(http.MethodGet, u, nil, true)
+	if errors.Is(err, errNotFound) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("persist: reading wal for %s: %w", id, err)
+	}
+	recs, clean, torn, err := parseWAL(data, id)
+	if err != nil {
+		return nil, err
+	}
+	if torn {
+		if _, _, err := r.do(http.MethodPut, u, data[:clean], false); err != nil {
+			return nil, fmt.Errorf("persist: truncating torn wal tail for %s: %w", id, err)
+		}
+		if r.met != nil {
+			r.met.walTruncations.Inc()
+		}
+	}
+	return recs, nil
+}
 
-// RemoveWAL is a no-op: there is never a log to remove.
-func (r *Remote) RemoveWAL(string) error { return nil }
+// RemoveWAL deletes a session's log blob; deleting an absent blob
+// succeeds.
+func (r *Remote) RemoveWAL(id string) error {
+	if err := validID(id); err != nil {
+		return err
+	}
+	return r.remove(walName(id))
+}
+
+// blobSink is the remote WAL sink. Appended frames wait in buf; a sync
+// ships all of them in one request, conditional on the blob's size: the
+// server appends at offset off or not at all, and acknowledges a retry
+// of an append it already committed without writing again, so the
+// client's transport retries cannot double-apply a record. off is -1
+// until the first sync or reset, whose atomic PUT fixes the blob's
+// contents without knowing what was there.
+type blobSink struct {
+	r   *Remote
+	url string
+
+	mu  sync.Mutex // guards buf
+	buf []byte
+
+	syncMu sync.Mutex // serializes sync and reset; guards off and err
+	off    int64
+	// err is sticky: after a failed sync the blob may lack records a
+	// later sync would not resend, so every sync fails until a reset
+	// rewrites the blob.
+	err error
+}
+
+func (k *blobSink) write(p []byte) error {
+	k.mu.Lock()
+	k.buf = append(k.buf, p...)
+	k.mu.Unlock()
+	return nil
+}
+
+func (k *blobSink) sync() error {
+	k.syncMu.Lock()
+	defer k.syncMu.Unlock()
+	if k.err != nil {
+		return k.err
+	}
+	k.mu.Lock()
+	data := k.buf
+	k.buf = nil
+	k.mu.Unlock()
+	if len(data) == 0 {
+		return nil
+	}
+	method, u := http.MethodPut, k.url
+	if k.off >= 0 {
+		method, u = http.MethodPost, k.url+"?at="+strconv.FormatInt(k.off, 10)
+	}
+	if _, _, err := k.r.do(method, u, data, false); err != nil {
+		k.err = err
+		return err
+	}
+	k.off = max(k.off, 0) + int64(len(data))
+	return nil
+}
+
+func (k *blobSink) reset(header []byte) error {
+	k.syncMu.Lock()
+	defer k.syncMu.Unlock()
+	if _, _, err := k.r.do(http.MethodPut, k.url, header, false); err != nil {
+		return err
+	}
+	k.mu.Lock()
+	k.buf = nil
+	k.mu.Unlock()
+	k.off, k.err = int64(len(header)), nil
+	return nil
+}
+
+func (k *blobSink) close() error { return nil }

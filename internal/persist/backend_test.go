@@ -2,7 +2,6 @@ package persist
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -53,9 +52,6 @@ func TestRemoteBackendRoundTrip(t *testing.T) {
 
 	if !strings.HasSuffix(r.Location(), "/v1/stores/r1") {
 		t.Errorf("Location() = %q", r.Location())
-	}
-	if r.SupportsWAL() {
-		t.Error("remote backend claims WAL support")
 	}
 
 	// Fresh namespace: no manifest, no sessions.
@@ -121,15 +117,10 @@ func TestRemoteBackendRoundTrip(t *testing.T) {
 		t.Fatal("loaded a deleted session")
 	}
 
-	// WAL facility is stubbed to the no-log shape.
-	if _, err := r.OpenWAL("s-000002"); !errors.Is(err, ErrWALUnsupported) {
-		t.Errorf("OpenWAL = %v, want ErrWALUnsupported", err)
-	}
+	// A session with no log blob loads as no tail, and removing the
+	// absent log succeeds.
 	if recs, err := r.LoadWAL("s-000002"); err != nil || recs != nil {
 		t.Errorf("LoadWAL = %v, %v", recs, err)
-	}
-	if r.HasWAL("s-000002") {
-		t.Error("HasWAL = true")
 	}
 	if err := r.RemoveWAL("s-000002"); err != nil {
 		t.Errorf("RemoveWAL = %v", err)
@@ -329,6 +320,8 @@ func TestBlobServerValidatesPaths(t *testing.T) {
 		{http.MethodGet, "/v1/stores/r1/blobs/.hidden", http.StatusBadRequest},
 		{http.MethodPut, "/v1/stores/r1/blobs/bad%20name", http.StatusBadRequest},
 		{http.MethodDelete, "/v1/stores/bad%20ns/blobs/x", http.StatusBadRequest},
+		{http.MethodPost, "/v1/stores/bad%20ns/blobs/x.wal?at=0", http.StatusBadRequest},
+		{http.MethodPost, "/v1/stores/r1/blobs/.hidden?at=0", http.StatusBadRequest},
 		{http.MethodGet, "/v1/stores/r1/blobs/absent.json", http.StatusNotFound},
 	} {
 		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader("x"))
@@ -413,8 +406,5 @@ func TestStoreImplementsBackend(t *testing.T) {
 	b = s
 	if b.Location() != dir {
 		t.Errorf("Location() = %q, want %q", b.Location(), dir)
-	}
-	if !b.SupportsWAL() {
-		t.Error("state-dir store must support WALs")
 	}
 }

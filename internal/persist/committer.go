@@ -201,7 +201,7 @@ func flush(batch []commitReq) {
 			errs[w] = res[i]
 		}
 	}
-	if m := batch[0].w.store.met; m != nil {
+	if m := batch[0].w.met; m != nil {
 		m.walBatch.Observe(float64(len(errs)))
 	}
 	for _, r := range batch {

@@ -140,7 +140,7 @@ func TestGroupCommitterPartialBatchFailure(t *testing.T) {
 	}
 	// Closing the file under the WAL makes its fsync fail like a revoked
 	// descriptor, without touching the good file's path.
-	bad.f.Close()
+	bad.Close()
 
 	if err := good.Append(walEvent(1)); err != nil {
 		t.Fatal(err)

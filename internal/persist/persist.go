@@ -222,9 +222,14 @@ const (
 // before the store is used concurrently; a nil registry is a no-op.
 // Instrumentation is timing/volume-only and never alters what is written.
 func (s *Store) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
+	if reg != nil {
+		s.met = newStoreMetrics(reg)
 	}
+}
+
+// newStoreMetrics registers the checkpoint and WAL instruments both
+// backends share, so dashboards are backend-agnostic.
+func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	const (
 		countHelp = "Durable checkpoints committed, by kind."
 		bytesHelp = "Bytes committed to durable checkpoints, by kind."
@@ -249,7 +254,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		m.count[kind] = reg.Counter("pmwcm_checkpoint_total", countHelp, obs.Labels{"kind": kind})
 		m.bytes[kind] = reg.Counter("pmwcm_checkpoint_bytes_total", bytesHelp, obs.Labels{"kind": kind})
 	}
-	s.met = m
+	return m
 }
 
 // Open creates the directory if needed and returns a store over it,
@@ -351,23 +356,8 @@ func (s *Store) timedSync(f fault.File) error {
 // and crash recovery only ever observe complete files. kind labels the
 // checkpoint counters when the store is instrumented.
 func (s *Store) writeAtomic(path, kind string, data []byte) error {
-	tmp, err := s.fsys.CreateTemp(s.dir, tmpPrefix+"*")
-	if err != nil {
-		return fmt.Errorf("persist: creating temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	serr := s.timedSync(tmp)
-	cerr := tmp.Close()
-	for _, err := range []error{werr, serr, cerr} {
-		if err != nil {
-			s.fsys.Remove(tmpName)
-			return fmt.Errorf("persist: writing %s: %w", filepath.Base(path), err)
-		}
-	}
-	if err := s.fsys.Rename(tmpName, path); err != nil {
-		s.fsys.Remove(tmpName)
-		return fmt.Errorf("persist: committing %s: %w", filepath.Base(path), err)
+	if err := writeAtomicFS(s.fsys, s.dir, path, data, s.timedSync); err != nil {
+		return err
 	}
 	if s.met != nil {
 		s.met.count[kind].Inc()
@@ -441,10 +431,20 @@ func (s *Store) Sessions() ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: listing state directory: %w", err)
 	}
-	var ids []string
+	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, sessionPrefix) || !strings.HasSuffix(name, sessionSuffix) {
+		if !e.IsDir() {
+			names = append(names, e.Name())
+		}
+	}
+	return sessionIDs(names), nil
+}
+
+// sessionIDs picks the session ids out of state-file names, sorted.
+func sessionIDs(names []string) []string {
+	var ids []string
+	for _, name := range names {
+		if !strings.HasPrefix(name, sessionPrefix) || !strings.HasSuffix(name, sessionSuffix) {
 			continue
 		}
 		id := strings.TrimSuffix(strings.TrimPrefix(name, sessionPrefix), sessionSuffix)
@@ -453,7 +453,7 @@ func (s *Store) Sessions() ([]string, error) {
 		}
 	}
 	sort.Strings(ids)
-	return ids, nil
+	return ids
 }
 
 // DeleteSession removes a session's state file. Missing files are not an
@@ -462,8 +462,13 @@ func (s *Store) DeleteSession(id string) error {
 	if err := validID(id); err != nil {
 		return err
 	}
-	if err := s.fsys.Remove(s.sessionPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("persist: deleting session %s: %w", id, err)
+	return s.remove(s.sessionPath(id))
+}
+
+// remove deletes a file, succeeding when it is already gone.
+func (s *Store) remove(path string) error {
+	if err := s.fsys.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("persist: deleting %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }

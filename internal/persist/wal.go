@@ -8,6 +8,10 @@ package persist
 // self-describing record, and recovery is "load the last snapshot, replay
 // the WAL tail". Compaction periodically folds the log back into the
 // snapshot format and truncates it, so neither file grows without bound.
+// The log is the only per-⊤ durable point on every backend: a state
+// directory keeps it as a file, a remote namespace as a blob of the same
+// name and bytes (see blobSink in backend.go), so a copied-down namespace
+// is still a valid state directory.
 //
 // File layout: session-<id>.wal holds a header record followed by event
 // records, each framed as
@@ -26,7 +30,8 @@ package persist
 //
 // Unlike snapshots, WAL appends are deliberately not atomic-rename writes:
 // the whole point is to pay one small sequential write (plus a batched
-// fsync, see committer.go) instead of rewriting a file. The envelope-style
+// fsync, see committer.go; over a remote store, one conditional append
+// request) instead of rewriting a file. The envelope-style
 // self-description lives in the header record instead.
 
 import (
@@ -98,18 +103,59 @@ func (s *Store) walPath(id string) string {
 	return filepath.Join(s.dir, sessionPrefix+id+walSuffix)
 }
 
-// WAL is an open, append-only session log. Append and Sync are not safe
-// for concurrent use; the service serializes them behind the session's
-// save mutex (Sync additionally funnels through the group committer, which
-// may call it from the committer goroutine — the *os.File fsync itself is
-// safe to issue from there because appends are quiescent while a commit
-// batch holds the waiters).
+// WAL is an open, append-only session log over one of two sinks: a file
+// in a state directory (Store.OpenWAL) or a blob in a remote namespace
+// (Remote.OpenWAL). Both carry the same framed bytes, and both grow only
+// by Append, harden by Sync, and shrink only by Reset. Append and Reset
+// are not safe for concurrent use; the service serializes them behind the
+// session's save mutex. Sync may run concurrently with them (the group
+// committer calls it from its own goroutine while the session keeps
+// appending): it covers every record appended before the call.
 type WAL struct {
-	f       fault.File
-	store   *Store
+	sink    walSink
 	id      string
-	records int   // event/close records in the file (header excluded)
-	bytes   int64 // file size including header and framing
+	met     *storeMetrics
+	records int   // event/close records in the log (header excluded)
+	bytes   int64 // log size including header and framing
+}
+
+// walSink is where a WAL's framed bytes go. write may buffer; sync makes
+// everything written before it durable; reset durably replaces the whole
+// log with the given header frame.
+type walSink interface {
+	write(p []byte) error
+	sync() error
+	reset(header []byte) error
+	close() error
+}
+
+// fileSink is the state-directory sink: writes go straight to the file
+// (the OS page cache is the buffer) and sync is an fsync.
+type fileSink struct {
+	f     fault.File
+	store *Store
+}
+
+func (k fileSink) write(p []byte) error { _, err := k.f.Write(p); return err }
+func (k fileSink) sync() error          { return k.store.timedSync(k.f) }
+func (k fileSink) close() error         { return k.f.Close() }
+
+// reset truncates the file and rewrites the header. The truncation is
+// synced so a crash right after compaction cannot resurrect
+// pre-compaction records next to the newer snapshot (replay would skip
+// them by seq, but an unsynced truncate could also tear and leave garbage
+// mid-file).
+func (k fileSink) reset(header []byte) error {
+	if err := k.f.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := k.f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	if _, err := k.f.Write(header); err != nil {
+		return err
+	}
+	return k.f.Sync()
 }
 
 // frame encodes one record as [len][crc][payload].
@@ -125,9 +171,15 @@ func frame(rec *WALRecord) ([]byte, error) {
 	return buf, nil
 }
 
-// header builds the self-describing first record for id.
+// walHeader builds the self-describing first record for id.
 func walHeader(id string) *WALRecord {
 	return &WALRecord{Kind: WALHeader, Format: FormatWAL, Version: SchemaVersion, ID: id}
+}
+
+// headerFrame is walHeader framed (a header record always encodes).
+func headerFrame(id string) []byte {
+	buf, _ := frame(walHeader(id))
+	return buf
 }
 
 // OpenWAL opens (creating if needed) the append-only WAL for a session. A
@@ -143,17 +195,19 @@ func (s *Store) OpenWAL(id string) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: opening wal for %s: %w", id, err)
 	}
-	w := &WAL{f: f, store: s, id: id}
+	w := &WAL{sink: fileSink{f: f, store: s}, id: id, met: s.met}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("persist: stat wal for %s: %w", id, err)
 	}
 	if info.Size() == 0 {
-		if err := w.writeHeader(); err != nil {
+		header := headerFrame(id)
+		if _, err := f.Write(header); err != nil {
 			f.Close()
-			return nil, err
+			return nil, fmt.Errorf("persist: writing wal header for %s: %w", id, err)
 		}
+		w.bytes = int64(len(header))
 		return w, nil
 	}
 	// Existing file: count its records so the compaction thresholds keep
@@ -180,77 +234,51 @@ func (s *Store) OpenWAL(id string) (*WAL, error) {
 	return w, nil
 }
 
-// writeHeader appends the self-describing header record (file must be
-// empty and the cursor at 0).
-func (w *WAL) writeHeader() error {
-	buf, err := frame(walHeader(w.id))
-	if err != nil {
-		return err
-	}
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("persist: writing wal header for %s: %w", w.id, err)
-	}
-	w.bytes = int64(len(buf))
-	return nil
-}
-
-// Append frames and writes one record without syncing; durability comes
-// from a later Sync (usually via the group committer). An error leaves the
-// file possibly mid-frame — the caller must treat the WAL as broken and
-// fall back to snapshot saves until a Reset heals it (replay-side, the
-// torn frame truncates harmlessly).
+// Append frames and writes one record without making it durable;
+// durability comes from a later Sync (usually via the group committer).
+// An error leaves the log possibly mid-frame — the caller must treat the
+// WAL as broken and fall back to snapshot saves until a Reset heals it
+// (replay-side, the torn frame truncates harmlessly).
 func (w *WAL) Append(rec *WALRecord) error {
 	buf, err := frame(rec)
 	if err != nil {
 		return err
 	}
-	if _, err := w.f.Write(buf); err != nil {
+	if err := w.sink.write(buf); err != nil {
 		return fmt.Errorf("persist: appending wal record for %s: %w", w.id, err)
 	}
 	w.records++
 	w.bytes += int64(len(buf))
-	if m := w.store.met; m != nil {
+	if m := w.met; m != nil {
 		m.walRecords.Inc()
 		m.walBytes.Add(uint64(len(buf)))
 	}
 	return nil
 }
 
-// Sync fsyncs the file: every record appended before the call is durable
-// when it returns. Latency lands in the store's fsync histogram alongside
-// snapshot fsyncs.
+// Sync makes every record appended before the call durable: an fsync on a
+// file, one conditional append on a blob.
 func (w *WAL) Sync() error {
-	err := w.store.timedSync(w.f)
-	if err != nil {
+	if err := w.sink.sync(); err != nil {
 		return fmt.Errorf("persist: syncing wal for %s: %w", w.id, err)
 	}
-	if m := w.store.met; m != nil {
+	if m := w.met; m != nil {
 		m.count[KindWAL].Inc()
 	}
 	return nil
 }
 
-// Reset truncates the log back to an empty (header-only) state — the
+// Reset durably replaces the log with an empty (header-only) one — the
 // compaction step after the snapshot covering its records has been
-// written. The truncation is synced so a crash right after compaction
-// cannot resurrect pre-compaction records next to the newer snapshot
-// (replay would skip them by seq, but an unsynced truncate could also tear
-// and leave garbage mid-file).
+// written.
 func (w *WAL) Reset() error {
-	if err := w.f.Truncate(0); err != nil {
+	header := headerFrame(w.id)
+	if err := w.sink.reset(header); err != nil {
 		return fmt.Errorf("persist: truncating wal for %s: %w", w.id, err)
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("persist: rewinding wal for %s: %w", w.id, err)
-	}
 	w.records = 0
-	if err := w.writeHeader(); err != nil {
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("persist: syncing truncated wal for %s: %w", w.id, err)
-	}
-	if m := w.store.met; m != nil {
+	w.bytes = int64(len(header))
+	if m := w.met; m != nil {
 		m.walCompactions.Inc()
 	}
 	return nil
@@ -263,9 +291,9 @@ func (w *WAL) Records() int { return w.records }
 // Bytes returns the file size in bytes — the other compaction trigger.
 func (w *WAL) Bytes() int64 { return w.bytes }
 
-// Close closes the underlying file (without syncing; callers sync first
-// when the tail matters).
-func (w *WAL) Close() error { return w.f.Close() }
+// Close releases the sink (without syncing; callers sync first when the
+// tail matters).
+func (w *WAL) Close() error { return w.sink.close() }
 
 // readWAL reads every complete, checksummed record from f, stopping at the
 // first torn or corrupt frame. It returns the event/close records (header
@@ -375,23 +403,11 @@ func (s *Store) LoadWAL(id string) ([]*WALRecord, error) {
 	return recs, nil
 }
 
-// HasWAL reports whether a WAL file exists for the session.
-func (s *Store) HasWAL(id string) bool {
-	if validID(id) != nil {
-		return false
-	}
-	_, err := s.fsys.Stat(s.walPath(id))
-	return err == nil
-}
-
 // RemoveWAL deletes a session's WAL file. Missing files are not an error:
 // removal is idempotent cleanup, the same contract as DeleteSession.
 func (s *Store) RemoveWAL(id string) error {
 	if err := validID(id); err != nil {
 		return err
 	}
-	if err := s.fsys.Remove(s.walPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("persist: deleting wal for %s: %w", id, err)
-	}
-	return nil
+	return s.remove(s.walPath(id))
 }

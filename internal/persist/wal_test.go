@@ -2,6 +2,7 @@ package persist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -91,8 +92,8 @@ func TestWALLoadMissingIsEmpty(t *testing.T) {
 	if err != nil || recs != nil {
 		t.Fatalf("missing wal = %v, %v; want nil, nil", recs, err)
 	}
-	if st.HasWAL("s-000001") {
-		t.Fatal("HasWAL true for missing file")
+	if _, err := os.Stat(st.walPath("s-000001")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("LoadWAL of a missing log created a file: %v", err)
 	}
 }
 
@@ -250,8 +251,8 @@ func TestWALResetTruncates(t *testing.T) {
 	if err := st.RemoveWAL(id); err != nil {
 		t.Fatal(err)
 	}
-	if st.HasWAL(id) {
-		t.Fatal("RemoveWAL left the file")
+	if _, err := os.Stat(st.walPath(id)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("RemoveWAL left the file: %v", err)
 	}
 	if err := st.RemoveWAL(id); err != nil {
 		t.Fatalf("RemoveWAL not idempotent: %v", err)

@@ -320,13 +320,16 @@ func (rt *Router) storeFor(rep *replica) (*persist.Remote, error) {
 	return r, nil
 }
 
-// storedTranscript rebuilds a session's transcript record from its last
-// checkpoint in the shared store — the read path that keeps audits
-// available while the owning replica is down. The budget bounds are
-// recomputed by replaying the recorded ⊤ spends through a fresh
-// accountant, exactly as the service's recovery verification does, so the
-// record matches what the replica itself would have served at its last
-// checkpoint.
+// storedTranscript rebuilds a session's transcript record from the shared
+// store — the read path that keeps audits available while the owning
+// replica is down. The store holds the session's last snapshot plus its
+// write-ahead log, and every ⊤ is in the log before its answer was
+// released, so the snapshot's events are extended by the log's contiguous
+// event records past them (each carries its full transcript event; no
+// re-execution needed). The budget bounds are recomputed by replaying the
+// recorded ⊤ spends through a fresh accountant, exactly as the service's
+// recovery verification does, so the record matches what the replica
+// itself last served.
 func (rt *Router) storedTranscript(rep *replica, id string) (*service.TranscriptRecord, error) {
 	store, err := rt.storeFor(rep)
 	if err != nil {
@@ -335,6 +338,15 @@ func (rt *Router) storedTranscript(rep *replica, id string) (*service.Transcript
 	st, err := store.LoadSession(id)
 	if err != nil {
 		return nil, err
+	}
+	recs, err := store.LoadWAL(id)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range recs {
+		if r.Kind == persist.WALEvent && r.Event != nil && r.Seq == len(st.Transcript.Events)+1 && r.Event.Index == r.Seq {
+			st.Transcript.Events = append(st.Transcript.Events, *r.Event)
+		}
 	}
 	var p service.SessionParams
 	if err := json.Unmarshal(st.Params, &p); err != nil {

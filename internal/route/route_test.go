@@ -502,3 +502,54 @@ func TestRequestIDJoinsRouterAndReplicaLogs(t *testing.T) {
 		t.Fatalf("replica logged request ids %v, want [%s]", got, id)
 	}
 }
+
+// TestRouterStoreTranscriptIncludesLogTail: the owner dies right after a
+// ⊤, with no snapshot since creation — every spend lives only in its log.
+// The store-served transcript must report exactly the tops and eps_bound
+// the owner last served, which it can only do by reading the log tail.
+func TestRouterStoreTranscriptIncludesLogTail(t *testing.T) {
+	f := newFleet(t, 2, obs.NewRegistry())
+	var created struct {
+		ID string `json:"id"`
+	}
+	if _, code := doReq(t, f.router, "POST", "/v1/sessions", nil, &created); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	id := created.ID
+	for i := 0; ; i++ {
+		if i == 20 {
+			t.Fatal("no ⊤ answer in 20 distinct queries")
+		}
+		spec := map[string]any{"kind": "logistic", "params": map[string]any{"temp": 0.4 + 0.01*float64(i)}}
+		var res struct {
+			Top bool `json:"top"`
+		}
+		if _, code := doReq(t, f.router, "POST", "/v1/sessions/"+id+"/query", spec, &res); code != 200 {
+			t.Fatalf("query %d: %d", i, code)
+		}
+		if res.Top {
+			break
+		}
+	}
+	type record struct {
+		Tops     int     `json:"tops"`
+		EpsBound float64 `json:"eps_bound"`
+	}
+	var live record
+	if _, code := doReq(t, f.router, "GET", "/v1/sessions/"+id+"/transcript", nil, &live); code != 200 {
+		t.Fatalf("live transcript: %d", code)
+	}
+	if live.Tops == 0 {
+		t.Fatal("owner served no ⊤; the test is vacuous")
+	}
+
+	f.replicas[f.rt.owner(id).name].Close()
+	var stored record
+	rec, code := doReq(t, f.router, "GET", "/v1/sessions/"+id+"/transcript", nil, &stored)
+	if code != 200 || rec.Header().Get("X-Pmwcm-Transcript-Source") != "store" {
+		t.Fatalf("store-fallback transcript: %d %s", code, rec.Body.String())
+	}
+	if stored != live {
+		t.Fatalf("store-served transcript %+v, owner last served %+v", stored, live)
+	}
+}

@@ -30,12 +30,12 @@ func batchStream() []convex.Spec {
 }
 
 // TestQueryBatchEquivalence is the batch acceptance invariant, per
-// accountant and per manager kind (memory-only, snapshot-per-⊤ state
-// directory, WAL state directory): a QueryBatch of N specs is bit-identical
-// — released answers, per-item errors, ⊥/⊤/cached disposition, budget
-// ledger, and transcript bytes — to the same N specs issued as sequential
-// Query calls. The durable kinds exercise the gating and write-ahead commit
-// both paths share.
+// accountant and per manager kind (memory-only, remote blob store, state
+// directory): a QueryBatch of N specs is bit-identical — released answers,
+// per-item errors, ⊥/⊤/cached disposition, budget ledger, and transcript
+// bytes — to the same N specs issued as sequential Query calls. The
+// durable kinds exercise the gating and write-ahead commit both paths
+// share, over each log sink.
 func TestQueryBatchEquivalence(t *testing.T) {
 	managers := []struct {
 		name string
@@ -44,11 +44,12 @@ func TestQueryBatchEquivalence(t *testing.T) {
 		{"memory", func(t *testing.T, defaults SessionParams) *Manager {
 			return durableManager(t, "", 1, 9, defaults)
 		}},
-		{"snapshot", func(t *testing.T, defaults SessionParams) *Manager {
-			return durableManager(t, t.TempDir(), 1, 9, defaults)
+		{"remote", func(t *testing.T, defaults SessionParams) *Manager {
+			url, _ := blobStore(t)
+			return durableManager(t, url, 1, 9, defaults)
 		}},
 		{"wal", func(t *testing.T, defaults SessionParams) *Manager {
-			return walManager(t, t.TempDir(), 1, 9, defaults, 0)
+			return durableManager(t, t.TempDir(), 1, 9, defaults)
 		}},
 	}
 	for _, acct := range []string{"basic", "advanced", "zcdp"} {

@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -212,22 +211,20 @@ func TestConcurrentCacheHitsDuringMiss(t *testing.T) {
 }
 
 // TestCacheGateHoldsUntilDurable pins the write-ahead rule on the cache
-// path: a ⊤ answer whose checkpoint failed is not servable — not to its
+// path: a ⊤ answer whose commit failed is not servable — not to its
 // asker, not as a cache hit — until a later save lands; the gated repeat
 // re-drives the save and heals once the store recovers.
 func TestCacheGateHoldsUntilDurable(t *testing.T) {
-	dir := t.TempDir()
+	url, blobs := blobStore(t)
 	defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 10, TBudget: 6}
-	m := durableManager(t, dir, 1, 9, defaults)
+	m := durableManager(t, url, 1, 9, defaults)
 	defer m.Shutdown()
 	s, err := m.CreateSession(SessionParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Break the store: every subsequent checkpoint write fails.
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
+	// Break the store: every subsequent log append and snapshot fails.
+	blobs.down.Store(true)
 	var topSpec convex.Spec
 	found := false
 	for _, q := range mixedSpecs(8) {
@@ -252,9 +249,7 @@ func TestCacheGateHoldsUntilDurable(t *testing.T) {
 	}
 	// Repair the store: the next repeat re-drives the save, the spend
 	// lands, and the cached answer is released.
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	blobs.down.Store(false)
 	res, err := s.Query(topSpec)
 	if err != nil {
 		t.Fatalf("repeat after repair: %v", err)

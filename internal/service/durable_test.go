@@ -6,7 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/convex"
 	"repro/internal/dataset"
@@ -30,28 +33,89 @@ func durableData(t *testing.T, seed int64) *dataset.Dataset {
 	return dataset.SampleFrom(sample.New(seed), pop, 50000)
 }
 
-// durableManager builds a manager over the fixture dataset, optionally
-// durable. srcSeed seeds the manager's session-source; restored sessions
-// must not depend on it (their noise streams come from the state files).
-func durableManager(t *testing.T, dir string, dataSeed, srcSeed int64, defaults SessionParams) *Manager {
+// durableManager builds a manager over the fixture dataset, durable over
+// openStore(t, loc) unless loc is empty. srcSeed seeds the manager's
+// session-source; restored sessions must not depend on it (their noise
+// streams come from the store). The optional compactEvery folds session
+// logs after that many records; absent or 0 takes the production default
+// (256), i.e. effectively no mid-test compaction for short streams.
+func durableManager(t *testing.T, loc string, dataSeed, srcSeed int64, defaults SessionParams, compactEvery ...int) *Manager {
 	t.Helper()
 	cfg := Config{
 		Data:     durableData(t, dataSeed),
 		Source:   sample.New(srcSeed),
 		Defaults: defaults,
 	}
-	if dir != "" {
-		st, err := persist.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Store = st
+	if loc != "" {
+		cfg.Store = openStore(t, loc)
+	}
+	if len(compactEvery) > 0 {
+		cfg.CompactEvery = compactEvery[0]
 	}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// openStore opens the store loc names: a remote namespace when loc is an
+// http:// URL (see blobStore), a state directory otherwise.
+func openStore(t *testing.T, loc string) persist.Backend {
+	t.Helper()
+	var st persist.Backend
+	var err error
+	if strings.HasPrefix(loc, "http://") {
+		st, err = persist.OpenRemote(loc, persist.RemoteOptions{Backoff: time.Millisecond})
+	} else {
+		st, err = persist.Open(loc)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// testBlobs is a test blob server's control: the requests it answered,
+// and a switch that takes it down.
+type testBlobs struct {
+	mu   sync.Mutex
+	reqs []string // "METHOD /path?query"
+	// down makes every request fail with 503, as an unreachable store.
+	down atomic.Bool
+}
+
+// take returns the requests recorded since the last take.
+func (l *testBlobs) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	reqs := l.reqs
+	l.reqs = nil
+	return reqs
+}
+
+// blobStore starts a `pmwcm store`-style blob server over a temp tree and
+// returns the URL of one namespace in it, for openStore, plus its control.
+func blobStore(t *testing.T) (string, *testBlobs) {
+	t.Helper()
+	bs, err := persist.NewBlobServer(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := &testBlobs{}
+	h := bs.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ctl.down.Load() {
+			http.Error(w, "store down", http.StatusServiceUnavailable)
+			return
+		}
+		ctl.mu.Lock()
+		ctl.reqs = append(ctl.reqs, r.Method+" "+r.URL.RequestURI())
+		ctl.mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL + "/v1/stores/r1", ctl
 }
 
 // mixedSpecs is a query stream that produces both ⊥ and ⊤ answers.
@@ -480,46 +544,46 @@ func TestSnapshotEndpoint(t *testing.T) {
 }
 
 // TestStaleForcedSaveDoesNotClobber pins the save-sequencing rule: a
-// forced save carrying state older than what is already on disk (a
-// snapshot request that lost the race against a concurrent query's
-// write-ahead checkpoint) must be skipped, never written — overwriting
-// the newer file would drop a durable spend whose answer was already
-// released.
+// Checkpoint racing a ⊤ commit never rewinds the snapshot. A snapshot is
+// assembled inside the save mutex, so none can land after a newer one;
+// overwriting a newer snapshot with an older state would drop a durable
+// spend whose answer was already released.
 func TestStaleForcedSaveDoesNotClobber(t *testing.T) {
-	defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 10, TBudget: 6}
+	defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 40, TBudget: 8}
 	m := durableManager(t, t.TempDir(), 1, 9, defaults)
 	defer m.Shutdown()
 	s, err := m.CreateSession(SessionParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query(countingSpec(0)); err != nil {
-		t.Fatal(err)
+	const n = 16
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			if _, err := s.Query(distinctSpec(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	last := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		got := len(loadState(t, m, s.ID()).Transcript.Events)
+		if got < last {
+			t.Fatalf("a checkpoint rewound the snapshot from %d to %d events", last, got)
+		}
+		last = got
 	}
-	// Assemble a stale state now (what a racing Checkpoint would hold)...
-	s.mu.Lock()
-	stale, err := s.stateLocked()
-	staleSeq := len(s.rec.T.Events)
-	s.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ...then let the session move on and checkpoint the newer state.
-	if _, err := s.Query(countingSpec(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	newest := len(loadState(t, m, s.ID()).Transcript.Events)
-	if newest <= staleSeq {
-		t.Fatalf("fixture did not advance the transcript (%d <= %d)", newest, staleSeq)
-	}
-	// The stale forced save must be a no-op.
-	if err := s.save(stale, staleSeq, true); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(loadState(t, m, s.ID()).Transcript.Events); got != newest {
-		t.Fatalf("stale forced save rewound the state file to %d events, want %d", got, newest)
+	if last != n {
+		t.Fatalf("final checkpoint holds %d events, want %d", last, n)
 	}
 }

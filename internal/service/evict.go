@@ -3,11 +3,9 @@ package service
 // evict.go is the idle-session eviction layer: the piece that lets one
 // manager *host* far more sessions than fit in memory by keeping only
 // recently-touched ones resident. An evicted session's complete state is
-// folded into its durable snapshot (its WAL, if any, is folded and
-// removed — a paged-out session never has a log), the in-memory
+// folded into its durable snapshot and its WAL deleted, the in-memory
 // incarnation drops out of the session table, and the next touch pages it
-// back in through restoreOne — the same verified path crash recovery
-// uses, so the paged-in session continues bit-identically to one that was
+// back in through restore — the same verified path crash recovery uses, so the paged-in session continues bit-identically to one that was
 // never evicted (pinned by TestEvictPageInGolden).
 //
 // Concurrency contract: m.paging holds a gate channel per id with an
@@ -31,10 +29,11 @@ import (
 // it only escapes to direct holders of a stale *Session handle.
 var ErrPagedOut = errors.New("service: session paged out")
 
-// evict folds the session's state into its durable snapshot and marks
-// this incarnation paged out. Called by the manager with the id's paging
-// gate held. On a fold failure the flag is cleared and the session stays
-// resident — eviction must never strand state that exists only in memory.
+// evict folds the session's state into its durable snapshot, deletes its
+// log, and marks this incarnation paged out. Called by the manager with
+// the id's paging gate held. On a fold failure the flag is cleared and the
+// session stays resident with its log — eviction must never strand state
+// that exists only in memory.
 func (s *Session) evict() error {
 	s.mu.Lock()
 	if s.closed.Load() {
@@ -45,29 +44,7 @@ func (s *Session) evict() error {
 	s.mu.Unlock()
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
-	if s.walMode {
-		// Fold the log into the snapshot, then drop it: recovery and page-in
-		// must find the whole interaction in the snapshot, and a paged-out
-		// session must hold no open file.
-		if err := s.compactLocked(); err != nil {
-			s.pagedOut.Store(false)
-			return err
-		}
-		if s.wal != nil {
-			_ = s.wal.Close()
-			_ = s.store.RemoveWAL(s.id)
-			s.wal = nil
-		}
-		return nil
-	}
-	s.mu.Lock()
-	st, err := s.stateLocked()
-	seq := len(s.rec.T.Events)
-	s.mu.Unlock()
-	if err == nil {
-		err = s.saveLocked(st, seq, true)
-	}
-	if err != nil {
+	if err := s.retireLocked(); err != nil {
 		s.pagedOut.Store(false)
 		return err
 	}
@@ -126,10 +103,9 @@ func (m *Manager) Evict(id string) error {
 	return err
 }
 
-// pageIn restores one paged-out session from the store — the same
-// decode → core.Restore → WAL-replay → ledger-reverify path crash
-// recovery runs, so residency cycles cannot weaken the restore
-// guarantees. Called with the id's paging gate held.
+// pageIn restores one paged-out session from the store through restore,
+// the path crash recovery runs, so residency cycles cannot weaken the
+// restore guarantees. Called with the id's paging gate held.
 func (m *Manager) pageIn(id string) (*Session, error) {
 	st, err := m.cfg.Store.LoadSession(id)
 	if err != nil {
@@ -139,29 +115,7 @@ func (m *Manager) pageIn(id string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := m.restoreOne(st, walRecs)
-	if err != nil {
-		return nil, err
-	}
-	if m.cfg.Store.HasWAL(id) {
-		// Eviction removes the log, so this only triggers for sessions the
-		// lazy startup path left on disk with a WAL tail; fold it exactly as
-		// eager recovery would.
-		if err := s.Checkpoint(); err != nil {
-			return nil, err
-		}
-		if err := m.cfg.Store.RemoveWAL(id); err != nil {
-			return nil, err
-		}
-	}
-	if m.cfg.WAL && !st.Closed {
-		wal, err := m.cfg.Store.OpenWAL(id)
-		if err != nil {
-			return nil, err
-		}
-		s.attachWAL(wal, m.com, m.cfg.CompactEvery, m.cfg.CompactBytes)
-	}
-	return s, nil
+	return m.restore(st, walRecs)
 }
 
 // enforceResident evicts least-recently-touched live sessions until the
@@ -284,10 +238,7 @@ func (m *Manager) Query(id string, spec convex.Spec) (*QueryResult, error) {
 		res, err = s.Query(spec)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, err
 }
 
 // QueryBatch answers a batch on the identified session, paging it in when
@@ -299,10 +250,7 @@ func (m *Manager) QueryBatch(id string, specs []convex.Spec) ([]BatchItem, error
 		items, err = s.QueryBatch(specs)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return items, nil
+	return items, err
 }
 
 // SessionStatus reports the identified session's ledger snapshot, paging
@@ -325,10 +273,7 @@ func (m *Manager) SessionTranscript(id string) ([]byte, error) {
 		b, err = s.TranscriptJSON()
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	return b, err
 }
 
 // CheckpointSession forces a durable snapshot of the identified session,

@@ -20,19 +20,15 @@ import (
 	"repro/internal/sample"
 )
 
-// evictManager builds a durable manager with the given residency knobs.
-func evictManager(t *testing.T, dir string, wal bool, maxResident int, idleTTL time.Duration) *Manager {
+// evictManager builds a durable manager over openStore(t, loc) with the
+// given residency knobs.
+func evictManager(t *testing.T, loc string, maxResident int, idleTTL time.Duration) *Manager {
 	t.Helper()
-	st, err := persist.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m, err := New(Config{
 		Data:        durableData(t, 1),
 		Source:      sample.New(9),
 		Defaults:    SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 40, TBudget: 6},
-		Store:       st,
-		WAL:         wal,
+		Store:       openStore(t, loc),
 		MaxResident: maxResident,
 		IdleTTL:     idleTTL,
 	})
@@ -43,14 +39,15 @@ func evictManager(t *testing.T, dir string, wal bool, maxResident int, idleTTL t
 }
 
 // TestEvictPageInGolden is the tentpole invariant, per accountant and per
-// write path: a session that is evicted mid-stream and paged back in on
-// the next touch answers the remaining queries bit-identically — answers,
-// ⊥/⊤ pattern, budget spend, final status, transcript bytes — to a session
-// that stayed resident throughout.
+// store (wal=true is the state directory, remote the blob store): a
+// session that is evicted mid-stream and paged back in on the next touch
+// answers the remaining queries bit-identically — answers, ⊥/⊤ pattern,
+// budget spend, final status, transcript bytes — to a session that stayed
+// resident throughout.
 func TestEvictPageInGolden(t *testing.T) {
-	for _, wal := range []bool{false, true} {
+	for _, store := range []string{"wal=true", "remote"} {
 		for _, acct := range []string{"basic", "advanced", "zcdp"} {
-			t.Run(fmt.Sprintf("wal=%v/%s", wal, acct), func(t *testing.T) {
+			t.Run(store+"/"+acct, func(t *testing.T) {
 				defaults := SessionParams{
 					Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 12, TBudget: 6,
 					Accountant: acct,
@@ -73,12 +70,11 @@ func TestEvictPageInGolden(t *testing.T) {
 
 				// Subject: same stream, but the session is forced out of
 				// residency twice mid-stream; m.Query pages it back in.
-				var m *Manager
-				if wal {
-					m = walManager(t, t.TempDir(), 1, 9, defaults, 0)
-				} else {
-					m = durableManager(t, t.TempDir(), 1, 9, defaults)
+				loc := t.TempDir()
+				if store == "remote" {
+					loc, _ = blobStore(t)
 				}
+				m := durableManager(t, loc, 1, 9, defaults)
 				defer m.Shutdown()
 				s, err := m.CreateSession(SessionParams{})
 				if err != nil {
@@ -212,7 +208,7 @@ func TestMaxResidentLRU(t *testing.T) {
 // TestIdleTTLJanitor pins the idle sweep: an untouched session is folded
 // out of memory within a few TTLs and still answers afterwards.
 func TestIdleTTLJanitor(t *testing.T) {
-	m := evictManager(t, t.TempDir(), false, 0, 80*time.Millisecond)
+	m := evictManager(t, t.TempDir(), 0, 80*time.Millisecond)
 	defer m.Shutdown()
 	s, err := m.CreateSession(SessionParams{})
 	if err != nil {
@@ -240,7 +236,7 @@ func TestIdleTTLJanitor(t *testing.T) {
 // an eager restart.
 func TestLazyRecovery(t *testing.T) {
 	dir := t.TempDir()
-	m1 := evictManager(t, dir, false, 0, 0)
+	m1 := evictManager(t, dir, 0, 0)
 	var ids []string
 	for i := 0; i < 4; i++ {
 		s, err := m1.CreateSession(SessionParams{})
@@ -254,7 +250,7 @@ func TestLazyRecovery(t *testing.T) {
 	}
 	m1.Shutdown()
 
-	m2 := evictManager(t, dir, false, 2, 0)
+	m2 := evictManager(t, dir, 2, 0)
 	defer m2.Shutdown()
 	if got := m2.OpenSessions(); got != 4 {
 		t.Fatalf("recovered open sessions = %d, want 4", got)
@@ -283,7 +279,7 @@ func TestLazyRecovery(t *testing.T) {
 // against paged-out sessions), and hostile names are rejected before
 // touching the store.
 func TestCreateSessionPinnedID(t *testing.T) {
-	m := evictManager(t, t.TempDir(), false, 0, 0)
+	m := evictManager(t, t.TempDir(), 0, 0)
 	defer m.Shutdown()
 	s, err := m.CreateSession(SessionParams{ID: "rt-00deadbeef00"})
 	if err != nil {
@@ -321,9 +317,13 @@ func TestCreateSessionPinnedID(t *testing.T) {
 // linearizability smoke: every operation must either succeed or fail with
 // a typed sentinel, never corrupt counts or deadlock.
 func TestEvictConcurrentHammer(t *testing.T) {
-	for _, wal := range []bool{false, true} {
-		t.Run(fmt.Sprintf("wal=%v", wal), func(t *testing.T) {
-			m := evictManager(t, t.TempDir(), wal, 0, 0)
+	for _, store := range []string{"wal=true", "remote"} {
+		t.Run(store, func(t *testing.T) {
+			loc := t.TempDir()
+			if store == "remote" {
+				loc, _ = blobStore(t)
+			}
+			m := evictManager(t, loc, 0, 0)
 			s, err := m.CreateSession(SessionParams{})
 			if err != nil {
 				t.Fatal(err)

@@ -56,7 +56,7 @@ func NewHandler(m *Manager) http.Handler {
 			Universe:         m.Universe().String(),
 			Durable:          m.Durable(),
 			StateDir:         m.StateDir(),
-			WAL:              m.WALMode(),
+			WAL:              m.Durable(),
 		})
 	})
 
@@ -196,9 +196,8 @@ type Health struct {
 	// StateDir is that directory ("" when memory-only).
 	Durable  bool   `json:"durable"`
 	StateDir string `json:"state_dir,omitempty"`
-	// WAL reports whether the write path runs in write-ahead-log mode
-	// (per-session logs with group-committed fsyncs) rather than
-	// snapshot-per-⊤.
+	// WAL reports that the write path runs through per-session
+	// write-ahead logs with group commit: true on every durable manager.
 	WAL bool `json:"wal,omitempty"`
 }
 

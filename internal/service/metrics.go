@@ -121,10 +121,6 @@ func (m *Manager) StateDir() string {
 	return m.cfg.Store.Location()
 }
 
-// WALMode reports whether the manager runs its write path through
-// per-session write-ahead logs with group-committed fsyncs.
-func (m *Manager) WALMode() bool { return m.cfg.WAL }
-
 // SessionAccountant resolves a session id to its accountant name for log
 // enrichment. It reads only immutable creation parameters of *resident*
 // sessions — deliberately not through Manager.Session, which would page

@@ -41,12 +41,14 @@
 // composed spend so far, and the remaining budget.
 //
 // Durability is opt-in via Config.Store (internal/persist): sessions then
-// checkpoint their complete state — mechanism snapshot, privacy ledger,
-// transcript — on creation, every ⊤ answer (write-ahead, before the answer
-// is released), forced Checkpoint calls, close, and graceful shutdown. A
-// manager constructed over the same state directory and dataset recovers
-// every stored session: live ones continue the interaction bit-identically
-// to an uninterrupted run, closed ones remain readable for audits.
+// append every event to a per-session write-ahead log, making each ⊤
+// answer's record durable before the answer is released, and snapshot
+// their complete state — mechanism snapshot, privacy ledger, transcript —
+// on creation, forced Checkpoint calls, log compaction, close, eviction,
+// and graceful shutdown. A manager constructed over the same store and
+// dataset recovers every stored session by snapshot plus log replay: live
+// ones continue the interaction bit-identically to an uninterrupted run,
+// closed ones remain readable for audits.
 package service
 
 import (
@@ -225,25 +227,18 @@ type Config struct {
 	Defaults SessionParams
 	// Limits bound resource usage.
 	Limits Limits
-	// Store makes the manager durable: every session checkpoints into it
-	// (on create, ⊤ answers, Checkpoint, close, and graceful shutdown) and
-	// New recovers every stored session — live ones resume mid-interaction
-	// bit-identically, closed ones stay readable for audits. Nil serves
-	// from memory only. The store's manifest pins a fingerprint of Data;
-	// opening old state over a different dataset fails. Any
-	// persist.Backend works: the state-directory Store, or a Remote
-	// against a `pmwcm store` blob endpoint (which has no WAL support —
-	// see WAL below).
+	// Store makes the manager durable and New recovers every stored
+	// session — live ones resume mid-interaction bit-identically, closed
+	// ones stay readable for audits. Nil serves from memory only. The
+	// store's manifest pins a fingerprint of Data; opening old state over
+	// a different dataset fails. Any persist.Backend works: the
+	// state-directory Store, or a Remote against a `pmwcm store` blob
+	// endpoint. Either way each event appends one small record to the
+	// session's write-ahead log, concurrent sessions' ⊤ commits share
+	// syncs through a manager-level group committer, and the log
+	// periodically compacts into the snapshot format.
 	Store persist.Backend
-	// WAL (requires Store) switches the per-⊤ durable point from a full
-	// state rewrite to an append-only per-session log with manager-level
-	// group commit: each event appends one small record, concurrent
-	// sessions' ⊤ commits share fsyncs, and the log periodically compacts
-	// into the snapshot format. Recovery = snapshot + WAL-tail replay,
-	// with the same bit-identity and ledger re-verification guarantees; a
-	// manager with WAL off still replays (then folds away) any WAL left by
-	// a previous WAL-mode run, so the flag can be toggled freely between
-	// restarts.
+	// Deprecated: ignored; every durable manager writes through its WAL.
 	WAL bool
 	// CommitWindow bounds how long a group-commit batch stays open while
 	// commits keep arriving (0 = persist.DefaultCommitWindow). A latency /
@@ -285,8 +280,8 @@ type Manager struct {
 	// disabled); started anchors the uptime report.
 	met     *svcMetrics
 	started time.Time
-	// com is the manager-wide group committer WAL-mode sessions commit
-	// through (nil when WAL mode is off).
+	// com is the manager-wide group committer sessions commit their logs
+	// through (nil on a memory-only manager).
 	com *persist.GroupCommitter
 
 	mu        sync.Mutex
@@ -331,12 +326,6 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Limits.RetainClosed <= 0 {
 		cfg.Limits.RetainClosed = 128
 	}
-	if cfg.WAL && cfg.Store == nil {
-		return nil, fmt.Errorf("service: WAL mode requires a state directory (Config.Store)")
-	}
-	if cfg.WAL && !cfg.Store.SupportsWAL() {
-		return nil, fmt.Errorf("service: store %s does not support per-session WALs (use snapshot checkpoints)", cfg.Store.Location())
-	}
 	if (cfg.MaxResident > 0 || cfg.IdleTTL > 0) && cfg.Store == nil {
 		return nil, fmt.Errorf("service: session eviction requires a durable store (Config.Store)")
 	}
@@ -354,17 +343,15 @@ func New(cfg Config) (*Manager, error) {
 		pagedOut: map[string]bool{},
 		paging:   map[string]chan struct{}{},
 	}
-	if cfg.WAL {
-		m.com = persist.NewGroupCommitter(cfg.CommitWindow)
-	}
 	if cfg.Store != nil {
+		m.com = persist.NewGroupCommitter(cfg.CommitWindow)
 		cfg.Store.Instrument(cfg.Metrics)
 		if err := m.recover(); err != nil {
 			m.com.Close()
 			return nil, err
 		}
 		// Recovery may have restored more live sessions than the residency
-		// cap allows (WAL-holders restore eagerly); sweep down to the cap.
+		// cap allows (log tails restore eagerly); sweep down to the cap.
 		m.enforceResident("")
 	}
 	if cfg.IdleTTL > 0 {
@@ -474,48 +461,25 @@ func (m *Manager) recover() error {
 		if evicted[st.ID] {
 			continue
 		}
-		if m.cfg.MaxResident > 0 && !st.Closed && !m.cfg.Store.HasWAL(st.ID) {
+		walRecs, err := m.cfg.Store.LoadWAL(st.ID)
+		if err != nil {
+			return fmt.Errorf("service: recovering session %s: %w", st.ID, err)
+		}
+		if m.cfg.MaxResident > 0 && !st.Closed && len(walRecs) == 0 {
 			// Residency-capped start: a live session whose snapshot is
-			// complete (no WAL tail to fold) recovers lazily — it counts as
+			// complete (no log tail to fold) recovers lazily — it counts as
 			// open but stays paged out, and its (expensive) restore plus
 			// ledger re-verification runs at first touch through the very
-			// same restoreOne path. Sessions with a log tail restore eagerly
+			// same restore path. Sessions with a log tail restore eagerly
 			// so the tail is folded exactly once; the enforceResident sweep
 			// after recovery pushes any excess back out.
 			m.pagedOut[st.ID] = true
 			m.open++
 			continue
 		}
-		// The WAL tail is replayed whether or not this manager runs in WAL
-		// mode, so toggling the flag between restarts never strands
-		// records. (A snapshot-only session simply has no WAL file.)
-		walRecs, err := m.cfg.Store.LoadWAL(st.ID)
+		s, err := m.restore(st, walRecs)
 		if err != nil {
 			return fmt.Errorf("service: recovering session %s: %w", st.ID, err)
-		}
-		s, err := m.restoreOne(st, walRecs)
-		if err != nil {
-			return fmt.Errorf("service: recovering session %s: %w", st.ID, err)
-		}
-		if m.cfg.Store.HasWAL(st.ID) {
-			// Fold the replayed tail into a fresh snapshot and drop the
-			// old log, so recovery converges instead of replaying an
-			// ever-longer tail on every restart. The checkpoint runs
-			// before the session has a WAL attached, so it is a plain
-			// forced snapshot.
-			if err := s.Checkpoint(); err != nil {
-				return fmt.Errorf("service: compacting recovered session %s: %w", st.ID, err)
-			}
-			if err := m.cfg.Store.RemoveWAL(st.ID); err != nil {
-				return fmt.Errorf("service: compacting recovered session %s: %w", st.ID, err)
-			}
-		}
-		if m.cfg.WAL && !st.Closed {
-			wal, err := m.cfg.Store.OpenWAL(st.ID)
-			if err != nil {
-				return fmt.Errorf("service: opening wal for recovered session %s: %w", st.ID, err)
-			}
-			s.attachWAL(wal, m.com, m.cfg.CompactEvery, m.cfg.CompactBytes)
 		}
 		m.sessions[st.ID] = s
 		if st.Closed {
@@ -526,6 +490,36 @@ func (m *Manager) recover() error {
 		}
 	}
 	return nil
+}
+
+// restore is the one restore sequence recovery and page-in share: given
+// the session's snapshot and its log (as LoadWAL returned it), restoreOne
+// rebuilds and verifies the session, a non-empty log is folded into a
+// fresh snapshot and deleted — so recovery converges instead of replaying
+// an ever-longer tail on every restart — and a live session gets its log
+// attached.
+func (m *Manager) restore(st *persist.SessionState, walRecs []*persist.WALRecord) (*Session, error) {
+	s, err := m.restoreOne(st, walRecs)
+	if err != nil {
+		return nil, err
+	}
+	if len(walRecs) > 0 {
+		// No log is attached yet, so this checkpoint is a plain snapshot.
+		if err := s.Checkpoint(); err != nil {
+			return nil, fmt.Errorf("compacting replayed log: %w", err)
+		}
+		if err := m.cfg.Store.RemoveWAL(st.ID); err != nil {
+			return nil, fmt.Errorf("compacting replayed log: %w", err)
+		}
+	}
+	if !st.Closed {
+		wal, err := m.cfg.Store.OpenWAL(st.ID)
+		if err != nil {
+			return nil, fmt.Errorf("opening wal: %w", err)
+		}
+		s.attachWAL(wal, m.com, m.cfg.CompactEvery, m.cfg.CompactBytes)
+	}
+	return s, nil
 }
 
 // restoreOne rebuilds one session from its durable state: the snapshot,
@@ -590,7 +584,9 @@ func (m *Manager) restoreOne(st *persist.SessionState, walRecs []*persist.WALRec
 		return nil, err
 	}
 	id := st.ID
-	return restoreSession(st, p, rec, m.cfg.Data.U, m.cfg.Store, m.met, func() { m.release(id) }), nil
+	s := newSession(id, p, rec, m.cfg.Data.U, st.Created, st.Oracle, m.cfg.Store, m.met, func() { m.release(id) })
+	s.closed.Store(st.Closed)
+	return s, nil
 }
 
 // eventsEqual compares a replayed event with its recorded WAL twin, bit
@@ -723,17 +719,22 @@ func (m *Manager) CreateSession(req SessionParams) (*Session, error) {
 		return nil, err
 	}
 
-	s := newSession(id, p, srv, m.cfg.Data.U, time.Now(), m.cfg.Oracle.Name(), m.cfg.Store, m.met, func() { m.release(id) })
-	// The creation checkpoint makes the session durable from its first
-	// moment: the split noise stream and the already-drawn sparse-vector
-	// threshold are on disk before any query is answered.
-	if err := s.Checkpoint(); err != nil && err != ErrNotDurable {
-		undo()
-		return nil, err
-	}
-	if m.cfg.WAL {
-		// Attach the log after the creation checkpoint so the WAL only ever
-		// holds events past a snapshot that exists.
+	rec := transcript.NewRecorder(srv)
+	rec.T.Meta["eps"] = p.Eps
+	rec.T.Meta["delta"] = p.Delta
+	rec.T.Meta["alpha"] = p.Alpha
+	rec.T.Meta["k"] = float64(p.K)
+	s := newSession(id, p, rec, m.cfg.Data.U, time.Now(), m.cfg.Oracle.Name(), m.cfg.Store, m.met, func() { m.release(id) })
+	if m.cfg.Store != nil {
+		// The creation checkpoint makes the session durable from its first
+		// moment: the split noise stream and the already-drawn
+		// sparse-vector threshold are stored before any query is answered.
+		// The log is attached after it, so it only ever holds events past a
+		// snapshot that exists.
+		if err := s.Checkpoint(); err != nil {
+			undo()
+			return nil, err
+		}
 		wal, err := m.cfg.Store.OpenWAL(id)
 		if err != nil {
 			undo()

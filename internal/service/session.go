@@ -32,15 +32,17 @@ import (
 // is not yet on disk. The cache is rebuilt from the transcript on
 // restore, so the zero-spend property survives snapshot/restart.
 //
-// When the manager is durable (Config.Store), the session checkpoints its
-// complete state — mechanism snapshot, ledger, transcript — to its state
-// file: on creation, on every ⊤ answer (write-ahead: the spend reaches disk
-// before the answer reaches the analyst, so a crash can lose a ⊥-only tail
-// but never a recorded budget spend), on Checkpoint, and on Close. The
-// state is assembled under the session mutex but written under a separate
-// save mutex, so status, transcript, and cache reads never block on fsync;
-// a per-state sequence number keeps concurrent writers from clobbering a
-// newer checkpoint with an older one.
+// When the manager is durable (Config.Store), every event is appended to
+// the session's write-ahead log, and every ⊤ answer's record is made
+// durable before the answer reaches the analyst (so a crash can lose a
+// ⊥-only tail but never a recorded budget spend). The complete state —
+// mechanism snapshot, ledger, transcript — is written as a snapshot on
+// creation, on Checkpoint, when the log grows past its compaction
+// thresholds, and when the session stops writing (close, eviction,
+// suspend). Durable writes run under a separate save mutex, so status,
+// transcript, and cache reads never block on fsync, and a snapshot is
+// assembled inside that mutex, so it can never be overtaken by an older
+// one.
 type Session struct {
 	id      string
 	params  SessionParams
@@ -90,29 +92,27 @@ type Session struct {
 
 	// saveMu serializes durable writes outside mu. savedSeq (guarded by
 	// saveMu) is the transcript length of the newest *durable* state —
-	// snapshot file, or snapshot plus synced WAL records: query-path
-	// commits are skipped when a newer superset is already durable, which
-	// keeps the write-ahead guarantee while letting an overtaken writer
-	// return immediately. durableSeq mirrors savedSeq atomically for the
+	// snapshot, or snapshot plus synced WAL records: query-path commits
+	// are skipped when a newer superset is already durable, which keeps
+	// the write-ahead guarantee while letting an overtaken writer return
+	// immediately. durableSeq mirrors savedSeq atomically for the
 	// lock-free cache-hit path: a ⊤ answer's cache entry is only served
 	// once its spend is durable (see servable).
 	saveMu     sync.Mutex
 	savedSeq   int
 	durableSeq atomic.Int64
 
-	// WAL mode (attachWAL): instead of rewriting the whole state file per
-	// ⊤ answer, every event appends one record to the session's
-	// append-only log, ⊤ records are made durable through the manager's
-	// group committer, and the log is periodically compacted back into the
-	// snapshot format. walMode is immutable after construction, so the
-	// query path reads it without a lock. walPending (guarded by mu)
-	// queues records in event order between drains; wal, walAppendedSeq,
-	// and walBroken are guarded by saveMu. walAppendedSeq is the highest
-	// event seq written (not necessarily synced) to the log; walBroken
-	// flips after a failed append or sync — the file may end mid-frame, so
+	// The write-ahead log (attachWAL; nil on a memory-only manager, on a
+	// closed session, and once eviction or suspend retired it): every
+	// event appends one record, ⊤ records are made durable through the
+	// manager's group committer, and the log is periodically compacted
+	// back into the snapshot format. walPending (guarded by mu) queues
+	// records in event order between drains; wal, walAppendedSeq, and
+	// walBroken are guarded by saveMu. walAppendedSeq is the highest event
+	// seq written (not necessarily synced) to the log; walBroken flips
+	// after a failed append or sync — the log may end mid-frame, so
 	// further appends are forbidden and durable points fall back to full
 	// snapshots until a compaction's Reset heals the log.
-	walMode        bool
 	com            *persist.GroupCommitter
 	compactRecords int
 	compactBytes   int64
@@ -148,12 +148,11 @@ type ledgerView struct {
 	updatesMax                   int
 }
 
-func newSession(id string, p SessionParams, srv *core.Server, u universe.Universe, created time.Time, oracle string, store persist.Backend, met *svcMetrics, onClose func()) *Session {
-	rec := transcript.NewRecorder(srv)
-	rec.T.Meta["eps"] = p.Eps
-	rec.T.Meta["delta"] = p.Delta
-	rec.T.Meta["alpha"] = p.Alpha
-	rec.T.Meta["k"] = float64(p.K)
+// newSession wraps a recorder — fresh, or restored with its transcript —
+// in a Session. The answer cache is rebuilt from the transcript's recorded
+// cache keys, so a query already answered before a restart stays a
+// zero-spend repeat after it.
+func newSession(id string, p SessionParams, rec *transcript.Recorder, u universe.Universe, created time.Time, oracle string, store persist.Backend, met *svcMetrics, onClose func()) *Session {
 	s := &Session{
 		id:      id,
 		params:  p,
@@ -166,33 +165,6 @@ func newSession(id string, p SessionParams, srv *core.Server, u universe.Univers
 		rec:     rec,
 	}
 	s.cache.m = map[string]*cacheEntry{}
-	s.touch()
-	s.publishViewLocked()
-	return s
-}
-
-// touch advances the session's LRU clock.
-func (s *Session) touch() { s.lastTouch.Store(time.Now().UnixNano()) }
-
-// restoreSession rebuilds a Session around an already-restored recorder
-// (server + transcript), carrying over identity and the closed flag. The
-// answer cache is rebuilt from the transcript's recorded cache keys, so a
-// query already answered before the restart stays a zero-spend repeat
-// after it.
-func restoreSession(st *persist.SessionState, p SessionParams, rec *transcript.Recorder, u universe.Universe, store persist.Backend, met *svcMetrics, onClose func()) *Session {
-	s := &Session{
-		id:      st.ID,
-		params:  p,
-		u:       u,
-		created: st.Created,
-		oracle:  st.Oracle,
-		store:   store,
-		met:     met,
-		onClose: onClose,
-		rec:     rec,
-	}
-	s.closed.Store(st.Closed)
-	s.cache.m = map[string]*cacheEntry{}
 	for _, ev := range rec.T.Events {
 		if ev.CacheKey == "" {
 			continue
@@ -202,8 +174,8 @@ func restoreSession(st *persist.SessionState, p SessionParams, rec *transcript.R
 			// behaves (a duplicate event can only predate the cache).
 			continue
 		}
-		// gateSeq 0: these events came off disk, so they are durable by
-		// construction.
+		// gateSeq 0: these events came off the store, so they are durable
+		// by construction.
 		s.cache.m[ev.CacheKey] = &cacheEntry{loss: ev.Query, answer: ev.Answer}
 	}
 	s.savedSeq = len(rec.T.Events)
@@ -212,6 +184,9 @@ func restoreSession(st *persist.SessionState, p SessionParams, rec *transcript.R
 	s.publishViewLocked()
 	return s
 }
+
+// touch advances the session's LRU clock.
+func (s *Session) touch() { s.lastTouch.Store(time.Now().UnixNano()) }
 
 // publishViewLocked refreshes the lock-free ledger view (called under mu,
 // or from a constructor before the session is shared).
@@ -249,64 +224,16 @@ func (s *Session) stateLocked() (*persist.SessionState, error) {
 	}, nil
 }
 
-// save writes an already-assembled state to the session's state file,
-// outside the session mutex (no-op without a store). seq is the state's
-// transcript length. A state strictly older than what is on disk is never
-// written, forced or not: the newer file is a superset of its events, so
-// overwriting it would drop a write-ahead spend whose answer was already
-// released. Non-forced (query-path) saves are also skipped at equal seq —
-// the spend is durable in the existing file; forced saves (Checkpoint,
-// Close, suspend) do write at equal seq because they may change non-event
-// state such as the closed flag. Close/suspend can never be the stale
-// side: they assemble under mu after flipping closed, so no later query
-// can outrun their seq.
-func (s *Session) save(st *persist.SessionState, seq int, force bool) error {
-	if s.store == nil {
-		return nil
-	}
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
-	return s.saveLocked(st, seq, force)
-}
-
-// saveLocked is save's body for callers already holding saveMu (evict's
-// final fold shares the mutex hold with its log teardown).
-func (s *Session) saveLocked(st *persist.SessionState, seq int, force bool) error {
-	if seq < s.savedSeq || (!force && seq == s.savedSeq) {
-		return nil
-	}
-	if err := s.store.SaveSession(st); err != nil {
-		return fmt.Errorf("%w: %v", ErrCheckpoint, err)
-	}
-	s.savedSeq = seq
-	s.durableSeq.Store(int64(seq))
-	return nil
-}
-
-// attachWAL switches the session into WAL mode: wal is its open log, com
-// the manager's group committer, and compactRecords/compactBytes the
-// thresholds that trigger folding the log into a snapshot. Must be called
-// before the session is shared (creation and recovery both do).
+// attachWAL gives a live session its write-ahead log: wal is its open
+// log, com the manager's group committer, and compactRecords/compactBytes
+// the thresholds that trigger folding the log into a snapshot. Must be
+// called before the session is shared (creation and recovery both do).
 func (s *Session) attachWAL(wal *persist.WAL, com *persist.GroupCommitter, compactRecords int, compactBytes int64) {
-	s.walMode = true
 	s.wal = wal
 	s.com = com
 	s.compactRecords = compactRecords
 	s.compactBytes = compactBytes
 	s.walAppendedSeq = s.savedSeq
-}
-
-// enqueueWALLocked queues the just-recorded event as a WAL record (called
-// under mu, immediately after the recorder appended the event, so pending
-// order is event order).
-func (s *Session) enqueueWALLocked(spec json.RawMessage, ev *transcript.Event) {
-	evCopy := *ev
-	s.walPending = append(s.walPending, &persist.WALRecord{
-		Kind:  persist.WALEvent,
-		Seq:   ev.Index,
-		Spec:  spec,
-		Event: &evCopy,
-	})
 }
 
 // appendPendingLocked drains the pending queue into the log file (no
@@ -334,15 +261,14 @@ func (s *Session) appendPendingLocked() {
 }
 
 // walCommit makes every event up to seq durable and advances the durable
-// watermark — the WAL-mode replacement for assembling and saving a full
-// state. Unless forced, a commit whose seq is already covered returns
-// immediately (an overtaking committer or a racing Checkpoint compaction
-// already hardened those records — they are never re-appended or
-// re-fsynced). On a broken log it falls back to a full snapshot, which
-// also tries to heal the log.
-func (s *Session) walCommit(seq int, force bool) error {
+// watermark. A commit whose seq is already covered returns immediately (an
+// overtaking committer or a racing Checkpoint compaction already hardened
+// those records — they are never re-appended or re-fsynced). Without a
+// healthy log it falls back to a full snapshot, which also tries to heal
+// the log.
+func (s *Session) walCommit(seq int) error {
 	s.saveMu.Lock()
-	if !force && seq <= s.savedSeq {
+	if seq <= s.savedSeq {
 		s.saveMu.Unlock()
 		return nil
 	}
@@ -388,46 +314,41 @@ func (s *Session) walCommit(seq int, force bool) error {
 	return nil
 }
 
-// walIdleAppend moves ⊥ records into the log without waiting for a sync:
-// ⊥ answers spend nothing, so their durability is best-effort (exactly as
-// the pre-WAL write path never checkpointed them), but keeping the file —
-// not the pending queue — as the buffer bounds memory and keeps the
-// compaction thresholds honest. Errors are absorbed: a broken log forces
-// the next ⊤ commit into the snapshot fallback.
-func (s *Session) walIdleAppend() {
-	s.saveMu.Lock()
-	s.appendPendingLocked()
-	s.saveMu.Unlock()
-}
-
-// compactLocked folds the session's current state into the snapshot
-// format and truncates the log: the periodic durability "rebase" that
-// bounds WAL replay, and the forced-checkpoint path. Caller holds saveMu.
-// Pending records are discarded under mu *before* the state is assembled —
-// the snapshot is a superset of every one of them — so records covered by
-// the snapshot can never also be re-appended to the log (the
-// checkpoint-vs-group-commit race). A snapshot written at or above seq
-// advances the watermark even when the subsequent log Reset fails; the
-// broken flag then keeps routing durable points through snapshots until a
-// later Reset heals the file.
-func (s *Session) compactLocked() error {
+// snapshotLocked writes the session's current state as its snapshot and
+// advances the durable watermark. Caller holds saveMu, so no older
+// snapshot can land after this one. Pending records are discarded under
+// mu *before* the state is assembled — the snapshot is a superset of every
+// one of them — so records covered by the snapshot can never also be
+// re-appended to the log (the checkpoint-vs-group-commit race).
+func (s *Session) snapshotLocked() (int, error) {
 	s.mu.Lock()
 	st, err := s.stateLocked()
 	seq := len(s.rec.T.Events)
 	s.walPending = nil
 	s.mu.Unlock()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := s.store.SaveSession(st); err != nil {
-		return fmt.Errorf("%w: %v", ErrCheckpoint, err)
+		return 0, fmt.Errorf("%w: %v", ErrCheckpoint, err)
 	}
 	if seq > s.savedSeq {
 		s.savedSeq = seq
 	}
 	s.durableSeq.Store(int64(s.savedSeq))
-	if s.wal == nil {
-		return nil
+	return seq, nil
+}
+
+// compactLocked folds the session's state into the snapshot and truncates
+// the log: the periodic durability "rebase" that bounds WAL replay, and
+// the forced-checkpoint path. Caller holds saveMu. A snapshot that landed
+// advances the watermark even when the log Reset fails; the broken flag
+// then keeps routing durable points through snapshots until a later Reset
+// heals the log.
+func (s *Session) compactLocked() error {
+	seq, err := s.snapshotLocked()
+	if err != nil || s.wal == nil {
+		return err
 	}
 	if err := s.wal.Reset(); err != nil {
 		s.walBroken = true
@@ -438,13 +359,30 @@ func (s *Session) compactLocked() error {
 	return nil
 }
 
-// Checkpoint forces a durable snapshot of the session's current state. It
-// fails with ErrNotDurable when the manager has no state directory.
-// Checkpointing a closed session rewrites its (final) state and is
-// harmless. In WAL mode a forced checkpoint is a compaction: the log is
-// folded into the snapshot and truncated, and a ⊤ answer racing this
-// checkpoint finds its records already durable instead of fsyncing them a
-// second time.
+// retireLocked folds the session's state into the snapshot and deletes its
+// log: this incarnation will not write through it again (close, eviction,
+// suspend), and the next one starts from the snapshot alone. Caller holds
+// saveMu. On a failed snapshot the log stays attached and on the store,
+// still holding every ⊤ it committed. A failed delete is left for the
+// next restore, which folds a leftover log.
+func (s *Session) retireLocked() error {
+	if _, err := s.snapshotLocked(); err != nil {
+		return err
+	}
+	if s.wal != nil {
+		_ = s.wal.Close()
+		_ = s.store.RemoveWAL(s.id)
+		s.wal = nil
+	}
+	return nil
+}
+
+// Checkpoint forces a durable snapshot of the session's current state: a
+// compaction, which folds the log into the snapshot and truncates it, so a
+// ⊤ answer racing this checkpoint finds its records already durable
+// instead of syncing them a second time. It fails with ErrNotDurable when
+// the manager has no store. Checkpointing a closed session rewrites its
+// (final) state and is harmless.
 func (s *Session) Checkpoint() error {
 	if s.store == nil {
 		return ErrNotDurable
@@ -455,19 +393,9 @@ func (s *Session) Checkpoint() error {
 		// incarnation instead of racing the fold.
 		return ErrPagedOut
 	}
-	if s.walMode {
-		s.saveMu.Lock()
-		defer s.saveMu.Unlock()
-		return s.compactLocked()
-	}
-	s.mu.Lock()
-	st, err := s.stateLocked()
-	seq := len(s.rec.T.Events)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.save(st, seq, true)
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
+	return s.compactLocked()
 }
 
 // ID returns the session identifier.
@@ -561,8 +489,8 @@ func (s *Session) lookupCached(key string) (*QueryResult, error) {
 
 // answerLocked drives one mechanism query under mu: answers l, records the
 // keyed transcript event, caches the released answer, queues the WAL
-// record (WAL mode; spec is the query's serialized spec, replayed at
-// recovery), and refreshes the ledger view. The caller owns halt/closed
+// record (durable managers; spec is the query's serialized spec, replayed
+// at recovery), and refreshes the ledger view. The caller owns halt/closed
 // checks and durability.
 func (s *Session) answerLocked(l convex.Loss, key string, spec json.RawMessage) (*QueryResult, error) {
 	theta, err := s.rec.AnswerKeyed(l, key)
@@ -574,12 +502,13 @@ func (s *Session) answerLocked(l convex.Loss, key string, spec json.RawMessage) 
 	}
 	srv := s.rec.Srv
 	ev := s.rec.T.Events[len(s.rec.T.Events)-1]
-	if s.walMode {
+	if s.store != nil {
 		// Every event is logged, ⊥ included: a ⊥ answer advances the
 		// sparse-vector noise stream, so replay must re-execute it to keep
 		// the restored RNG positions — and with them the bit-identity
-		// invariant — exact.
-		s.enqueueWALLocked(spec, &ev)
+		// invariant — exact. Queued under mu, so pending order is event
+		// order.
+		s.walPending = append(s.walPending, &persist.WALRecord{Kind: persist.WALEvent, Seq: ev.Index, Spec: spec, Event: &ev})
 	}
 	if key != "" {
 		// ⊥ answers spend nothing and are releasable immediately; a ⊤
@@ -750,7 +679,7 @@ func (s *Session) answerMisses(specs []convex.Spec, keys []string, missIdx []int
 		}
 		l, err := convex.Build(s.u, specs[i])
 		b := built{loss: l, err: err}
-		if err == nil && s.walMode {
+		if err == nil && s.store != nil {
 			if b.spec, err = json.Marshal(specs[i]); err != nil {
 				b.err = fmt.Errorf("service: encoding query spec: %w", err)
 			}
@@ -800,33 +729,28 @@ func (s *Session) answerMisses(specs []convex.Spec, keys []string, missIdx []int
 		}
 		res[i] = r
 	}
-	// Write-ahead: every spend is on disk before any answer is released.
-	// On a failed write the caller gets an error but the in-memory ledger
-	// and transcript keep the spend: budget can be over-counted by a
-	// failed reply, never spent without being counted.
-	var st *persist.SessionState
-	var seq int
-	var stErr error
-	if needSave && s.store != nil && !s.walMode {
-		st, stErr = s.stateLocked()
-	}
-	seq = len(s.rec.T.Events)
+	seq := len(s.rec.T.Events)
 	s.mu.Unlock()
-	if stErr != nil {
-		return stErr
-	}
-	if s.walMode {
-		// One group-committed write-ahead commit covers every ⊤ in the
-		// batch; a ⊥-only batch just drains its records into the log.
-		if needSave {
-			return s.walCommit(seq, false)
-		}
-		s.walIdleAppend()
+	if s.store == nil {
 		return nil
 	}
-	if st != nil {
-		return s.save(st, seq, false)
+	// Write-ahead: one group-committed commit makes every spend in the
+	// batch durable before any of its answers is released; a ⊥-only batch
+	// just drains its records into the log. On a failed commit the caller
+	// gets an error but the in-memory ledger and transcript keep the
+	// spend: budget can be over-counted by a failed reply, never spent
+	// without being counted.
+	if needSave {
+		return s.walCommit(seq)
 	}
+	// ⊥ answers spend nothing, so their records just move into the log
+	// without waiting for a sync: best-effort durability, but the log —
+	// not the pending queue — holds them, which keeps the compaction
+	// thresholds honest. A broken log forces the next ⊤ commit into the
+	// snapshot fallback.
+	s.saveMu.Lock()
+	s.appendPendingLocked()
+	s.saveMu.Unlock()
 	return nil
 }
 
@@ -943,10 +867,11 @@ func (s *Session) TranscriptJSON() ([]byte, error) {
 // Close permanently stops the session and releases its manager slot.
 // Subsequent queries fail with ErrSessionClosed; status and transcript
 // reads keep working (subject to the manager's closed-session retention
-// limit). On a durable manager the final state is checkpointed with the
-// closed flag, so the session stays permanently closed across restarts;
-// a checkpoint failure is reported but the session closes regardless.
-// Closing twice returns ErrSessionClosed.
+// limit). On a durable manager the final state is snapshotted with the
+// closed flag and the log deleted, so the session stays permanently closed
+// across restarts; a snapshot failure is reported but the session closes
+// regardless (its log still holds every committed spend). Closing twice
+// returns ErrSessionClosed.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.pagedOut.Load() {
@@ -958,100 +883,47 @@ func (s *Session) Close() error {
 		return ErrSessionClosed
 	}
 	s.closed.Store(true)
-	var st *persist.SessionState
-	var seq int
-	var stErr error
-	if s.walMode {
-		// A close record makes closed-ness durable at WAL-record cost; the
-		// compaction below then folds the final state into the snapshot.
-		s.walPending = append(s.walPending, &persist.WALRecord{Kind: persist.WALClose, Seq: len(s.rec.T.Events)})
-	} else if s.store != nil {
-		st, stErr = s.stateLocked()
-		seq = len(s.rec.T.Events)
-	}
 	cb := s.onClose
 	s.onClose = nil
 	s.mu.Unlock()
-	saveErr := stErr
-	if s.walMode {
-		// Commit the close record first (forced: its seq equals the last
-		// event's, which may already be durable), then fold the final
-		// state into the snapshot and drop the log — a closed session
-		// never writes again. The log is removed only after a successful
-		// compaction; on failure it stays, and recovery replays the close
-		// record instead.
-		saveErr = s.walCommit(0, true)
+	var err error
+	if s.store != nil {
 		s.saveMu.Lock()
-		if err := s.compactLocked(); err == nil && s.wal != nil {
-			_ = s.wal.Close()
-			_ = s.store.RemoveWAL(s.id)
-			s.wal = nil
-		} else if saveErr == nil {
-			saveErr = err
-		}
+		err = s.retireLocked()
 		s.saveMu.Unlock()
-	} else if st != nil {
-		saveErr = s.save(st, seq, true)
 	}
 	if cb != nil {
 		cb()
 	}
-	return saveErr
+	return err
 }
 
 // suspend checkpoints a live session for a graceful restart and stops
-// serving it, without recording a close: the state file keeps Closed=false,
-// so the next manager over the same state directory resumes the session
-// exactly where it stopped. Already-closed sessions are left alone.
+// serving it, without recording a close: the state is folded into a
+// Closed=false snapshot *before* the closed flag flips, so the next
+// manager over the same store resumes the session exactly where it
+// stopped. A ⊤ answer racing the fold finds no log and commits through
+// the snapshot fallback. Best-effort: shutdown must not wedge on a full
+// disk, and a failed fold leaves the log, which still holds every ⊤.
+// Already-closed sessions are left alone.
 func (s *Session) suspend() {
-	if s.walMode {
-		// Fold the log into a Closed=false snapshot *before* flipping the
-		// closed flag — compaction reads the flag, and the state file must
-		// say "live" for the next start to resume the session. A ⊤ answer
-		// racing this compaction commits its own records through the log;
-		// the file is left in place either way, so recovery replays
-		// whatever the compaction missed.
-		s.saveMu.Lock()
-		_ = s.compactLocked()
-		s.saveMu.Unlock()
-		s.mu.Lock()
-		if s.closed.Load() {
-			s.mu.Unlock()
-			return
-		}
-		s.closed.Store(true)
-		cb := s.onClose
-		s.onClose = nil
-		s.mu.Unlock()
-		if cb != nil {
-			cb()
-		}
+	if s.closed.Load() {
 		return
+	}
+	if s.store != nil {
+		s.saveMu.Lock()
+		_ = s.retireLocked()
+		s.saveMu.Unlock()
 	}
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
 		return
 	}
-	// The suspend state is assembled *before* the closed flag flips, so
-	// the state file keeps Closed=false and the next start resumes the
-	// session live.
-	var st *persist.SessionState
-	var seq int
-	if s.store != nil {
-		st, _ = s.stateLocked()
-		seq = len(s.rec.T.Events)
-	}
 	s.closed.Store(true)
 	cb := s.onClose
 	s.onClose = nil
 	s.mu.Unlock()
-	if st != nil {
-		// Best-effort: shutdown must not wedge on a full disk; the last
-		// ⊤-answer checkpoint is still on disk, so at worst a ⊥-only tail
-		// of the interaction is lost.
-		_ = s.save(st, seq, true)
-	}
 	if cb != nil {
 		cb()
 	}

@@ -1,10 +1,11 @@
 package service
 
-// wal_test.go covers the WAL-mode write path at the service layer: golden
+// wal_test.go covers the write path at the service layer: golden
 // bit-identity of recovery-by-replay per accountant, torn-tail truncation
 // after a byte-level corruption, compaction round-trips, the
-// checkpoint-vs-group-commit race, WAL-off replay of leftover logs, and
-// close durability through the close record.
+// checkpoint-vs-group-commit race, close durability (including a close
+// record left in a log), and the same write path over a remote store:
+// crash recovery and the blob requests each lifecycle step costs.
 
 import (
 	"errors"
@@ -16,31 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/persist"
-	"repro/internal/sample"
 )
-
-// walManager builds a durable manager in WAL mode over dir. compactEvery 0
-// takes the production default (256), i.e. effectively no mid-test
-// compaction for short streams.
-func walManager(t *testing.T, dir string, dataSeed, srcSeed int64, defaults SessionParams, compactEvery int) *Manager {
-	t.Helper()
-	st, err := persist.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(Config{
-		Data:         durableData(t, dataSeed),
-		Source:       sample.New(srcSeed),
-		Defaults:     defaults,
-		Store:        st,
-		WAL:          true,
-		CompactEvery: compactEvery,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
 
 // walFile is the on-disk path of a session's log (mirrors the persist
 // layout documented on Store.OpenWAL).
@@ -78,7 +55,7 @@ func TestWALGoldenContinuation(t *testing.T) {
 			}
 
 			dir := t.TempDir()
-			m1 := walManager(t, dir, 1, 9, defaults, 0)
+			m1 := durableManager(t, dir, 1, 9, defaults)
 			s1, err := m1.CreateSession(SessionParams{})
 			if err != nil {
 				t.Fatal(err)
@@ -96,7 +73,7 @@ func TestWALGoldenContinuation(t *testing.T) {
 				t.Fatal("fixture compacted before the crash; replay test is vacuous")
 			}
 
-			m2 := walManager(t, dir, 1, 777, defaults, 0)
+			m2 := durableManager(t, dir, 1, 777, defaults)
 			defer m2.Shutdown()
 			s2, err := m2.Session(s1.ID())
 			if err != nil {
@@ -139,7 +116,7 @@ func TestWALGoldenContinuation(t *testing.T) {
 func TestWALTornTailRecovery(t *testing.T) {
 	defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 12, TBudget: 6}
 	dir := t.TempDir()
-	m1 := walManager(t, dir, 1, 9, defaults, 0)
+	m1 := durableManager(t, dir, 1, 9, defaults)
 	s1, err := m1.CreateSession(SessionParams{})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +137,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := walManager(t, dir, 1, 777, defaults, 0)
+	m2 := durableManager(t, dir, 1, 777, defaults)
 	defer m2.Shutdown()
 	s2, err := m2.Session(s1.ID())
 	if err != nil {
@@ -199,7 +176,7 @@ func TestWALCompactionRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	m1 := walManager(t, dir, 1, 9, defaults, 3)
+	m1 := durableManager(t, dir, 1, 9, defaults, 3)
 	s1, err := m1.CreateSession(SessionParams{})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +192,7 @@ func TestWALCompactionRoundTrip(t *testing.T) {
 	}
 	// Crash: snapshot holds a prefix, the log holds the tail past it.
 
-	m2 := walManager(t, dir, 1, 777, defaults, 3)
+	m2 := durableManager(t, dir, 1, 777, defaults, 3)
 	defer m2.Shutdown()
 	s2, err := m2.Session(s1.ID())
 	if err != nil {
@@ -238,7 +215,7 @@ func TestWALCompactionRoundTrip(t *testing.T) {
 func TestWALCheckpointRaceNoDoubleCommit(t *testing.T) {
 	defaults := SessionParams{Eps: 2, Delta: 1e-6, Alpha: 0.1, K: 40, TBudget: 8}
 	dir := t.TempDir()
-	m1 := walManager(t, dir, 1, 9, defaults, 0)
+	m1 := durableManager(t, dir, 1, 9, defaults)
 	s1, err := m1.CreateSession(SessionParams{})
 	if err != nil {
 		t.Fatal(err)
@@ -288,35 +265,6 @@ func TestWALCheckpointRaceNoDoubleCommit(t *testing.T) {
 		last = r.Seq
 	}
 
-	m2 := walManager(t, dir, 1, 777, defaults, 0)
-	defer m2.Shutdown()
-	s2, err := m2.Session(s1.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Status().QueriesUsed; got != n {
-		t.Fatalf("recovered %d queries, want %d", got, n)
-	}
-}
-
-// TestWALModeOffReplaysLeftoverLog checks the -wal flag can be toggled off
-// between restarts without stranding records: a snapshot-mode manager still
-// replays a leftover log and folds it away.
-func TestWALModeOffReplaysLeftoverLog(t *testing.T) {
-	defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 12, TBudget: 6}
-	dir := t.TempDir()
-	m1 := walManager(t, dir, 1, 9, defaults, 0)
-	s1, err := m1.CreateSession(SessionParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 5
-	for i := 0; i < n; i++ {
-		if _, err := s1.Query(distinctSpec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Crash, then restart with WAL off.
 	m2 := durableManager(t, dir, 1, 777, defaults)
 	defer m2.Shutdown()
 	s2, err := m2.Session(s1.ID())
@@ -326,22 +274,16 @@ func TestWALModeOffReplaysLeftoverLog(t *testing.T) {
 	if got := s2.Status().QueriesUsed; got != n {
 		t.Fatalf("recovered %d queries, want %d", got, n)
 	}
-	if m2.cfg.Store.HasWAL(s1.ID()) {
-		t.Fatal("leftover wal not folded away by a snapshot-mode manager")
-	}
-	if _, err := s2.Query(distinctSpec(n + 1)); err != nil {
-		t.Fatalf("recovered session cannot continue: %v", err)
-	}
 }
 
-// TestWALCloseDurability checks closing a WAL-mode session compacts and
-// removes its log, persists closedness across a crash, and that a close
+// TestWALCloseDurability checks closing a session folds its state into the
+// snapshot and removes its log, persists closedness across a crash, and that a close
 // record left in a log (final compaction never ran) still closes the
 // session at recovery.
 func TestWALCloseDurability(t *testing.T) {
 	defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 8, TBudget: 6}
 	dir := t.TempDir()
-	m1 := walManager(t, dir, 1, 9, defaults, 0)
+	m1 := durableManager(t, dir, 1, 9, defaults)
 	s1, err := m1.CreateSession(SessionParams{})
 	if err != nil {
 		t.Fatal(err)
@@ -352,8 +294,8 @@ func TestWALCloseDurability(t *testing.T) {
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if m1.cfg.Store.HasWAL(s1.ID()) {
-		t.Fatal("close left the wal behind")
+	if _, err := os.Stat(walFile(dir, s1.ID())); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("close left the wal behind: %v", err)
 	}
 
 	// Second session: closed purely via a close record, as when the final
@@ -379,7 +321,7 @@ func TestWALCloseDurability(t *testing.T) {
 	}
 	w.Close()
 
-	m2 := walManager(t, dir, 1, 777, defaults, 0)
+	m2 := durableManager(t, dir, 1, 777, defaults)
 	defer m2.Shutdown()
 	for _, id := range []string{s1.ID(), s2.ID()} {
 		s, err := m2.Session(id)
@@ -398,27 +340,23 @@ func TestWALCloseDurability(t *testing.T) {
 	}
 }
 
-// TestWALRequiresStore checks the configuration guard and the healthz
-// surface of WAL mode.
+// TestWALRequiresStore checks the healthz surface of the write path: a
+// durable manager reports its log, over either backend, and a memory-only
+// one has none.
 func TestWALRequiresStore(t *testing.T) {
-	if _, err := New(Config{
-		Data:   durableData(t, 1),
-		Source: sample.New(9),
-		WAL:    true,
-	}); err == nil || !strings.Contains(err.Error(), "state directory") {
-		t.Fatalf("WAL without store: %v", err)
-	}
-
 	defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 5, TBudget: 6}
-	m := walManager(t, t.TempDir(), 1, 9, defaults, 0)
-	defer m.Shutdown()
-	if !m.WALMode() {
-		t.Fatal("WALMode() false on a WAL manager")
-	}
-	rr := httptest.NewRecorder()
-	NewHandler(m).ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
-	if !strings.Contains(rr.Body.String(), `"wal": true`) {
-		t.Fatalf("healthz on WAL server: %s", rr.Body.String())
+	blobURL, _ := blobStore(t)
+	for _, tc := range []struct {
+		loc  string
+		want bool
+	}{{"", false}, {t.TempDir(), true}, {blobURL, true}} {
+		m := durableManager(t, tc.loc, 1, 9, defaults)
+		rr := httptest.NewRecorder()
+		NewHandler(m).ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
+		m.Shutdown()
+		if got := strings.Contains(rr.Body.String(), `"wal": true`); got != tc.want {
+			t.Fatalf("store %q: healthz reports wal=%v, want %v: %s", tc.loc, got, tc.want, rr.Body.String())
+		}
 	}
 }
 
@@ -432,7 +370,7 @@ func TestWALRequiresStore(t *testing.T) {
 func TestWALCommitCompactionHammer(t *testing.T) {
 	defaults := SessionParams{Eps: 2, Delta: 1e-6, Alpha: 0.1, K: 60, TBudget: 8}
 	dir := t.TempDir()
-	m1 := walManager(t, dir, 1, 9, defaults, 2)
+	m1 := durableManager(t, dir, 1, 9, defaults, 2)
 
 	const nSess, n = 3, 16
 	sessions := make([]*Session, nSess)
@@ -481,7 +419,7 @@ func TestWALCommitCompactionHammer(t *testing.T) {
 	}
 
 	// Abandon m1 (no shutdown: a crash) and recover.
-	m2 := walManager(t, dir, 1, 10, defaults, 2)
+	m2 := durableManager(t, dir, 1, 10, defaults, 2)
 	defer m2.Shutdown()
 	for _, s := range sessions {
 		r, err := m2.Session(s.ID())
@@ -492,4 +430,155 @@ func TestWALCommitCompactionHammer(t *testing.T) {
 			t.Errorf("session %s recovered with %d queries, want %d", s.ID(), got, n)
 		}
 	}
+}
+
+// TestRemoteCrashContinuation is the crash test over a remote store: a
+// session answers up to a ⊤, its manager is abandoned without Shutdown,
+// and a new manager over the same namespace replays the log blob and
+// continues bit-identically to an uninterrupted in-memory run. (The crash
+// comes right after a ⊤ commit: a remote log buffers ⊥ records in memory
+// until the next commit, so a crash later would lose that ⊥-only tail.)
+func TestRemoteCrashContinuation(t *testing.T) {
+	defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 12, TBudget: 6}
+	specs := mixedSpecs(12)
+
+	ref := durableManager(t, "", 1, 9, defaults)
+	defer ref.Shutdown()
+	refSess, err := ref.CreateSession(SessionParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refResults := make([]*QueryResult, len(specs))
+	for i, q := range specs {
+		if refResults[i], err = refSess.Query(q); err != nil {
+			t.Fatalf("reference query %d: %v", i, err)
+		}
+	}
+
+	cut := 0 // one past the last ⊤ answered before the crash
+	for i := 0; i < len(specs)-2; i++ {
+		if refResults[i].Top {
+			cut = i + 1
+		}
+	}
+
+	url, _ := blobStore(t)
+	m1 := durableManager(t, url, 1, 9, defaults)
+	s1, err := m1.CreateSession(SessionParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cut; i++ {
+		res, err := s1.Query(specs[i])
+		if err != nil {
+			t.Fatalf("pre-crash query %d: %v", i, err)
+		}
+		sameResult(t, "pre-crash", refResults[i], res)
+	}
+	if cut == 0 || len(loadState(t, m1, s1.ID()).Transcript.Events) != 0 {
+		t.Fatal("fixture has no ⊤ or compacted before the crash; replay test is vacuous")
+	}
+
+	m2 := durableManager(t, url, 1, 777, defaults)
+	defer m2.Shutdown()
+	s2, err := m2.Session(s1.ID())
+	if err != nil {
+		t.Fatalf("recovered session not found: %v", err)
+	}
+	for i := cut; i < len(specs); i++ {
+		res, err := s2.Query(specs[i])
+		if err != nil {
+			t.Fatalf("post-crash query %d: %v", i, err)
+		}
+		sameResult(t, "post-crash", refResults[i], res)
+	}
+	refTr, err := refSess.TranscriptJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTr, err := s2.TranscriptJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(refTr) != string(gotTr) {
+		t.Fatalf("transcripts differ:\n%s\n%s", refTr, gotTr)
+	}
+}
+
+// TestRemoteRequestCounts pins what each lifecycle step costs in blob
+// requests on the session's own blobs (the manifest write that issues an
+// id is not counted): creation writes the snapshot, a ⊤ commit is one log
+// append — the first replaces the log blob, later ones append to it —
+// eviction and close each fold into the snapshot and delete the log, and a
+// page-in reads snapshot and log.
+func TestRemoteRequestCounts(t *testing.T) {
+	defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 40, TBudget: 8}
+	url, blobs := blobStore(t)
+	m := durableManager(t, url, 1, 9, defaults)
+	defer m.Shutdown()
+	sessionReqs := func() []string {
+		var out []string
+		for _, r := range blobs.take() {
+			if strings.Contains(r, "/blobs/session-") {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	expect := func(step string, reqs []string, want ...string) {
+		t.Helper()
+		if len(reqs) != len(want) {
+			t.Fatalf("%s made %d requests %q, want %d", step, len(reqs), reqs, len(want))
+		}
+		for i, w := range want {
+			if !strings.HasPrefix(reqs[i], w) {
+				t.Fatalf("%s request %d = %q, want %s …", step, i, reqs[i], w)
+			}
+		}
+	}
+
+	s, err := m.CreateSession(SessionParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.ID()
+	snap, log := "/v1/stores/r1/blobs/session-"+id+".json", "/v1/stores/r1/blobs/session-"+id+".wal"
+	expect("create", sessionReqs(), "PUT "+snap)
+
+	// queryTop answers distinct queries until one is ⊤ and returns the
+	// requests that cost (⊥ answers buffer their records: no request).
+	next := 0
+	queryTop := func() []string {
+		t.Helper()
+		for ; next < 40; next++ {
+			res, err := m.Query(id, distinctSpec(next))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Top {
+				next++
+				return sessionReqs()
+			}
+			if reqs := sessionReqs(); len(reqs) != 0 {
+				t.Fatalf("a ⊥ answer made requests %q", reqs)
+			}
+		}
+		t.Fatal("no ⊤ answer in the query stream")
+		return nil
+	}
+	expect("first ⊤ commit", queryTop(), "PUT "+log)
+	expect("second ⊤ commit", queryTop(), "POST "+log+"?at=")
+	if err := m.Evict(id); err != nil {
+		t.Fatal(err)
+	}
+	expect("eviction", sessionReqs(), "PUT "+snap, "DELETE "+log)
+	if _, err := m.SessionStatus(id); err != nil {
+		t.Fatal(err)
+	}
+	expect("page-in", sessionReqs(), "GET "+snap, "GET "+log)
+	expect("⊤ commit after page-in", queryTop(), "PUT "+log)
+	if err := m.CloseSession(id); err != nil {
+		t.Fatal(err)
+	}
+	expect("close", sessionReqs(), "PUT "+snap, "DELETE "+log)
 }

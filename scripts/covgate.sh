@@ -9,8 +9,8 @@
 # named files are matched by suffix, so callers pass repo-relative paths
 # like internal/persist/wal.go.
 #
-# CI gates the durability core (wal.go, committer.go, backend.go) and
-# the routing core (route.go) — files where an untested branch is a
+# CI gates the durability core (wal.go, committer.go, backend.go,
+# blobserver.go) and the routing core (route.go) — files where an untested branch is a
 # durability or availability bug waiting for a crash schedule to find it.
 #
 # Appended profiles carry one "mode:" header per test binary, so header
