@@ -99,7 +99,6 @@ func serveCmd(args []string) error {
 	storeURL := fs.String("store-url", "", "remote blob-store base URL (a `pmwcm store` endpoint, e.g. http://host:9099/v1/stores/r1): the same logs and snapshots as -state-dir, kept as blobs over HTTP with fingerprint-verified loads; mutually exclusive with -state-dir")
 	maxResident := fs.Int("max-resident", 0, "cap on live sessions held in memory: past it the least-recently-used sessions are evicted to the store and paged back in on their next touch (0 = unlimited; requires -state-dir or -store-url)")
 	idleTTL := fs.Duration("idle-ttl", 0, "evict live sessions untouched for this long (0 = never; requires -state-dir or -store-url)")
-	commitWindow := fs.Duration("commit-window", 0, "upper bound on how long a group-commit batch stays open while commits keep arriving (0 = 2ms; needs -state-dir or -store-url)")
 	compactEvery := fs.Int("compact-every", 0, "fold a session's write-ahead log into its snapshot after this many records (0 = 256; needs -state-dir or -store-url)")
 	faultPlan := fs.String("fault-plan", "", "DEV ONLY: deterministic fault-injection plan for the durability write path (chaos drills; e.g. 'error@40,torn@90:7' or 'seed=7,window=400,faults=3,modes=error+torn'); requires -state-dir")
 	logLevel := fs.String("log-level", "info", "request/startup log level (debug, info, warn, error)")
@@ -213,7 +212,6 @@ func serveCmd(args []string) error {
 		Limits:       service.Limits{MaxSessions: *maxSessions, MaxK: *maxK},
 		Store:        backend,
 		Metrics:      reg,
-		CommitWindow: *commitWindow,
 		CompactEvery: *compactEvery,
 		MaxResident:  *maxResident,
 		IdleTTL:      *idleTTL,

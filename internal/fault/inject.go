@@ -6,11 +6,12 @@ package fault
 // enumerate its fault points), fail a single numbered op (transient I/O
 // error or torn write), or crash: latch the filesystem so the faulted op
 // and everything after it fails, simulating the process dying at exactly
-// that syscall. Crashes latch rather than panic deliberately — WAL fsyncs
-// run on the group committer's goroutine, where a panic would kill the
-// test process instead of simulating the server's death; a latched FS
-// lets the drill abandon the "dead" manager and recover from disk, which
-// is what a real restart does.
+// that syscall. Crashes latch rather than panic deliberately — durable
+// writes run on many goroutines (concurrent request handlers, the idle
+// sweep, shutdown), where a panic would kill the test process instead of
+// simulating the server's death; a latched FS lets the drill abandon the
+// "dead" manager and recover from disk, which is what a real restart
+// does.
 
 import (
 	"errors"

@@ -108,7 +108,6 @@ const FingerprintHeader = "X-Pmwcm-Fingerprint"
 type Remote struct {
 	base    string
 	client  *http.Client
-	retries int
 	backoff time.Duration
 	// Instruments (nil until Instrument; nil instruments are no-ops).
 	met     *storeMetrics
@@ -120,12 +119,13 @@ type Remote struct {
 type RemoteOptions struct {
 	// Client is the HTTP client (default: 10 s timeout).
 	Client *http.Client
-	// Retries is the number of attempts per request (default 3).
-	Retries int
 	// Backoff is the base delay between attempts, scaled linearly
 	// (default 50 ms).
 	Backoff time.Duration
 }
+
+// remoteAttempts is the number of attempts per remote store request.
+const remoteAttempts = 3
 
 // OpenRemote validates the namespace URL and probes the endpoint with a
 // list request so a misconfigured fleet fails at startup, not at the
@@ -138,14 +138,10 @@ func OpenRemote(base string, opts RemoteOptions) (*Remote, error) {
 	r := &Remote{
 		base:    strings.TrimRight(base, "/"),
 		client:  opts.Client,
-		retries: opts.Retries,
 		backoff: opts.Backoff,
 	}
 	if r.client == nil {
 		r.client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if r.retries <= 0 {
-		r.retries = 3
 	}
 	if r.backoff <= 0 {
 		r.backoff = 50 * time.Millisecond
@@ -199,7 +195,7 @@ func (r *Remote) do(method, u string, body []byte, verify bool) ([]byte, int, er
 		return nil, 0, fmt.Errorf("persist: %s %s: %d-byte body exceeds the %d-byte blob cap", method, u, len(body), maxBlobBytes)
 	}
 	var lastErr error
-	for attempt := 0; attempt < r.retries; attempt++ {
+	for attempt := 0; attempt < remoteAttempts; attempt++ {
 		if attempt > 0 {
 			r.retried.Inc()
 			time.Sleep(r.backoff * time.Duration(attempt))
@@ -442,20 +438,16 @@ func (r *Remote) RemoveWAL(id string) error {
 // of an append it already committed without writing again, so the
 // client's transport retries cannot double-apply a record. off is -1
 // until the first sync or reset, whose atomic PUT fixes the blob's
-// contents without knowing what was there.
+// contents without knowing what was there. The WAL serializes sync and
+// reset, which own off; a failed sync leaves the drained frames unsent,
+// and the WAL's sticky error keeps them from being skipped over.
 type blobSink struct {
 	r   *Remote
 	url string
+	off int64
 
-	mu  sync.Mutex // guards buf
+	mu  sync.Mutex // guards buf: write runs concurrently with sync
 	buf []byte
-
-	syncMu sync.Mutex // serializes sync and reset; guards off and err
-	off    int64
-	// err is sticky: after a failed sync the blob may lack records a
-	// later sync would not resend, so every sync fails until a reset
-	// rewrites the blob.
-	err error
 }
 
 func (k *blobSink) write(p []byte) error {
@@ -466,11 +458,6 @@ func (k *blobSink) write(p []byte) error {
 }
 
 func (k *blobSink) sync() error {
-	k.syncMu.Lock()
-	defer k.syncMu.Unlock()
-	if k.err != nil {
-		return k.err
-	}
 	k.mu.Lock()
 	data := k.buf
 	k.buf = nil
@@ -483,7 +470,6 @@ func (k *blobSink) sync() error {
 		method, u = http.MethodPost, k.url+"?at="+strconv.FormatInt(k.off, 10)
 	}
 	if _, _, err := k.r.do(method, u, data, false); err != nil {
-		k.err = err
 		return err
 	}
 	k.off = max(k.off, 0) + int64(len(data))
@@ -491,15 +477,13 @@ func (k *blobSink) sync() error {
 }
 
 func (k *blobSink) reset(header []byte) error {
-	k.syncMu.Lock()
-	defer k.syncMu.Unlock()
 	if _, _, err := k.r.do(http.MethodPut, k.url, header, false); err != nil {
 		return err
 	}
 	k.mu.Lock()
 	k.buf = nil
 	k.mu.Unlock()
-	k.off, k.err = int64(len(header)), nil
+	k.off = int64(len(header))
 	return nil
 }
 

@@ -5,7 +5,7 @@ package persist
 // every ⊤ answer: re-serialize the complete session state — MW table and
 // full transcript included — and fsync it. BenchmarkWALAppend is the WAL's
 // per-event cost, BenchmarkGroupCommit{1,8,64} the durable-commit cost at
-// increasing session concurrency (one committer, one fsync per batch), and
+// increasing session concurrency (each session syncs its own log), and
 // BenchmarkSnapshotVsWALRecovery the recovery-time read cost of the two
 // formats. All run under the benchdiff gate (scripts/bench.sh micro).
 
@@ -58,7 +58,7 @@ func BenchmarkCheckpointPerTop(b *testing.B) {
 }
 
 // BenchmarkWALAppend is the WAL's per-event append cost (no fsync — that
-// is the committer's job, measured separately).
+// is WAL.Sync's, measured separately).
 func BenchmarkWALAppend(b *testing.B) {
 	st, err := Open(b.TempDir())
 	if err != nil {
@@ -80,17 +80,16 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // benchGroupCommit measures the durable cost of one ⊤ record — append +
-// group-committed fsync — with p sessions committing concurrently through
-// one committer. b.N counts total commits across sessions, so ns/op is
-// directly comparable across the 1/8/64 variants: batching across
-// sessions is the only thing that changes.
+// WAL.Sync, one fsync of the session's own log — with p sessions
+// committing concurrently, as the service's sessions do. b.N counts total
+// commits across sessions, so ns/op is directly comparable across the
+// 1/8/64 variants: how many fsyncs the drive overlaps is the only thing
+// that changes.
 func benchGroupCommit(b *testing.B, sessions int) {
 	st, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := NewGroupCommitter(0)
-	defer c.Close()
 	wals := make([]*WAL, sessions)
 	for i := range wals {
 		w, err := st.OpenWAL(fmt.Sprintf("s-%06d", i+1))
@@ -120,7 +119,7 @@ func benchGroupCommit(b *testing.B, sessions int) {
 					errc <- err
 					return
 				}
-				if err := c.Sync(w); err != nil {
+				if err := w.Sync(); err != nil {
 					errc <- err
 					return
 				}
@@ -134,14 +133,16 @@ func benchGroupCommit(b *testing.B, sessions int) {
 	}
 }
 
-// BenchmarkGroupCommit1 is one session alone: every commit pays its own
-// fsync (the committer cannot batch a lone writer).
+// BenchmarkGroupCommit1 is one session alone: every commit waits for its
+// own fsync, back to back.
 func BenchmarkGroupCommit1(b *testing.B) { benchGroupCommit(b, 1) }
 
-// BenchmarkGroupCommit8 is 8 concurrent sessions sharing fsyncs.
+// BenchmarkGroupCommit8 is 8 concurrent sessions, each fsyncing its own
+// log while the others' fsyncs are in flight.
 func BenchmarkGroupCommit8(b *testing.B) { benchGroupCommit(b, 8) }
 
-// BenchmarkGroupCommit64 is 64 concurrent sessions sharing fsyncs.
+// BenchmarkGroupCommit64 is 64 concurrent sessions, each fsyncing its own
+// log.
 func BenchmarkGroupCommit64(b *testing.B) { benchGroupCommit(b, 64) }
 
 // BenchmarkSnapshotVsWALRecovery compares the recovery-time read cost of

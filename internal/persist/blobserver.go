@@ -39,15 +39,17 @@ import (
 const maxBlobBytes = 64 << 20
 
 // BlobServer serves GET/PUT/POST-append/DELETE/list over namespaced blobs
-// rooted at a directory. Safe for concurrent use: atomic rename is the
-// commit point, concurrent writers to one name last-write-win whole
-// files, which is the same contract the state dir gives two processes
-// pointed at it; appends to one blob serialize on a lock stripe.
+// rooted at a directory. Safe for concurrent use: every request on one
+// blob holds that blob's lock stripe, so a read sees a blob before or
+// after an append, never half of one, and a replace or delete never
+// renames over an append still writing to the old file. Concurrent
+// replacing writers to one name last-write-win whole files, which is the
+// same contract the state dir gives two processes pointed at it.
 type BlobServer struct {
 	root    string
 	fsys    fault.FS
 	met     *blobMetrics
-	appends [64]sync.Mutex // striped by blob path
+	stripes [64]sync.Mutex // by blob path
 }
 
 type blobMetrics struct {
@@ -138,6 +140,15 @@ func (b *BlobServer) blobPath(ns, name string) (string, error) {
 	return filepath.Join(b.root, ns, name), nil
 }
 
+// lock takes the lock stripe of the blob at path and returns its unlock.
+func (b *BlobServer) lock(path string) func() {
+	h := fnv.New32a()
+	h.Write([]byte(path))
+	mu := &b.stripes[h.Sum32()%uint32(len(b.stripes))]
+	mu.Lock()
+	return mu.Unlock
+}
+
 func (b *BlobServer) handleList(w http.ResponseWriter, r *http.Request) {
 	ns := r.PathValue("ns")
 	if err := validID(ns); err != nil {
@@ -168,7 +179,9 @@ func (b *BlobServer) handleGet(w http.ResponseWriter, r *http.Request) {
 		blobError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	unlock := b.lock(path)
 	data, err := b.fsys.ReadFile(path)
+	unlock()
 	if errors.Is(err, fs.ErrNotExist) {
 		blobError(w, http.StatusNotFound, "no such blob")
 		return
@@ -199,12 +212,7 @@ func (b *BlobServer) handlePut(w http.ResponseWriter, r *http.Request) {
 		blobError(w, http.StatusRequestEntityTooLarge, "blob exceeds size cap")
 		return
 	}
-	dir := filepath.Dir(path)
-	if err := b.fsys.MkdirAll(dir, 0o755); err != nil {
-		blobError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if err := writeAtomicFS(b.fsys, dir, path, data, fault.File.Sync); err != nil {
+	if err := b.put(path, data); err != nil {
 		blobError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
@@ -215,6 +223,16 @@ func (b *BlobServer) handlePut(w http.ResponseWriter, r *http.Request) {
 		"bytes":       len(data),
 		"fingerprint": Fingerprint64(data),
 	})
+}
+
+// put atomically replaces the blob at path under its lock stripe.
+func (b *BlobServer) put(path string, data []byte) error {
+	defer b.lock(path)()
+	dir := filepath.Dir(path)
+	if err := b.fsys.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return writeAtomicFS(b.fsys, dir, path, data, fault.File.Sync)
 }
 
 // handleAppend appends the body to a blob iff the blob is exactly at
@@ -244,12 +262,9 @@ func (b *BlobServer) handleAppend(w http.ResponseWriter, r *http.Request) {
 		blobError(w, http.StatusRequestEntityTooLarge, "append would grow the blob past the size cap")
 		return
 	}
-	h := fnv.New32a()
-	h.Write([]byte(path))
-	mu := &b.appends[h.Sum32()%uint32(len(b.appends))]
-	mu.Lock()
-	defer mu.Unlock()
+	unlock := b.lock(path)
 	status, err := b.appendAt(path, at, data)
+	unlock()
 	if err != nil {
 		blobError(w, status, err.Error())
 		return
@@ -308,7 +323,10 @@ func (b *BlobServer) handleDelete(w http.ResponseWriter, r *http.Request) {
 		blobError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if err := b.fsys.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	unlock := b.lock(path)
+	err = b.fsys.Remove(path)
+	unlock()
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		blobError(w, http.StatusInternalServerError, err.Error())
 		return
 	}

@@ -197,15 +197,13 @@ type storeMetrics struct {
 	count map[string]*obs.Counter // by checkpoint kind
 	bytes map[string]*obs.Counter
 	fsync *obs.Histogram
-	// WAL instruments (wal.go / committer.go): records and bytes appended,
-	// compactions (log folded into a snapshot and truncated), torn-tail
-	// truncations found at recovery, and the group-commit batch-size
-	// histogram (WAL files made durable per fsync batch).
+	// WAL instruments (wal.go): records and bytes appended, compactions
+	// (log folded into a snapshot and truncated), and torn-tail
+	// truncations found at recovery.
 	walRecords     *obs.Counter
 	walBytes       *obs.Counter
 	walCompactions *obs.Counter
 	walTruncations *obs.Counter
-	walBatch       *obs.Histogram
 }
 
 // Checkpoint kind labels on the store's counters.
@@ -247,8 +245,6 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 			"WAL compactions: log folded into a snapshot and truncated.", nil),
 		walTruncations: reg.Counter("pmwcm_wal_truncations_total",
 			"Torn WAL tails truncated at recovery.", nil),
-		walBatch: reg.Histogram("pmwcm_wal_commit_batch",
-			"WAL files made durable per group-commit fsync batch.", obs.SizeBuckets, nil),
 	}
 	for _, kind := range []string{KindManifest, KindSession, KindWAL} {
 		m.count[kind] = reg.Counter("pmwcm_checkpoint_total", countHelp, obs.Labels{"kind": kind})

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -486,5 +488,89 @@ func TestBlobServerWriteFaults(t *testing.T) {
 		if ops[op] < 1 {
 			t.Errorf("pmwcm_blob_requests_total{op=%q} = %v, want >= 1", op, ops[op])
 		}
+	}
+}
+
+// halfWriteFS passes through to the real filesystem, except that once
+// armed the next file Write lands half its bytes, signals landed, and
+// blocks until release before writing the rest — an append caught
+// mid-write.
+type halfWriteFS struct {
+	fault.FS
+	armed   atomic.Bool
+	landed  chan struct{}
+	release chan struct{}
+}
+
+func (h *halfWriteFS) OpenFile(name string, flag int, perm fs.FileMode) (fault.File, error) {
+	f, err := h.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return halfWriteFile{File: f, fs: h}, nil
+}
+
+type halfWriteFile struct {
+	fault.File
+	fs *halfWriteFS
+}
+
+func (f halfWriteFile) Write(p []byte) (int, error) {
+	if !f.fs.armed.CompareAndSwap(true, false) {
+		return f.File.Write(p)
+	}
+	n, err := f.File.Write(p[:len(p)/2])
+	if err != nil {
+		return n, err
+	}
+	close(f.fs.landed)
+	<-f.fs.release
+	m, err := f.File.Write(p[len(p)/2:])
+	return n + m, err
+}
+
+// TestBlobGetNeverSeesTornAppend: a GET racing an append must return the
+// blob before or after it, never the half that has landed. A torn read
+// would make the router's store fallback "heal" the log with a PUT that
+// replaces the file under the append still writing to it.
+func TestBlobGetNeverSeesTornAppend(t *testing.T) {
+	hfs := &halfWriteFS{FS: fault.OS, landed: make(chan struct{}), release: make(chan struct{})}
+	bs, err := NewBlobServer(t.TempDir(), hfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(bs.Handler())
+	defer srv.Close()
+	const blob = "/v1/stores/r1/blobs/log.wal"
+	pre, tail := "header|", "record-one|"
+	if got := blobAppend(t, srv, "log.wal", "0", []byte(pre)); got != http.StatusOK {
+		t.Fatalf("seed append = %d", got)
+	}
+
+	hfs.armed.Store(true)
+	appended := make(chan int, 1)
+	go func() { appended <- blobAppend(t, srv, "log.wal", fmt.Sprint(len(pre)), []byte(tail)) }()
+	<-hfs.landed
+	read := make(chan string, 1)
+	go func() {
+		resp, err := http.Get(srv.URL + blob)
+		if err != nil {
+			read <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		read <- buf.String()
+	}()
+	// Give the GET time to reach the server while the append is half
+	// written, then let the append finish.
+	time.Sleep(50 * time.Millisecond)
+	close(hfs.release)
+	if got := <-appended; got != http.StatusOK {
+		t.Fatalf("append = %d", got)
+	}
+	if got := <-read; got != pre && got != pre+tail {
+		t.Fatalf("GET during an append returned %q, want %q or %q", got, pre, pre+tail)
 	}
 }

@@ -29,10 +29,10 @@ package persist
 // analyst ever saw.
 //
 // Unlike snapshots, WAL appends are deliberately not atomic-rename writes:
-// the whole point is to pay one small sequential write (plus a batched
-// fsync, see committer.go; over a remote store, one conditional append
-// request) instead of rewriting a file. The envelope-style
-// self-description lives in the header record instead.
+// the whole point is to pay one small sequential write plus one fsync
+// (over a remote store, one conditional append request) instead of
+// rewriting a file. The envelope-style self-description lives in the
+// header record instead.
 
 import (
 	"encoding/binary"
@@ -44,6 +44,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/transcript"
@@ -108,15 +109,25 @@ func (s *Store) walPath(id string) string {
 // (Remote.OpenWAL). Both carry the same framed bytes, and both grow only
 // by Append, harden by Sync, and shrink only by Reset. Append and Reset
 // are not safe for concurrent use; the service serializes them behind the
-// session's save mutex. Sync may run concurrently with them (the group
-// committer calls it from its own goroutine while the session keeps
-// appending): it covers every record appended before the call.
+// session's save mutex. Sync may run concurrently with them (the service
+// syncs outside that mutex, so one session's commits can overlap): it
+// covers every record appended before the call.
+//
+// Two rules hold for both sinks. Syncs of one log run one at a time, and
+// a Reset waits for the sync in flight. A failed Sync (or Reset) is
+// sticky: every later Sync returns the same error until a Reset succeeds.
+// A blob sink that failed may lack records a later sync would not resend,
+// and a file's later fsync can report success after writeback dropped
+// the pages the failed one covered, so only rewriting the log heals it.
 type WAL struct {
 	sink    walSink
 	id      string
 	met     *storeMetrics
 	records int   // event/close records in the log (header excluded)
 	bytes   int64 // log size including header and framing
+
+	syncMu sync.Mutex // serializes sink sync and reset; guards err
+	err    error      // sticky failure, cleared by a successful Reset
 }
 
 // walSink is where a WAL's framed bytes go. write may buffer; sync makes
@@ -235,7 +246,7 @@ func (s *Store) OpenWAL(id string) (*WAL, error) {
 }
 
 // Append frames and writes one record without making it durable;
-// durability comes from a later Sync (usually via the group committer).
+// durability comes from a later Sync.
 // An error leaves the log possibly mid-frame — the caller must treat the
 // WAL as broken and fall back to snapshot saves until a Reset heals it
 // (replay-side, the torn frame truncates harmlessly).
@@ -257,10 +268,18 @@ func (w *WAL) Append(rec *WALRecord) error {
 }
 
 // Sync makes every record appended before the call durable: an fsync on a
-// file, one conditional append on a blob.
+// file, one conditional append on a blob. It waits for a sync of the same
+// log already in flight, and fails without touching the sink once an
+// earlier Sync or Reset has failed.
 func (w *WAL) Sync() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
 	if err := w.sink.sync(); err != nil {
-		return fmt.Errorf("persist: syncing wal for %s: %w", w.id, err)
+		w.err = fmt.Errorf("persist: syncing wal for %s: %w", w.id, err)
+		return w.err
 	}
 	if m := w.met; m != nil {
 		m.count[KindWAL].Inc()
@@ -270,12 +289,16 @@ func (w *WAL) Sync() error {
 
 // Reset durably replaces the log with an empty (header-only) one — the
 // compaction step after the snapshot covering its records has been
-// written.
+// written. A successful Reset clears a sticky sync failure.
 func (w *WAL) Reset() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	header := headerFrame(w.id)
 	if err := w.sink.reset(header); err != nil {
-		return fmt.Errorf("persist: truncating wal for %s: %w", w.id, err)
+		w.err = fmt.Errorf("persist: truncating wal for %s: %w", w.id, err)
+		return w.err
 	}
+	w.err = nil
 	w.records = 0
 	w.bytes = int64(len(header))
 	if m := w.met; m != nil {

@@ -132,6 +132,50 @@ func TestSyncError(t *testing.T) {
 	}
 }
 
+// TestSyncFailureIsSticky: after a failed fsync, Linux may report success
+// on the next one even though writeback dropped the pages the failed one
+// covered, so a file log's Sync keeps failing — without another fsync —
+// until a Reset rewrites the log. Ops: 0 mkdir, 1 open, 2 header, 3
+// append, 4 the failing sync.
+func TestSyncFailureIsSticky(t *testing.T) {
+	plan := fault.NewPlan(fault.Fault{Op: 4, Mode: fault.ModeErr})
+	st := faultyStore(t, t.TempDir(), plan)
+	w, err := st.OpenWAL("s-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append(walEvent(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Sync under sync fault: %v, want injected error", err)
+	}
+	if err := w.Append(walEvent(2)); err != nil {
+		t.Fatal(err)
+	}
+	ops := plan.Ops()
+	if err := w.Sync(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Sync after a failed sync: %v, want the sticky injected error", err)
+	}
+	if plan.Ops() != ops {
+		t.Fatal("a sticky-failed Sync reached the file")
+	}
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(walEvent(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatalf("Sync after Reset: %v", err)
+	}
+	recs, err := st.LoadWAL("s-000001")
+	if err != nil || len(recs) != 1 || recs[0].Seq != 3 {
+		t.Fatalf("log after healing = %+v, %v", recs, err)
+	}
+}
+
 // TestResetErrorPaths targets Reset's three fault-reachable failure
 // points by exact op index — ops are deterministic, so the indices are
 // part of the contract: 0 mkdir, 1 open, 2 header, 3 append, then Reset

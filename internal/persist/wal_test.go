@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"testing"
 
 	"repro/internal/transcript"
@@ -278,75 +277,4 @@ func TestWALFilesInvisibleToSessions(t *testing.T) {
 	if len(ids) != 0 {
 		t.Fatalf("wal file surfaced as session: %v", ids)
 	}
-}
-
-// TestGroupCommitterDurability drives many goroutines over several WALs
-// through one committer: every Sync must return nil only after its records
-// are on disk, and a closed committer must degrade to direct syncs.
-func TestGroupCommitterDurability(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const sessions = 4
-	const perSession = 8
-	c := NewGroupCommitter(0)
-	wals := make([]*WAL, sessions)
-	for i := range wals {
-		w, err := st.OpenWAL(fmt.Sprintf("s-%06d", i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wals[i] = w
-	}
-	var wg sync.WaitGroup
-	errc := make(chan error, sessions*perSession)
-	for i := range wals {
-		wg.Add(1)
-		go func(w *WAL) {
-			defer wg.Done()
-			// Each session serializes its own appends, as the service's
-			// save mutex does.
-			for j := 1; j <= perSession; j++ {
-				if err := w.Append(walEvent(j)); err != nil {
-					errc <- err
-					return
-				}
-				if err := c.Sync(w); err != nil {
-					errc <- err
-					return
-				}
-			}
-		}(wals[i])
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	c.Close()
-	// Closed committer: Sync still works, directly.
-	if err := wals[0].Append(walEvent(99)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Sync(wals[0]); err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range wals {
-		w.Close()
-		recs, err := st.LoadWAL(fmt.Sprintf("s-%06d", i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := perSession
-		if i == 0 {
-			want++
-		}
-		if len(recs) != want {
-			t.Fatalf("wal %d holds %d records, want %d", i, len(recs), want)
-		}
-	}
-	c.Close() // idempotent
-	var nilC *GroupCommitter
-	nilC.Close() // nil-safe
 }

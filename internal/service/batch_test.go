@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -31,11 +32,15 @@ func batchStream() []convex.Spec {
 
 // TestQueryBatchEquivalence is the batch acceptance invariant, per
 // accountant and per manager kind (memory-only, remote blob store, state
-// directory): a QueryBatch of N specs is bit-identical — released answers,
-// per-item errors, ⊥/⊤/cached disposition, budget ledger, and transcript
-// bytes — to the same N specs issued as sequential Query calls. The
-// durable kinds exercise the gating and write-ahead commit both paths
-// share, over each log sink.
+// directory): a QueryBatch of N specs is bit-identical — every field of
+// every item's result (released answer, ⊥/⊤/cached disposition, spend,
+// and the ledger counters it reports), per-item errors, budget ledger,
+// and transcript bytes — to the same N specs issued as sequential Query
+// calls. One spec is answered before the batch and repeated mid-batch, so
+// a cached item must report the ledger the misses before it left; a
+// second, all-cached pass covers the lock-free path. The durable kinds
+// exercise the gating and write-ahead commit both paths share, over each
+// log sink.
 func TestQueryBatchEquivalence(t *testing.T) {
 	managers := []struct {
 		name string
@@ -52,6 +57,9 @@ func TestQueryBatchEquivalence(t *testing.T) {
 			return durableManager(t, t.TempDir(), 1, 9, defaults)
 		}},
 	}
+	pre := distinctSpec(1)
+	specs := batchStream()
+	specs = append(specs[:5:5], append([]convex.Spec{pre}, specs[5:]...)...)
 	for _, acct := range []string{"basic", "advanced", "zcdp"} {
 		t.Run(acct, func(t *testing.T) {
 			for _, mk := range managers {
@@ -60,50 +68,37 @@ func TestQueryBatchEquivalence(t *testing.T) {
 						Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 8, TBudget: 4,
 						Accountant: acct,
 					}
-					specs := batchStream()
-
-					seqM := mk.make(t, defaults)
-					defer seqM.Shutdown()
-					seqS, err := seqM.CreateSession(SessionParams{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					seqItems := make([]BatchItem, len(specs))
-					for i, q := range specs {
-						res, err := seqS.Query(q)
+					open := func() *Session {
+						m := mk.make(t, defaults)
+						t.Cleanup(m.Shutdown)
+						s, err := m.CreateSession(SessionParams{})
 						if err != nil {
-							seqItems[i].Error = err.Error()
-						} else {
-							seqItems[i].Result = res
+							t.Fatal(err)
 						}
+						if _, err := s.Query(pre); err != nil {
+							t.Fatal(err)
+						}
+						return s
 					}
+					seqS, batS := open(), open()
 
-					batM := mk.make(t, defaults)
-					defer batM.Shutdown()
-					batS, err := batM.CreateSession(SessionParams{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					batItems, err := batS.QueryBatch(specs)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					for i := range specs {
-						a, b := seqItems[i], batItems[i]
-						if a.Error != b.Error {
-							t.Fatalf("item %d: sequential error %q, batch error %q", i, a.Error, b.Error)
+					for pass := 1; pass <= 2; pass++ {
+						seqItems := make([]BatchItem, len(specs))
+						for i, q := range specs {
+							res, err := seqS.Query(q)
+							if err != nil {
+								seqItems[i].Error = err.Error()
+							} else {
+								seqItems[i].Result = res
+							}
 						}
-						if a.Result == nil {
-							continue
+						batItems, err := batS.QueryBatch(specs)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if a.Result.Loss != b.Result.Loss ||
-							a.Result.Top != b.Result.Top || a.Result.Cached != b.Result.Cached ||
-							a.Result.EpsSpent != b.Result.EpsSpent || a.Result.DeltaSpent != b.Result.DeltaSpent ||
-							a.Result.RhoSpent != b.Result.RhoSpent {
-							t.Fatalf("item %d differs:\nseq   %+v\nbatch %+v", i, a.Result, b.Result)
+						for i := range specs {
+							itemsEqual(t, fmt.Sprintf("pass %d item %d", pass, i), seqItems[i], batItems[i])
 						}
-						answersEqual(t, fmt.Sprintf("item %d", i), a.Result.Answer, b.Result.Answer)
 					}
 
 					// Ledger equivalence: identical composed spend, remaining
@@ -130,6 +125,24 @@ func TestQueryBatchEquivalence(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// itemsEqual fails unless two batch items carry the same error or results
+// equal in every field, answers bit for bit.
+func itemsEqual(t *testing.T, stage string, want, got BatchItem) {
+	t.Helper()
+	if want.Error != got.Error {
+		t.Fatalf("%s: sequential error %q, batch error %q", stage, want.Error, got.Error)
+	}
+	if want.Result == nil {
+		return
+	}
+	answersEqual(t, stage, want.Result.Answer, got.Result.Answer)
+	a, b := *want.Result, *got.Result
+	a.Answer, b.Answer = nil, nil
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s differs:\nseq   %+v\nbatch %+v", stage, a, b)
 	}
 }
 

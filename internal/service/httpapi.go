@@ -197,7 +197,7 @@ type Health struct {
 	Durable  bool   `json:"durable"`
 	StateDir string `json:"state_dir,omitempty"`
 	// WAL reports that the write path runs through per-session
-	// write-ahead logs with group commit: true on every durable manager.
+	// write-ahead logs: true on every durable manager.
 	WAL bool `json:"wal,omitempty"`
 }
 

@@ -234,22 +234,15 @@ type Config struct {
 	// a different dataset fails. Any persist.Backend works: the
 	// state-directory Store, or a Remote against a `pmwcm store` blob
 	// endpoint. Either way each event appends one small record to the
-	// session's write-ahead log, concurrent sessions' ⊤ commits share
-	// syncs through a manager-level group committer, and the log
-	// periodically compacts into the snapshot format.
+	// session's write-ahead log, each ⊤ commit syncs that session's log,
+	// and the log periodically compacts into the snapshot format (after
+	// CompactEvery records or 1 MiB).
 	Store persist.Backend
 	// Deprecated: ignored; every durable manager writes through its WAL.
 	WAL bool
-	// CommitWindow bounds how long a group-commit batch stays open while
-	// commits keep arriving (0 = persist.DefaultCommitWindow). A latency /
-	// fsync-count dial only; never affects answers.
-	CommitWindow time.Duration
 	// CompactEvery folds a session's WAL into its snapshot after this many
 	// records (0 = 256), bounding replay length at recovery.
 	CompactEvery int
-	// CompactBytes likewise triggers compaction on WAL file size
-	// (0 = 1 MiB).
-	CompactBytes int64
 	// MaxResident (requires Store) caps how many live sessions hold
 	// memory at once: past the cap the least-recently-touched sessions
 	// are evicted — folded into their durable snapshots and dropped from
@@ -280,9 +273,6 @@ type Manager struct {
 	// disabled); started anchors the uptime report.
 	met     *svcMetrics
 	started time.Time
-	// com is the manager-wide group committer sessions commit their logs
-	// through (nil on a memory-only manager).
-	com *persist.GroupCommitter
 
 	mu        sync.Mutex
 	seq       uint64
@@ -332,9 +322,6 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 256
 	}
-	if cfg.CompactBytes <= 0 {
-		cfg.CompactBytes = 1 << 20
-	}
 	m := &Manager{
 		cfg:      cfg,
 		met:      newSvcMetrics(cfg.Metrics),
@@ -344,10 +331,8 @@ func New(cfg Config) (*Manager, error) {
 		paging:   map[string]chan struct{}{},
 	}
 	if cfg.Store != nil {
-		m.com = persist.NewGroupCommitter(cfg.CommitWindow)
 		cfg.Store.Instrument(cfg.Metrics)
 		if err := m.recover(); err != nil {
-			m.com.Close()
 			return nil, err
 		}
 		// Recovery may have restored more live sessions than the residency
@@ -517,7 +502,7 @@ func (m *Manager) restore(st *persist.SessionState, walRecs []*persist.WALRecord
 		if err != nil {
 			return nil, fmt.Errorf("opening wal: %w", err)
 		}
-		s.attachWAL(wal, m.com, m.cfg.CompactEvery, m.cfg.CompactBytes)
+		s.attachWAL(wal, m.cfg.CompactEvery)
 	}
 	return s, nil
 }
@@ -741,7 +726,7 @@ func (m *Manager) CreateSession(req SessionParams) (*Session, error) {
 			_ = m.cfg.Store.DeleteSession(id)
 			return nil, err
 		}
-		s.attachWAL(wal, m.com, m.cfg.CompactEvery, m.cfg.CompactBytes)
+		s.attachWAL(wal, m.cfg.CompactEvery)
 	}
 	m.mu.Lock()
 	if m.shutdown {
@@ -911,9 +896,6 @@ func (m *Manager) Shutdown() {
 		// left as they are.
 		s.suspend()
 	}
-	// With every session suspended the group committer drains and stops;
-	// any straggling commit after this degrades to a direct fsync.
-	m.com.Close()
 }
 
 // OracleByName maps a CLI/config oracle name to an erm.Oracle running its

@@ -104,18 +104,16 @@ type Session struct {
 
 	// The write-ahead log (attachWAL; nil on a memory-only manager, on a
 	// closed session, and once eviction or suspend retired it): every
-	// event appends one record, ⊤ records are made durable through the
-	// manager's group committer, and the log is periodically compacted
-	// back into the snapshot format. walPending (guarded by mu) queues
-	// records in event order between drains; wal, walAppendedSeq, and
-	// walBroken are guarded by saveMu. walAppendedSeq is the highest event
-	// seq written (not necessarily synced) to the log; walBroken flips
-	// after a failed append or sync — the log may end mid-frame, so
-	// further appends are forbidden and durable points fall back to full
-	// snapshots until a compaction's Reset heals the log.
-	com            *persist.GroupCommitter
+	// event appends one record, ⊤ records are made durable by syncing the
+	// log, and the log is periodically compacted back into the snapshot
+	// format. walPending (guarded by mu) queues records in event order
+	// between drains; wal, walAppendedSeq, and walBroken are guarded by
+	// saveMu. walAppendedSeq is the highest event seq written (not
+	// necessarily synced) to the log; walBroken flips after a failed
+	// append or sync — the log may end mid-frame, so further appends are
+	// forbidden and durable points fall back to full snapshots until a
+	// compaction's Reset heals the log.
 	compactRecords int
-	compactBytes   int64
 	walPending     []*persist.WALRecord
 	wal            *persist.WAL
 	walAppendedSeq int
@@ -224,15 +222,17 @@ func (s *Session) stateLocked() (*persist.SessionState, error) {
 	}, nil
 }
 
+// compactBytes is the log size that triggers folding a session's log
+// into its snapshot, beside the manager's CompactEvery record count.
+const compactBytes = 1 << 20
+
 // attachWAL gives a live session its write-ahead log: wal is its open
-// log, com the manager's group committer, and compactRecords/compactBytes
-// the thresholds that trigger folding the log into a snapshot. Must be
-// called before the session is shared (creation and recovery both do).
-func (s *Session) attachWAL(wal *persist.WAL, com *persist.GroupCommitter, compactRecords int, compactBytes int64) {
+// log, and compactRecords the record count that (like compactBytes)
+// triggers folding the log into a snapshot. Must be called before the
+// session is shared (creation and recovery both do).
+func (s *Session) attachWAL(wal *persist.WAL, compactRecords int) {
 	s.wal = wal
-	s.com = com
 	s.compactRecords = compactRecords
-	s.compactBytes = compactBytes
 	s.walAppendedSeq = s.savedSeq
 }
 
@@ -262,7 +262,7 @@ func (s *Session) appendPendingLocked() {
 
 // walCommit makes every event up to seq durable and advances the durable
 // watermark. A commit whose seq is already covered returns immediately (an
-// overtaking committer or a racing Checkpoint compaction already hardened
+// overtaking commit or a racing Checkpoint compaction already hardened
 // those records — they are never re-appended or re-fsynced). Without a
 // healthy log it falls back to a full snapshot, which also tries to heal
 // the log.
@@ -277,16 +277,17 @@ func (s *Session) walCommit(seq int) error {
 		defer s.saveMu.Unlock()
 		return s.compactLocked()
 	}
-	appended := s.walAppendedSeq
-	wal, com := s.wal, s.com
-	// The fsync wait happens outside saveMu: holding it would make every
+	appended, wal := s.walAppendedSeq, s.wal
+	// The sync wait happens outside saveMu: holding it would make every
 	// ⊥ append (and every other commit) of this session queue behind one
-	// group-commit round trip. Releasing is safe because the appended
-	// records are already in the file — a compaction that races the sync
-	// may Reset the log, but only after snapshotting a state that contains
-	// these very events, which the savedSeq check below picks up.
+	// fsync or store round trip. Releasing is safe because the appended
+	// records are already in the log — WAL.Sync runs one sync of the log
+	// at a time, each covering everything appended before it, and a
+	// compaction that races the sync may Reset the log, but only after
+	// snapshotting a state that contains these very events, which the
+	// savedSeq check below picks up.
 	s.saveMu.Unlock()
-	syncErr := com.Sync(wal)
+	syncErr := wal.Sync()
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
 	if syncErr != nil {
@@ -303,7 +304,7 @@ func (s *Session) walCommit(seq int) error {
 		s.durableSeq.Store(int64(appended))
 	}
 	if s.wal != nil && !s.walBroken &&
-		(s.wal.Records() >= s.compactRecords || s.wal.Bytes() >= s.compactBytes) {
+		(s.wal.Records() >= s.compactRecords || s.wal.Bytes() >= compactBytes) {
 		// Threshold compaction bounds both replay length and log size; its
 		// cost — one full snapshot — lands on this commit but is amortized
 		// over compactRecords cheap ones. The commit itself already
@@ -319,7 +320,7 @@ func (s *Session) walCommit(seq int) error {
 // snapshot can land after this one. Pending records are discarded under
 // mu *before* the state is assembled — the snapshot is a superset of every
 // one of them — so records covered by the snapshot can never also be
-// re-appended to the log (the checkpoint-vs-group-commit race).
+// re-appended to the log (the checkpoint-vs-commit race).
 func (s *Session) snapshotLocked() (int, error) {
 	s.mu.Lock()
 	st, err := s.stateLocked()
@@ -580,14 +581,15 @@ type BatchItem struct {
 	Error string `json:"error,omitempty"`
 }
 
-// QueryBatch answers a batch of queries as one operation. The batch is
-// partitioned against the answer cache: already-cached items are answered
-// read-only, concurrently with the mechanism work; misses are answered in
-// deterministic submission order under one session-mutex hold, with one
-// write-ahead checkpoint for the whole batch instead of one per ⊤ answer
+// QueryBatch answers a batch of queries as one operation. A batch whose
+// every item is a servable cache hit is answered read-only, without the
+// session mutex. Any other batch runs every item through the mechanism
+// phase in submission order, under one session-mutex hold and with one
+// write-ahead commit for the whole batch instead of one per ⊤ answer
 // (every spend in the batch reaches disk before any of its answers is
-// released). An in-batch repeat of an earlier miss is served from the
-// cache the miss just filled, so a batch is answer-, budget-, and
+// released). There a cached item reports the ledger after the items
+// before it, and an in-batch repeat of an earlier miss is served from the
+// cache the miss just filled, so a batch is answer-, ledger-, and
 // transcript-equivalent to the same specs issued as sequential Query
 // calls. Per-item failures (unknown kinds, malformed params, budget
 // exhaustion mid-batch) are reported in the item, not as a batch error;
@@ -597,8 +599,8 @@ func (s *Session) QueryBatch(specs []convex.Spec) ([]BatchItem, error) {
 	s.met.batch(len(specs))
 	res, errs := make([]*QueryResult, len(specs)), make([]error, len(specs))
 	keys := make([]string, len(specs))
-	isMiss := make([]bool, len(specs))
-	var missIdx []int
+	var idx []int
+	allHits := true
 	for i, spec := range specs {
 		key, err := convex.CanonicalKey(s.u, spec)
 		if err != nil {
@@ -606,40 +608,27 @@ func (s *Session) QueryBatch(specs []convex.Spec) ([]BatchItem, error) {
 			continue
 		}
 		keys[i] = key
-		// An entry whose spend is not durable yet counts as a miss here:
-		// it must go through the locked phase, whose trailing save gates
-		// its release.
+		idx = append(idx, i)
+		// An entry whose spend is not durable yet is not servable here: it
+		// must go through the locked phase, whose trailing commit gates its
+		// release.
 		if e := s.cacheGet(key); e == nil || !s.servable(e) {
 			if e != nil {
 				s.met.gate()
 			}
-			isMiss[i] = true
-			missIdx = append(missIdx, i)
+			allHits = false
 		}
 	}
-	// Misses run through the mechanism on their own goroutine while the
-	// pre-partitioned hits are resolved read-only here; the two sides write
-	// disjoint items, and items that failed canonicalization (keys[i] == "")
-	// already carry their error.
-	done := make(chan error, 1)
-	go func() { done <- s.answerMisses(specs, keys, missIdx, res, errs) }()
-	var pagedErr error
-	for i := range specs {
-		if isMiss[i] || keys[i] == "" {
-			continue
+	if allHits {
+		for _, i := range idx {
+			if res[i], errs[i] = s.lookupCached(keys[i]); errors.Is(errs[i], ErrPagedOut) {
+				// Eviction raced the batch: fail it as a whole so the manager
+				// pages the session back in and retries every item.
+				return nil, errs[i]
+			}
 		}
-		res[i], errs[i] = s.lookupCached(keys[i])
-		if errors.Is(errs[i], ErrPagedOut) {
-			// Eviction raced the batch: fail the batch as a whole so the
-			// manager pages the session back in and retries every item.
-			pagedErr = errs[i]
-		}
-	}
-	if err := <-done; err != nil {
+	} else if err := s.answerMisses(specs, keys, idx, res, errs); err != nil {
 		return nil, err
-	}
-	if pagedErr != nil {
-		return nil, pagedErr
 	}
 	items := make([]BatchItem, len(specs))
 	for i := range items {
@@ -652,29 +641,30 @@ func (s *Session) QueryBatch(specs []convex.Spec) ([]BatchItem, error) {
 	return items, nil
 }
 
-// answerMisses is the mechanism phase of Query and QueryBatch: every
-// non-cached item, in submission order, under one mutex hold and one
-// trailing write-ahead checkpoint. Item i's outcome lands in res[i] or
-// errs[i]; the returned error is reserved for failures that withhold every
-// answer (eviction, a failed checkpoint).
-func (s *Session) answerMisses(specs []convex.Spec, keys []string, missIdx []int, res []*QueryResult, errs []error) error {
-	if len(missIdx) == 0 {
+// answerMisses is the mechanism phase of Query and QueryBatch: the items
+// idx names, in submission order, under one mutex hold and one trailing
+// write-ahead commit. Items already in the answer cache are served from it
+// under the lock, with the ledger view the items before them left. Item
+// i's outcome lands in res[i] or errs[i]; the returned error is reserved
+// for failures that withhold every answer (eviction, a failed checkpoint).
+func (s *Session) answerMisses(specs []convex.Spec, keys []string, idx []int, res []*QueryResult, errs []error) error {
+	if len(idx) == 0 {
 		return nil
 	}
 	// Build the miss losses before taking the lock: construction
 	// enumerates the public universe and needs no session state. One build
-	// per distinct canonical key — in-batch duplicates resolve as cache
-	// hits below, so building every occurrence would be wasted universe
-	// sweeps. A build failure is reported on each occurrence, exactly as
-	// the sequential path would report it.
+	// per distinct canonical key not yet cached — cached keys and in-batch
+	// duplicates resolve as cache hits below, so building them would be
+	// wasted universe sweeps. A build failure is reported on each
+	// occurrence, exactly as the sequential path would report it.
 	type built struct {
 		loss convex.Loss
 		spec json.RawMessage
 		err  error
 	}
-	byKey := make(map[string]built, len(missIdx))
-	for _, i := range missIdx {
-		if _, done := byKey[keys[i]]; done {
+	byKey := make(map[string]built, len(idx))
+	for _, i := range idx {
+		if _, done := byKey[keys[i]]; done || s.cacheGet(keys[i]) != nil {
 			continue
 		}
 		l, err := convex.Build(s.u, specs[i])
@@ -692,27 +682,29 @@ func (s *Session) answerMisses(specs []convex.Spec, keys []string, missIdx []int
 		return ErrPagedOut
 	}
 	needSave := false
-	for _, i := range missIdx {
-		b := byKey[keys[i]]
-		if b.err != nil {
-			errs[i] = b.err
-			continue
-		}
+	for _, i := range idx {
 		if s.closed.Load() {
 			errs[i] = ErrSessionClosed
 			continue
 		}
-		// An earlier miss in this batch (or a concurrent request) may have
-		// been this item's first occurrence; serve the repeat from the
-		// cache it filled, exactly as a sequential Query would. An entry
+		// A cached item, or a repeat whose first occurrence an earlier
+		// miss in this batch (or a concurrent request) answered, is served
+		// from the cache, exactly as a sequential Query would. An entry
 		// whose spend is not durable yet may be used *inside* the batch —
-		// its release is gated by the trailing save below, which re-drives
-		// the commit if the entry's own writer is mid-fsync or failed.
+		// its release is gated by the trailing commit below, which
+		// re-drives the sync if the entry's own writer is mid-fsync or
+		// failed. Entries are never removed, so every key skipped by the
+		// build loop lands here.
 		if hit := s.cacheGet(keys[i]); hit != nil {
 			if !s.servable(hit) {
 				needSave = true
 			}
 			res[i] = s.hitResult(hit)
+			continue
+		}
+		b := byKey[keys[i]]
+		if b.err != nil {
+			errs[i] = b.err
 			continue
 		}
 		if s.rec.Srv.Halted() {
@@ -734,12 +726,12 @@ func (s *Session) answerMisses(specs []convex.Spec, keys []string, missIdx []int
 	if s.store == nil {
 		return nil
 	}
-	// Write-ahead: one group-committed commit makes every spend in the
-	// batch durable before any of its answers is released; a ⊥-only batch
-	// just drains its records into the log. On a failed commit the caller
-	// gets an error but the in-memory ledger and transcript keep the
-	// spend: budget can be over-counted by a failed reply, never spent
-	// without being counted.
+	// Write-ahead: one log sync makes every spend in the batch durable
+	// before any of its answers is released; a ⊥-only batch just drains
+	// its records into the log. On a failed commit the caller gets an
+	// error but the in-memory ledger and transcript keep the spend:
+	// budget can be over-counted by a failed reply, never spent without
+	// being counted.
 	if needSave {
 		return s.walCommit(seq)
 	}

@@ -3,7 +3,7 @@ package service
 // wal_test.go covers the write path at the service layer: golden
 // bit-identity of recovery-by-replay per accountant, torn-tail truncation
 // after a byte-level corruption, compaction round-trips, the
-// checkpoint-vs-group-commit race, close durability (including a close
+// checkpoint-vs-commit race, close durability (including a close
 // record left in a log), and the same write path over a remote store:
 // crash recovery and the blob requests each lifecycle step costs.
 
@@ -208,7 +208,7 @@ func TestWALCompactionRoundTrip(t *testing.T) {
 }
 
 // TestWALCheckpointRaceNoDoubleCommit is the regression test for the
-// checkpoint-vs-group-commit race: forced Checkpoint calls interleaved
+// checkpoint-vs-commit race: forced Checkpoint calls interleaved
 // with live queries must never re-append records the snapshot already
 // holds or commit a record twice. The log must stay a strictly increasing
 // run of sequence numbers, and recovery must see every answered query.
@@ -361,10 +361,11 @@ func TestWALRequiresStore(t *testing.T) {
 }
 
 // TestWALCommitCompactionHammer is the -race stress for the commit path:
-// several sessions drive queries (appends + group commits) while a
+// several sessions drive queries (appends + log syncs) while a
 // per-session goroutine hammers forced checkpoints, with CompactEvery=2 so
 // compaction — snapshot rewrite plus WAL truncate-and-reheader — fires on
-// nearly every commit, all through one shared group committer. The
+// nearly every commit, racing the syncs each commit runs outside the
+// session's save mutex. The
 // sessions must answer every query, and a post-abandon recovery must
 // restore each with its full ledger.
 func TestWALCommitCompactionHammer(t *testing.T) {
