@@ -134,12 +134,13 @@ func DatabaseErr(l convex.Loss, d, dPrime *histogram.Histogram, solverIters int)
 	return AnswerErr(l, d, res.Theta, solverIters)
 }
 
+// gameSolverIters bounds RunGame's error-measurement solves.
+const gameSolverIters = 400
+
 // GameConfig parameterizes RunGame.
 type GameConfig struct {
 	// K caps the number of queries.
 	K int
-	// SolverIters bounds the error-measurement solves (default 400).
-	SolverIters int
 	// Population, when non-nil, additionally measures each answer's
 	// excess risk on the population distribution (§1.3).
 	Population *histogram.Histogram
@@ -202,10 +203,6 @@ func RunGame(ans Answerer, adv Adversary, data *dataset.Dataset, cfg GameConfig)
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("accuracy: K %d must be ≥ 1", cfg.K)
 	}
-	iters := cfg.SolverIters
-	if iters <= 0 {
-		iters = 400
-	}
 	d := data.Histogram()
 	res := &GameResult{MaxPopErr: math.NaN()}
 	for len(res.Transcript) < cfg.K {
@@ -219,13 +216,13 @@ func RunGame(ans Answerer, adv Adversary, data *dataset.Dataset, cfg GameConfig)
 			res.HaltedEarly = true
 			break
 		}
-		e, err := AnswerErr(l, d, theta, iters)
+		e, err := AnswerErr(l, d, theta, gameSolverIters)
 		if err != nil {
 			return nil, err
 		}
 		ex := Exchange{Loss: l, Answer: theta, Err: e, PopErr: math.NaN()}
 		if cfg.Population != nil {
-			pe, err := AnswerErr(l, cfg.Population, theta, iters)
+			pe, err := AnswerErr(l, cfg.Population, theta, gameSolverIters)
 			if err != nil {
 				return nil, err
 			}

@@ -68,19 +68,15 @@ func (c *Composition) Answer(src *sample.Source, l convex.Loss, data *dataset.Da
 // Answered returns the number of queries answered so far.
 func (c *Composition) Answered() int { return c.answered }
 
+// exactSolverIters bounds Exact's solve.
+const exactSolverIters = 800
+
 // Exact answers queries with the true empirical minimizer (non-private).
-type Exact struct {
-	// SolverIters bounds the solve (default 800).
-	SolverIters int
-}
+type Exact struct{}
 
 // Answer returns the exact minimizer of l on data.
 func (e Exact) Answer(l convex.Loss, data *dataset.Dataset) ([]float64, error) {
-	iters := e.SolverIters
-	if iters <= 0 {
-		iters = 800
-	}
-	res, err := optimize.Minimize(l, data.Histogram(), optimize.Options{MaxIters: iters})
+	res, err := optimize.Minimize(l, data.Histogram(), optimize.Options{MaxIters: exactSolverIters})
 	if err != nil {
 		return nil, err
 	}

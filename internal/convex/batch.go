@@ -100,156 +100,12 @@ func dirGradRange(l Loss, out, dir, theta []float64, u universe.Universe, lo, hi
 	release()
 }
 
-// ---------------------------------------------------------------------------
-// GLM family kernels
-//
-// Every GLM loss here has the shape ℓ(θ; x) = profile(⟨θ, feat(x)⟩, y(x))
-// with ∇ℓ = profile′·feat(x), so one set of kernels parameterized by the
-// label extractor serves squared, logistic, hinge, Huber, pinball and
-// Poisson losses.
-
-// glmLabel extracts the profile's second argument from a record.
-type glmLabel func(x []float64) float64
-
-// lastCoord is the labeled-record convention: the label is the final
-// coordinate.
-func lastCoord(x []float64) float64 { return x[len(x)-1] }
-
-func glmEvalRange(l GLM, label glmLabel, out, theta []float64, u universe.Universe, lo, hi int) {
-	d := l.Domain().Dim()
-	dim := u.Dim()
-	pts, release := xeval.MaterializePoints(u, lo, hi)
-	for k := 0; k < hi-lo; k++ {
-		x := pts[k*dim : (k+1)*dim : (k+1)*dim]
-		var z float64
-		for j := 0; j < d; j++ {
-			z += theta[j] * x[j]
-		}
-		v, _ := l.Scalar(z, label(x))
-		out[k] = v
-	}
-	release()
-}
-
-func glmGradRange(l GLM, label glmLabel, grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	d := l.Domain().Dim()
-	dim := u.Dim()
-	pts, release := xeval.MaterializePoints(u, lo, hi)
-	for k := 0; k < hi-lo; k++ {
-		wi := w[k]
-		if wi == 0 {
-			continue
-		}
-		x := pts[k*dim : (k+1)*dim : (k+1)*dim]
-		var z float64
-		for j := 0; j < d; j++ {
-			z += theta[j] * x[j]
-		}
-		_, dv := l.Scalar(z, label(x))
-		f := wi * dv
-		for j := 0; j < d; j++ {
-			grad[j] += f * x[j]
-		}
-	}
-	release()
-}
-
-func glmDirGradRange(l GLM, label glmLabel, out, dir, theta []float64, u universe.Universe, lo, hi int) {
-	d := l.Domain().Dim()
-	dim := u.Dim()
-	pts, release := xeval.MaterializePoints(u, lo, hi)
-	for k := 0; k < hi-lo; k++ {
-		x := pts[k*dim : (k+1)*dim : (k+1)*dim]
-		var z, dz float64
-		for j := 0; j < d; j++ {
-			z += theta[j] * x[j]
-			dz += dir[j] * x[j]
-		}
-		_, dv := l.Scalar(z, label(x))
-		out[k] = dv * dz
-	}
-	release()
-}
-
-// Squared: the profile's second argument is the target attribute ⟨target, x⟩
-// (which reduces to the label coordinate for the default target).
-func (l *Squared) targetOf(x []float64) float64 { return vecmath.Dot(l.target, x) }
-
-func (l *Squared) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
-	glmEvalRange(l, l.targetOf, out, theta, u, lo, hi)
-}
-
-func (l *Squared) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	glmGradRange(l, l.targetOf, grad, theta, w, u, lo, hi)
-}
-
-func (l *Squared) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
-	glmDirGradRange(l, l.targetOf, out, dir, theta, u, lo, hi)
-}
-
-func (l *Logistic) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
-	glmEvalRange(l, lastCoord, out, theta, u, lo, hi)
-}
-
-func (l *Logistic) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	glmGradRange(l, lastCoord, grad, theta, w, u, lo, hi)
-}
-
-func (l *Logistic) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
-	glmDirGradRange(l, lastCoord, out, dir, theta, u, lo, hi)
-}
-
-func (l *SmoothedHinge) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
-	glmEvalRange(l, lastCoord, out, theta, u, lo, hi)
-}
-
-func (l *SmoothedHinge) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	glmGradRange(l, lastCoord, grad, theta, w, u, lo, hi)
-}
-
-func (l *SmoothedHinge) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
-	glmDirGradRange(l, lastCoord, out, dir, theta, u, lo, hi)
-}
-
-func (l *Huber) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
-	glmEvalRange(l, lastCoord, out, theta, u, lo, hi)
-}
-
-func (l *Huber) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	glmGradRange(l, lastCoord, grad, theta, w, u, lo, hi)
-}
-
-func (l *Huber) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
-	glmDirGradRange(l, lastCoord, out, dir, theta, u, lo, hi)
-}
-
-func (l *Pinball) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
-	glmEvalRange(l, lastCoord, out, theta, u, lo, hi)
-}
-
-func (l *Pinball) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	glmGradRange(l, lastCoord, grad, theta, w, u, lo, hi)
-}
-
-func (l *Pinball) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
-	glmDirGradRange(l, lastCoord, out, dir, theta, u, lo, hi)
-}
-
-func (l *Poisson) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
-	glmEvalRange(l, lastCoord, out, theta, u, lo, hi)
-}
-
-func (l *Poisson) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	glmGradRange(l, lastCoord, grad, theta, w, u, lo, hi)
-}
-
-func (l *Poisson) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
-	glmDirGradRange(l, lastCoord, out, dir, theta, u, lo, hi)
-}
+// GLM family kernels live on the shared body in glm.go.
 
 // ---------------------------------------------------------------------------
 // LinearForm kernels: ∇ℓ_x is the θ-independent vector weight(x)·feat(x).
 
+// EvalBatch implements BatchLoss: weight(x)·⟨θ, feat(x)⟩ per element.
 func (l *LinearForm) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
 	d := l.dom.Dim()
 	dim := u.Dim()
@@ -265,6 +121,7 @@ func (l *LinearForm) EvalBatch(out, theta []float64, u universe.Universe, lo, hi
 	release()
 }
 
+// GradBatch implements BatchLoss: Σ w·weight(x)·feat(x), independent of θ.
 func (l *LinearForm) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	d := l.dom.Dim()
 	dim := u.Dim()
@@ -283,6 +140,7 @@ func (l *LinearForm) GradBatch(grad, theta, w []float64, u universe.Universe, lo
 	release()
 }
 
+// DirGradBatch implements BatchLoss: weight(x)·⟨dir, feat(x)⟩ per element.
 func (l *LinearForm) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
 	d := l.dom.Dim()
 	dim := u.Dim()
@@ -301,6 +159,7 @@ func (l *LinearForm) DirGradBatch(out, dir, theta []float64, u universe.Universe
 // ---------------------------------------------------------------------------
 // LinearQuery kernels: 1-dimensional with ∇ℓ_x = θ − q(x).
 
+// EvalBatch implements BatchLoss: (θ − q(x))²/2 per element.
 func (l *LinearQuery) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
 	dim := u.Dim()
 	pts, release := xeval.MaterializePoints(u, lo, hi)
@@ -311,6 +170,7 @@ func (l *LinearQuery) EvalBatch(out, theta []float64, u universe.Universe, lo, h
 	release()
 }
 
+// GradBatch implements BatchLoss: Σ w·(θ − q(x)).
 func (l *LinearQuery) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	dim := u.Dim()
 	pts, release := xeval.MaterializePoints(u, lo, hi)
@@ -324,6 +184,7 @@ func (l *LinearQuery) GradBatch(grad, theta, w []float64, u universe.Universe, l
 	release()
 }
 
+// DirGradBatch implements BatchLoss: dir·(θ − q(x)) per element.
 func (l *LinearQuery) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
 	dim := u.Dim()
 	pts, release := xeval.MaterializePoints(u, lo, hi)
@@ -339,12 +200,14 @@ func (l *LinearQuery) DirGradBatch(out, dir, theta []float64, u universe.Univers
 // their transformation on top, so registry-built decorated losses keep the
 // fast path.
 
+// EvalBatch implements BatchLoss: the inner values plus (σ/2)·‖θ‖².
 func (l *Regularized) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
 	evalRange(l.inner, out, theta, u, lo, hi)
 	n := vecmath.Norm2(theta)
 	vecmath.AddConst(out[:hi-lo], l.sigma/2*n*n)
 }
 
+// GradBatch implements BatchLoss: the inner weighted sum plus σ·θ·Σw.
 func (l *Regularized) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	gradRange(l.inner, grad, theta, w, u, lo, hi)
 	// The ridge term contributes σ·θ per unit weight: σ·θ·Σw over the range.
@@ -355,22 +218,26 @@ func (l *Regularized) GradBatch(grad, theta, w []float64, u universe.Universe, l
 	vecmath.AddScaled(grad, l.sigma*wsum, theta)
 }
 
+// DirGradBatch implements BatchLoss: the inner values plus σ·⟨dir, θ⟩.
 func (l *Regularized) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
 	dirGradRange(l.inner, out, dir, theta, u, lo, hi)
 	vecmath.AddConst(out[:hi-lo], l.sigma*vecmath.Dot(dir, theta))
 }
 
+// EvalBatch implements BatchLoss: the inner values times c.
 func (l *Scaled) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
 	evalRange(l.inner, out, theta, u, lo, hi)
 	vecmath.ScaleInPlace(out[:hi-lo], l.c)
 }
 
+// GradBatch implements BatchLoss: c times the inner weighted sum.
 func (l *Scaled) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	tmp := make([]float64, len(grad))
 	gradRange(l.inner, tmp, theta, w, u, lo, hi)
 	vecmath.AddScaled(grad, l.c, tmp)
 }
 
+// DirGradBatch implements BatchLoss: the inner values times c.
 func (l *Scaled) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
 	dirGradRange(l.inner, out, dir, theta, u, lo, hi)
 	vecmath.ScaleInPlace(out[:hi-lo], l.c)

@@ -204,30 +204,6 @@ func TestCanonicalKeyErrors(t *testing.T) {
 	}
 }
 
-// TestCanonicalKeyLegacyBuilder covers the raw-Builder fallback: generic
-// JSON normalization sorts object keys, so reordering still collapses.
-func TestCanonicalKeyLegacyBuilder(t *testing.T) {
-	g := canonGrid(t)
-	if err := Register("canon-legacy-test", func(u universe.Universe, raw json.RawMessage) (Loss, error) {
-		return NewLinearQuery(shortName("canon-legacy-test", raw), func(x []float64) float64 {
-			if x[0] > 0 {
-				return 1
-			}
-			return 0
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	a := key(t, g, "canon-legacy-test", `{"a":1,"b":[2,3]}`)
-	b := key(t, g, "canon-legacy-test", `{"b":[2,3],"a":1}`)
-	if a != b {
-		t.Fatalf("legacy normalization differs: %s vs %s", a, b)
-	}
-	if c := key(t, g, "canon-legacy-test", `{"a":2,"b":[2,3]}`); c == a {
-		t.Fatalf("legacy distinct params collide on %s", c)
-	}
-}
-
 // FuzzCanonicalKey fuzzes raw params: whenever canonicalization succeeds,
 // the key must be a well-formed [kind, params] JSON array, and
 // re-canonicalizing the embedded params must be a fixed point.

@@ -29,14 +29,20 @@ type Loss interface {
 }
 
 // GLM is implemented by losses of generalized-linear-model form (paper
-// §4.2.2): ℓ(θ; (x, y)) depends on θ only through the inner product ⟨θ, x⟩.
-// Scalar exposes the 1-dimensional profile, letting the GLM oracle in
-// internal/erm work in the reduced space.
+// §4.2.2): ℓ(θ; x) = Scalar(⟨θ, feat(x)⟩, Label(x)), so it depends on θ
+// only through the inner product with the record's features. Scalar and
+// Label expose the 1-dimensional profile and the label it reads, letting
+// the GLM oracle in internal/erm work in the reduced space. The six GLM
+// families share one body (glm.go) that defines Value, Grad and the batch
+// kernels from these two methods.
 type GLM interface {
 	Loss
-	// Scalar returns ℓ′(z; y) and its derivative in z, where z = ⟨θ, x⟩
-	// and y is the record's label.
+	// Scalar returns the profile ℓ′(z; y) and its derivative in z, where
+	// z = ⟨θ, feat(x)⟩ and y = Label(x).
 	Scalar(z, y float64) (value, deriv float64)
+	// Label returns the profile's second argument for record x:
+	// ⟨target, x⟩ for a squared loss, the last coordinate otherwise.
+	Label(x []float64) float64
 }
 
 // ExactSolvable is implemented by losses whose population minimizer has a

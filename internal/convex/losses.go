@@ -21,13 +21,10 @@ import (
 // other targets express a family of distinct regression queries ("predict
 // attribute ⟨target, x⟩"), which is how the experiments generate k distinct
 // CM queries. The constant c is chosen at construction so the loss is
-// 1-Lipschitz over Θ × X.
+// 1-Lipschitz over Θ × X. Its GLM label is ⟨target, x⟩.
 type Squared struct {
-	name   string
-	dom    Domain
-	target []float64
-	c      float64
-	lip    float64
+	glm
+	c float64
 }
 
 // NewSquared constructs a squared loss. featBound bounds ‖feat(x)‖₂ and
@@ -44,50 +41,13 @@ func NewSquared(name string, dom Domain, target []float64, featBound, targetBoun
 	// is loose but safe for any domain.
 	maxResid := dom.Diameter()*featBound + targetBound
 	raw := 2 * maxResid * featBound // sup ‖∇‖ for c = 1
-	c := 1 / raw
-	return &Squared{name: name, dom: dom, target: vecmath.Copy(target), c: c, lip: 1}, nil
+	l := &Squared{c: 1 / raw}
+	l.glm = glm{name: name, dom: dom, target: vecmath.Copy(target), profile: l.Scalar}
+	return l, nil
 }
 
-// Name returns the instance name.
-func (l *Squared) Name() string { return l.name }
-
-// Domain returns Θ.
-func (l *Squared) Domain() Domain { return l.dom }
-
-// residual returns ⟨θ, feat(x)⟩ − ⟨target, x⟩.
-func (l *Squared) residual(theta, x []float64) float64 {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	return z - vecmath.Dot(l.target, x)
-}
-
-// Value returns c·residual².
-func (l *Squared) Value(theta, x []float64) float64 {
-	r := l.residual(theta, x)
-	return l.c * r * r
-}
-
-// Grad writes 2c·residual·feat(x).
-func (l *Squared) Grad(grad, theta, x []float64) {
-	r := l.residual(theta, x)
-	d := l.dom.Dim()
-	for i := 0; i < d; i++ {
-		grad[i] = 2 * l.c * r * x[i]
-	}
-}
-
-// Lipschitz returns the certified bound (1 by construction).
-func (l *Squared) Lipschitz() float64 { return l.lip }
-
-// StrongConvexity returns 0: squared loss is strongly convex only when the
-// feature second-moment matrix is full rank, which a single record is not.
-func (l *Squared) StrongConvexity() float64 { return 0 }
-
-// Scalar implements GLM when target = e_label: z is the prediction, y the
-// label, and the profile is c(z−y)².
+// Scalar returns the profile c(z−y)² and its derivative in z, where z is
+// the prediction and y the target attribute ⟨target, x⟩.
 func (l *Squared) Scalar(z, y float64) (float64, float64) {
 	r := z - y
 	return l.c * r * r, 2 * l.c * r
@@ -100,8 +60,7 @@ func (l *Squared) Scalar(z, y float64) (float64, float64) {
 // The (margin, temp) pair parameterizes a family of distinct classification
 // queries over the same data. c normalizes to 1-Lipschitz.
 type Logistic struct {
-	name   string
-	dom    Domain
+	glm
 	margin float64
 	temp   float64
 	c      float64
@@ -116,46 +75,9 @@ func NewLogistic(name string, dom Domain, margin, temp, featBound float64) (*Log
 		return nil, fmt.Errorf("convex: logistic featBound must be positive")
 	}
 	// |d/dz| ≤ c/temp · 1 · featBound (sigmoid derivative factor ≤ 1).
-	c := temp / featBound
-	return &Logistic{name: name, dom: dom, margin: margin, temp: temp, c: c}, nil
-}
-
-// Name returns the instance name.
-func (l *Logistic) Name() string { return l.name }
-
-// Domain returns Θ.
-func (l *Logistic) Domain() Domain { return l.dom }
-
-// labelSign returns ±1 from a record's label coordinate (0 counts as +1).
-func labelSign(x []float64) float64 {
-	if x[len(x)-1] < 0 {
-		return -1
-	}
-	return 1
-}
-
-// Value evaluates the loss.
-func (l *Logistic) Value(theta, x []float64) float64 {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	v, _ := l.Scalar(z, labelSign(x))
-	return v
-}
-
-// Grad writes the gradient.
-func (l *Logistic) Grad(grad, theta, x []float64) {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	_, dv := l.Scalar(z, labelSign(x))
-	for i := 0; i < d; i++ {
-		grad[i] = dv * x[i]
-	}
+	l := &Logistic{margin: margin, temp: temp, c: temp / featBound}
+	l.glm = glm{name: name, dom: dom, profile: l.Scalar}
+	return l, nil
 }
 
 // Scalar returns the GLM profile c·log(1+exp(−(sign(y)·z − margin)/temp))
@@ -179,12 +101,6 @@ func (l *Logistic) Scalar(z, y float64) (float64, float64) {
 	return l.c * sp, l.c * dsp * (-1 / l.temp) * s
 }
 
-// Lipschitz returns 1 (by normalization).
-func (l *Logistic) Lipschitz() float64 { return 1 }
-
-// StrongConvexity returns 0.
-func (l *Logistic) StrongConvexity() float64 { return 0 }
-
 // SmoothedHinge is the quadratically smoothed hinge loss (smooth SVM):
 //
 //	profile h(m) = 0            if m ≥ 1
@@ -193,8 +109,7 @@ func (l *Logistic) StrongConvexity() float64 { return 0 }
 //
 // applied to the margin m = sign(y)·⟨θ, x⟩/width, scaled to 1-Lipschitz.
 type SmoothedHinge struct {
-	name  string
-	dom   Domain
+	glm
 	width float64
 	c     float64
 }
@@ -206,15 +121,10 @@ func NewSmoothedHinge(name string, dom Domain, width, featBound float64) (*Smoot
 		return nil, fmt.Errorf("convex: hinge width and featBound must be positive")
 	}
 	// |h′| ≤ 1, chain rule gives featBound/width.
-	c := width / featBound
-	return &SmoothedHinge{name: name, dom: dom, width: width, c: c}, nil
+	l := &SmoothedHinge{width: width, c: width / featBound}
+	l.glm = glm{name: name, dom: dom, profile: l.Scalar}
+	return l, nil
 }
-
-// Name returns the instance name.
-func (l *SmoothedHinge) Name() string { return l.name }
-
-// Domain returns Θ.
-func (l *SmoothedHinge) Domain() Domain { return l.dom }
 
 // Scalar returns the GLM profile value and its derivative in z, where
 // z = ⟨θ, x⟩ and y supplies the label sign (margin m = sign(y)·z/width).
@@ -233,41 +143,10 @@ func (l *SmoothedHinge) Scalar(z, y float64) (float64, float64) {
 	return l.c * h, l.c * dh * s / l.width
 }
 
-// Value evaluates the loss.
-func (l *SmoothedHinge) Value(theta, x []float64) float64 {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	v, _ := l.Scalar(z, labelSign(x))
-	return v
-}
-
-// Grad writes the gradient.
-func (l *SmoothedHinge) Grad(grad, theta, x []float64) {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	_, dv := l.Scalar(z, labelSign(x))
-	for i := 0; i < d; i++ {
-		grad[i] = dv * x[i]
-	}
-}
-
-// Lipschitz returns 1.
-func (l *SmoothedHinge) Lipschitz() float64 { return 1 }
-
-// StrongConvexity returns 0.
-func (l *SmoothedHinge) StrongConvexity() float64 { return 0 }
-
 // Huber is robust regression with the Huber profile ρ_δ applied to the
 // residual z − y, normalized to 1-Lipschitz.
 type Huber struct {
-	name  string
-	dom   Domain
+	glm
 	delta float64
 	c     float64
 }
@@ -278,15 +157,10 @@ func NewHuber(name string, dom Domain, delta, featBound float64) (*Huber, error)
 		return nil, fmt.Errorf("convex: huber delta and featBound must be positive")
 	}
 	// |ρ′_δ| ≤ δ, so sup ‖∇‖ ≤ δ·featBound for c = 1.
-	c := 1 / (delta * featBound)
-	return &Huber{name: name, dom: dom, delta: delta, c: c}, nil
+	l := &Huber{delta: delta, c: 1 / (delta * featBound)}
+	l.glm = glm{name: name, dom: dom, profile: l.Scalar}
+	return l, nil
 }
-
-// Name returns the instance name.
-func (l *Huber) Name() string { return l.name }
-
-// Domain returns Θ.
-func (l *Huber) Domain() Domain { return l.dom }
 
 // Scalar returns c·ρ_δ(z − y) and its derivative in z.
 func (l *Huber) Scalar(z, y float64) (float64, float64) {
@@ -303,36 +177,6 @@ func sign(v float64) float64 {
 	}
 	return 1
 }
-
-// Value evaluates the loss; the record's last coordinate is the label.
-func (l *Huber) Value(theta, x []float64) float64 {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	v, _ := l.Scalar(z, x[len(x)-1])
-	return v
-}
-
-// Grad writes the gradient.
-func (l *Huber) Grad(grad, theta, x []float64) {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	_, dv := l.Scalar(z, x[len(x)-1])
-	for i := 0; i < d; i++ {
-		grad[i] = dv * x[i]
-	}
-}
-
-// Lipschitz returns 1.
-func (l *Huber) Lipschitz() float64 { return 1 }
-
-// StrongConvexity returns 0.
-func (l *Huber) StrongConvexity() float64 { return 0 }
 
 // LinearForm is the affine loss ℓ_v(θ; x) = −⟨θ, x⟩·⟨v, x⟩ / featBound².
 // It is convex (affine in θ), 1-Lipschitz, and its exact minimizer over an
@@ -611,11 +455,3 @@ func (l *Scaled) StrongConvexity() float64 { return l.c * l.inner.StrongConvexit
 
 // Inner returns the wrapped loss.
 func (l *Scaled) Inner() Loss { return l.inner }
-
-// Compile-time GLM conformance checks.
-var (
-	_ GLM = (*Squared)(nil)
-	_ GLM = (*Logistic)(nil)
-	_ GLM = (*SmoothedHinge)(nil)
-	_ GLM = (*Huber)(nil)
-)

@@ -17,8 +17,7 @@ import (
 // 1-Lipschitz. Quantile regression is a standard member of the Lipschitz
 // CM-query family the paper targets.
 type Pinball struct {
-	name   string
-	dom    Domain
+	glm
 	tau    float64
 	smooth float64
 	c      float64
@@ -33,14 +32,10 @@ func NewPinball(name string, dom Domain, tau, smooth, featBound float64) (*Pinba
 		return nil, fmt.Errorf("convex: pinball smoothing and featBound must be positive")
 	}
 	// |ρ′| ≤ max(τ, 1−τ) ≤ 1, so sup‖∇‖ ≤ featBound for c = 1.
-	return &Pinball{name: name, dom: dom, tau: tau, smooth: smooth, c: 1 / featBound}, nil
+	l := &Pinball{tau: tau, smooth: smooth, c: 1 / featBound}
+	l.glm = glm{name: name, dom: dom, profile: l.Scalar}
+	return l, nil
 }
-
-// Name returns the instance name.
-func (l *Pinball) Name() string { return l.name }
-
-// Domain returns Θ.
-func (l *Pinball) Domain() Domain { return l.dom }
 
 // Scalar returns the smoothed pinball profile and its derivative at
 // residual z − y.
@@ -62,44 +57,13 @@ func (l *Pinball) Scalar(z, y float64) (float64, float64) {
 	}
 }
 
-// Value evaluates the loss; the record's last coordinate is the label.
-func (l *Pinball) Value(theta, x []float64) float64 {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	v, _ := l.Scalar(z, x[len(x)-1])
-	return v
-}
-
-// Grad writes the gradient.
-func (l *Pinball) Grad(grad, theta, x []float64) {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	_, dv := l.Scalar(z, x[len(x)-1])
-	for i := 0; i < d; i++ {
-		grad[i] = dv * x[i]
-	}
-}
-
-// Lipschitz returns 1.
-func (l *Pinball) Lipschitz() float64 { return 1 }
-
-// StrongConvexity returns 0.
-func (l *Pinball) StrongConvexity() float64 { return 0 }
-
 // Poisson is the (clamped) Poisson-regression negative log-likelihood in
 // GLM form: profile exp(z) − y·z for a non-negative count label y, with z
 // clamped to |z| ≤ zmax so the exponential's derivative — and hence the
 // Lipschitz constant — stays bounded over the domain. Normalized to be
 // 1-Lipschitz.
 type Poisson struct {
-	name string
-	dom  Domain
+	glm
 	zmax float64
 	ymax float64
 	c    float64
@@ -113,14 +77,10 @@ func NewPoisson(name string, dom Domain, zmax, ymax, featBound float64) (*Poisso
 	}
 	// |profile′| ≤ e^zmax + ymax, chain rule multiplies by featBound.
 	c := 1 / ((math.Exp(zmax) + ymax) * featBound)
-	return &Poisson{name: name, dom: dom, zmax: zmax, ymax: ymax, c: c}, nil
+	l := &Poisson{zmax: zmax, ymax: ymax, c: c}
+	l.glm = glm{name: name, dom: dom, profile: l.Scalar}
+	return l, nil
 }
-
-// Name returns the instance name.
-func (l *Poisson) Name() string { return l.name }
-
-// Domain returns Θ.
-func (l *Poisson) Domain() Domain { return l.dom }
 
 // Scalar returns the profile c·(exp(z̄) − y⁺·z̄) and its derivative in z,
 // where z̄ clamps z to [−zmax, zmax] and y⁺ clamps the label to [0, ymax].
@@ -143,39 +103,3 @@ func (l *Poisson) Scalar(z, y float64) (float64, float64) {
 	// Linear continuation beyond the clamp preserves convexity.
 	return l.c * (base + slope*(z-zc)), l.c * slope
 }
-
-// Value evaluates the loss; the record's last coordinate is the label.
-func (l *Poisson) Value(theta, x []float64) float64 {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	v, _ := l.Scalar(z, x[len(x)-1])
-	return v
-}
-
-// Grad writes the gradient.
-func (l *Poisson) Grad(grad, theta, x []float64) {
-	d := l.dom.Dim()
-	var z float64
-	for i := 0; i < d; i++ {
-		z += theta[i] * x[i]
-	}
-	_, dv := l.Scalar(z, x[len(x)-1])
-	for i := 0; i < d; i++ {
-		grad[i] = dv * x[i]
-	}
-}
-
-// Lipschitz returns 1.
-func (l *Poisson) Lipschitz() float64 { return 1 }
-
-// StrongConvexity returns 0.
-func (l *Poisson) StrongConvexity() float64 { return 0 }
-
-// Compile-time GLM conformance checks for the extra losses.
-var (
-	_ GLM = (*Pinball)(nil)
-	_ GLM = (*Poisson)(nil)
-)

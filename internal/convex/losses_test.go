@@ -181,28 +181,60 @@ func TestScaleBound(t *testing.T) {
 	}
 }
 
-// TestGLMScalarConsistency checks that each GLM's Scalar profile agrees
-// with its full Value/Grad through z = ⟨θ, x⟩.
+// TestGLMScalarConsistency checks that each GLM's Scalar profile, read at
+// the loss's own Label, agrees with its full Value/Grad through
+// z = ⟨θ, feat(x)⟩. The registry-built cases on a grid whose labels reach 5
+// also check the premise GLMReduction's sensitivity rests on:
+// |Scalar′(z, Label(x))|·‖feat(x)‖ ≤ Lipschitz() over Θ × X. A squared loss
+// with target e_0 breaks it when the label is taken to be the last
+// coordinate instead of ⟨target, x⟩.
 func TestGLMScalarConsistency(t *testing.T) {
+	type glmCase struct {
+		l         GLM
+		u         universe.Universe
+		lipschitz bool
+	}
 	g := testGrid(t)
+	var cases []glmCase
+	for _, l := range allLosses(t) {
+		if gl, ok := l.(GLM); ok {
+			cases = append(cases, glmCase{gl, g, false})
+		}
+	}
+	if len(cases) != 6 {
+		t.Fatalf("allLosses has %d GLM families, want 6", len(cases))
+	}
+	g5, err := universe.NewLabeledGrid(2, 3, 1.0, 3, 5.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{
+		{Kind: "squared", Params: []byte(`{"target":[1,0,0]}`)},
+		{Kind: "squared"},
+		{Kind: "logistic"},
+		{Kind: "hinge"},
+		{Kind: "huber"},
+		{Kind: "pinball"},
+	} {
+		l, err := Build(g5, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, glmCase{l.(GLM), g5, true})
+	}
 	src := sample.New(5)
-	ball, _ := NewL2Ball(2, 1)
-	sq, _ := NewSquared("sq", ball, []float64{0, 0, 1}, 1.0, 1.0)
-	lg, _ := NewLogistic("lg", ball, 0, 1, 1.0)
-	sh, _ := NewSmoothedHinge("sh", ball, 1, 1.0)
-	hb, _ := NewHuber("hb", ball, 0.5, 1.0)
-	for _, l := range []GLM{sq, lg, sh, hb} {
+	for _, c := range cases {
+		l := c.l
 		d := l.Domain().Dim()
 		grad := make([]float64, d)
 		for trial := 0; trial < 50; trial++ {
 			theta := randomTheta(src, l.Domain())
-			x := g.Point(src.Intn(g.Size()))
+			x := c.u.Point(src.Intn(c.u.Size()))
 			var z float64
 			for i := 0; i < d; i++ {
 				z += theta[i] * x[i]
 			}
-			y := x[len(x)-1]
-			v, dv := l.Scalar(z, y)
+			v, dv := l.Scalar(z, l.Label(x))
 			if got := l.Value(theta, x); math.Abs(got-v) > 1e-9 {
 				t.Errorf("%s: Value=%v but Scalar=%v", l.Name(), got, v)
 			}
@@ -212,6 +244,10 @@ func TestGLMScalarConsistency(t *testing.T) {
 				if math.Abs(grad[i]-dv*x[i]) > 1e-9 {
 					t.Errorf("%s: grad[%d]=%v, want dv·x=%v", l.Name(), i, grad[i], dv*x[i])
 				}
+			}
+			if n := math.Abs(dv) * vecmath.Norm2(x[:d]); c.lipschitz && n > l.Lipschitz()+1e-12 {
+				t.Errorf("%s: |Scalar′|·‖feat(x)‖ = %v at θ=%v x=%v exceeds Lipschitz %v",
+					l.Name(), n, theta, x, l.Lipschitz())
 			}
 		}
 	}

@@ -29,15 +29,12 @@ type Spec struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
-// Builder constructs a loss instance over the given universe. The universe
-// is public information; builders may enumerate it to certify bounds.
-type Builder func(u universe.Universe, params json.RawMessage) (Loss, error)
-
 // Registration describes a loss kind completely: how to decode its
-// parameters and how to build the loss. Kinds registered this way get full
-// canonicalization — CanonicalKey decodes raw params over the
-// default-initialized struct Defaults returns, so JSON key reordering and
-// elided default fields collapse to one canonical form.
+// parameters and how to build the loss. CanonicalKey decodes raw params
+// over the default-initialized struct Defaults returns, so JSON key
+// reordering and elided default fields collapse to one canonical form.
+// Builders receive the (public) universe and may enumerate it to certify
+// bounds.
 type Registration struct {
 	// Defaults returns a pointer to the kind's parameter struct, preloaded
 	// with the kind's default values over u (defaults may depend on the
@@ -49,46 +46,23 @@ type Registration struct {
 	Build func(u universe.Universe, params any, raw json.RawMessage) (Loss, error)
 }
 
-// entry is one registered kind: either a full Registration or a legacy raw
-// Builder (no parameter struct; canonicalization falls back to generic
-// JSON normalization without default elision).
-type entry struct {
-	reg    Registration
-	legacy Builder
-}
-
 var (
 	regMu    sync.RWMutex
-	registry = map[string]entry{}
+	registry = map[string]Registration{}
 )
 
-// Register adds a loss kind with a raw JSON builder. It fails on duplicate
-// or empty kinds; safe for concurrent use. Kinds registered this way are
-// canonicalized by generic JSON normalization only — prefer RegisterKind,
-// which also collapses elided default fields.
-func Register(kind string, b Builder) error {
-	if kind == "" || b == nil {
-		return fmt.Errorf("convex: Register needs a kind and a builder")
-	}
-	return add(kind, entry{legacy: b})
-}
-
-// RegisterKind adds a fully described loss kind. It fails on duplicate or
-// empty kinds; safe for concurrent use.
+// RegisterKind adds a loss kind. It fails on duplicate or empty kinds;
+// safe for concurrent use.
 func RegisterKind(kind string, r Registration) error {
 	if kind == "" || r.Defaults == nil || r.Build == nil {
 		return fmt.Errorf("convex: RegisterKind needs a kind, a defaults factory, and a builder")
 	}
-	return add(kind, entry{reg: r})
-}
-
-func add(kind string, e entry) error {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[kind]; dup {
 		return fmt.Errorf("convex: loss kind %q already registered", kind)
 	}
-	registry[kind] = e
+	registry[kind] = r
 	return nil
 }
 
@@ -104,35 +78,31 @@ func Kinds() []string {
 	return out
 }
 
-func lookup(kind string) (entry, bool) {
+func lookup(kind string) (Registration, error) {
 	regMu.RLock()
-	e, ok := registry[kind]
+	r, ok := registry[kind]
 	regMu.RUnlock()
-	return e, ok
+	if !ok {
+		return r, fmt.Errorf("convex: unknown loss kind %q (have %v)", kind, Kinds())
+	}
+	return r, nil
 }
 
 // Build constructs the loss named by spec over u.
 func Build(u universe.Universe, spec Spec) (Loss, error) {
-	e, ok := lookup(spec.Kind)
-	if !ok {
-		return nil, fmt.Errorf("convex: unknown loss kind %q (have %v)", spec.Kind, Kinds())
+	r, err := lookup(spec.Kind)
+	if err != nil {
+		return nil, err
 	}
-	l, err := build(u, e, spec)
+	p := r.Defaults(u)
+	if err := decodeParams(spec.Params, p); err != nil {
+		return nil, fmt.Errorf("convex: building %q: %w", spec.Kind, err)
+	}
+	l, err := r.Build(u, p, spec.Params)
 	if err != nil {
 		return nil, fmt.Errorf("convex: building %q: %w", spec.Kind, err)
 	}
 	return l, nil
-}
-
-func build(u universe.Universe, e entry, spec Spec) (Loss, error) {
-	if e.legacy != nil {
-		return e.legacy(u, spec.Params)
-	}
-	p := e.reg.Defaults(u)
-	if err := decodeParams(spec.Params, p); err != nil {
-		return nil, err
-	}
-	return e.reg.Build(u, p, spec.Params)
 }
 
 // CanonicalKey maps spec to its canonical cache key: a JSON array
@@ -141,31 +111,19 @@ func build(u universe.Universe, e entry, spec Spec) (Loss, error) {
 // Two specs naming the same loss instance (JSON key reordering, explicit
 // default values vs. elided fields) map to the same key; specs with
 // distinct parameter values never collide, because the struct marshal is
-// injective on parameter values. Kinds registered with a legacy raw
-// Builder fall back to generic JSON normalization (sorted object keys, no
-// default elision). The key never touches private data — it is a pure
-// function of the public spec — so it is safe to record in transcripts and
-// serve as a cache index.
+// injective on parameter values. The key never touches private data — it
+// is a pure function of the public spec — so it is safe to record in
+// transcripts and serve as a cache index.
 func CanonicalKey(u universe.Universe, spec Spec) (string, error) {
-	e, ok := lookup(spec.Kind)
-	if !ok {
-		return "", fmt.Errorf("convex: unknown loss kind %q (have %v)", spec.Kind, Kinds())
+	r, err := lookup(spec.Kind)
+	if err != nil {
+		return "", err
 	}
-	var params any
-	if e.legacy != nil {
-		if len(spec.Params) > 0 {
-			if err := decodeParams(spec.Params, &params); err != nil {
-				return "", fmt.Errorf("convex: canonicalizing %q: %w", spec.Kind, err)
-			}
-		}
-	} else {
-		p := e.reg.Defaults(u)
-		if err := decodeParams(spec.Params, p); err != nil {
-			return "", fmt.Errorf("convex: canonicalizing %q: %w", spec.Kind, err)
-		}
-		params = p
+	p := r.Defaults(u)
+	if err := decodeParams(spec.Params, p); err != nil {
+		return "", fmt.Errorf("convex: canonicalizing %q: %w", spec.Kind, err)
 	}
-	key, err := json.Marshal([2]any{spec.Kind, params})
+	key, err := json.Marshal([2]any{spec.Kind, p})
 	if err != nil {
 		return "", fmt.Errorf("convex: canonicalizing %q: %w", spec.Kind, err)
 	}

@@ -119,12 +119,17 @@ func TestRegistryLinearQuerySemantics(t *testing.T) {
 }
 
 func TestRegisterRejectsDuplicates(t *testing.T) {
-	if err := Register("squared", func(universe.Universe, json.RawMessage) (Loss, error) {
-		return nil, nil
-	}); err == nil {
+	r := Registration{
+		Defaults: func(universe.Universe) any { return &struct{}{} },
+		Build:    func(universe.Universe, any, json.RawMessage) (Loss, error) { return nil, nil },
+	}
+	if err := RegisterKind("squared", r); err == nil {
 		t.Fatal("duplicate registration succeeded")
 	}
-	if err := Register("", nil); err == nil {
-		t.Fatal("empty registration succeeded")
+	if err := RegisterKind("", r); err == nil {
+		t.Fatal("empty kind registration succeeded")
+	}
+	if err := RegisterKind("register-incomplete-test", Registration{Defaults: r.Defaults}); err == nil {
+		t.Fatal("registration without a builder succeeded")
 	}
 }

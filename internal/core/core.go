@@ -86,8 +86,6 @@ type Config struct {
 	// accounting exactly valid. Worst-case accuracy guarantees then hold
 	// only for the overridden horizon.
 	TBudget int
-	// SolverIters bounds the public argmin solves (default 400).
-	SolverIters int
 	// Workers sets the xeval worker count for every universe-sized
 	// computation the server performs (public argmin solves, the err_ℓ
 	// query value, the Claim-3.5 certificate, MW materialization).
@@ -123,6 +121,9 @@ type Config struct {
 	// compare full histograms.
 	Trace bool
 }
+
+// solverIters bounds every argmin solve of Server.Answer and AnswerOffline.
+const solverIters = 400
 
 // Engine names accepted by Config.Engine.
 const (
@@ -567,11 +568,7 @@ func (s *Server) Answer(l convex.Loss) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	iters := s.cfg.SolverIters
-	if iters <= 0 {
-		iters = 400
-	}
-	opts := optimize.Options{MaxIters: iters, Engine: s.eng}
+	opts := optimize.Options{MaxIters: solverIters, Engine: s.eng}
 
 	// θ̂t: public minimizer on the current hypothesis.
 	res, err := optimize.Minimize(l, v.hyp, opts)

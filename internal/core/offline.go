@@ -33,8 +33,6 @@ type OfflineConfig struct {
 	S float64
 	// Oracle is the single-query algorithm A′.
 	Oracle erm.Oracle
-	// SolverIters bounds the public/private argmin solves (default 400).
-	SolverIters int
 	// Workers sets the xeval worker count (0 = all CPUs, negative
 	// rejected; see core.Config.Workers).
 	Workers int
@@ -102,10 +100,6 @@ func AnswerOffline(cfg OfflineConfig, data *dataset.Dataset, src *sample.Source,
 			return nil, fmt.Errorf("core: query %q scale bound %v exceeds S = %v", l.Name(), got, cfg.S)
 		}
 	}
-	iters := cfg.SolverIters
-	if iters <= 0 {
-		iters = 400
-	}
 
 	// 2 mechanisms per round (selection + oracle) under strong composition.
 	eps0, delta0, err := mech.SplitBudget(cfg.Eps, cfg.Delta, 2*cfg.Rounds)
@@ -140,12 +134,12 @@ func AnswerOffline(cfg OfflineConfig, data *dataset.Dataset, src *sample.Source,
 		scores := make([]float64, len(losses))
 		thetaHats := make([][]float64, len(losses))
 		for i, l := range losses {
-			res, err := optimize.Minimize(l, hyp, optimize.Options{MaxIters: iters, Engine: eng})
+			res, err := optimize.Minimize(l, hyp, optimize.Options{MaxIters: solverIters, Engine: eng})
 			if err != nil {
 				return nil, err
 			}
 			thetaHats[i] = res.Theta
-			minD, err := optimize.MinValue(l, priv, optimize.Options{MaxIters: iters, Engine: eng})
+			minD, err := optimize.MinValue(l, priv, optimize.Options{MaxIters: solverIters, Engine: eng})
 			if err != nil {
 				return nil, err
 			}
@@ -189,7 +183,7 @@ func AnswerOffline(cfg OfflineConfig, data *dataset.Dataset, src *sample.Source,
 	final := state.Histogram()
 	answers := make([][]float64, len(losses))
 	for i, l := range losses {
-		res, err := optimize.Minimize(l, final, optimize.Options{MaxIters: iters, Engine: eng})
+		res, err := optimize.Minimize(l, final, optimize.Options{MaxIters: solverIters, Engine: eng})
 		if err != nil {
 			return nil, err
 		}

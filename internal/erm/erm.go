@@ -49,6 +49,10 @@ func ensureDenseData(name string, data *dataset.Dataset) error {
 	return nil
 }
 
+// solverIters bounds the internal exact solves of OutputPerturbation,
+// ObjectivePerturbation and NonPrivate.
+const solverIters = 800
+
 // Oracle answers one CM query under (ε, δ)-differential privacy.
 type Oracle interface {
 	// Name identifies the oracle in reports.
@@ -189,8 +193,6 @@ func (o NoisyGD) Answer(src *sample.Source, l convex.Loss, data *dataset.Dataset
 // minimizer + N(0, σ²_noise·I) with σ_noise from the Gaussian mechanism at
 // that sensitivity is (ε, δ)-DP.
 type OutputPerturbation struct {
-	// SolverIters bounds the internal exact solve (default 800).
-	SolverIters int
 	// Engine parallelizes the internal solve (see NoisyGD.Engine).
 	Engine *xeval.Engine
 }
@@ -217,14 +219,10 @@ func (o OutputPerturbation) Answer(src *sample.Source, l convex.Loss, data *data
 	if delta == 0 {
 		return nil, fmt.Errorf("erm: OutputPerturbation requires delta > 0")
 	}
-	iters := o.SolverIters
-	if iters <= 0 {
-		iters = 800
-	}
 	if err := ensureDenseData(o.Name(), data); err != nil {
 		return nil, err
 	}
-	res, err := optimize.Minimize(l, data.Histogram(), optimize.Options{MaxIters: iters, Engine: o.Engine})
+	res, err := optimize.Minimize(l, data.Histogram(), optimize.Options{MaxIters: solverIters, Engine: o.Engine})
 	if err != nil {
 		return nil, err
 	}
@@ -342,8 +340,6 @@ func (o NetExpMech) Answer(src *sample.Source, l convex.Loss, data *dataset.Data
 // accuracy ceiling in experiments and is NOT differentially private; it
 // ignores ε and δ.
 type NonPrivate struct {
-	// SolverIters bounds the internal solve (default 800).
-	SolverIters int
 	// Engine parallelizes the internal solve (see NoisyGD.Engine).
 	Engine *xeval.Engine
 }
@@ -360,14 +356,10 @@ func (o NonPrivate) AnswerCost(eps, delta float64) mech.Cost {
 
 // Answer implements Oracle (ε and δ are ignored).
 func (o NonPrivate) Answer(_ *sample.Source, l convex.Loss, data *dataset.Dataset, _, _ float64) ([]float64, error) {
-	iters := o.SolverIters
-	if iters <= 0 {
-		iters = 800
-	}
 	if err := ensureDenseData(o.Name(), data); err != nil {
 		return nil, err
 	}
-	res, err := optimize.Minimize(l, data.Histogram(), optimize.Options{MaxIters: iters, Engine: o.Engine})
+	res, err := optimize.Minimize(l, data.Histogram(), optimize.Options{MaxIters: solverIters, Engine: o.Engine})
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package erm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/convex"
@@ -217,6 +218,31 @@ func TestGLMReductionRequiresGLM(t *testing.T) {
 	sq := squaredLoss(t)
 	if _, err := (GLMReduction{}).Answer(src, sq, fx.data, 1, 0); err == nil {
 		t.Error("delta=0 accepted")
+	}
+}
+
+// TestGLMReductionReadsLossLabel checks that GLMReduction fits the label
+// the loss itself defines: squared with target e_0 regresses the feature
+// x[0], a different query from target e_label, so under one seed the two
+// answers must differ. Both losses are built with the same (valid) bounds,
+// so they differ only in their label: reading the last coordinate for both
+// would fit the label twice and return one θ.
+func TestGLMReductionReadsLossLabel(t *testing.T) {
+	fx := makeFixture(t, 2000, 9)
+	var answers [][]float64
+	for _, target := range [][]float64{{0, 0, 1}, {1, 0, 0}} {
+		sq, err := convex.NewSquared("sq", mustBall(t, 2, 1), target, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		theta, err := (GLMReduction{}).Answer(sample.New(9), sq, fx.data, 1, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers = append(answers, theta)
+	}
+	if reflect.DeepEqual(answers[0], answers[1]) {
+		t.Fatalf("targets e_label and e_0 return the same θ = %v", answers[0])
 	}
 }
 

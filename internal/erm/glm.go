@@ -24,9 +24,10 @@ import (
 //     m = ReducedDim (data-independent, so drawing it costs no privacy);
 //  2. maps every universe record's features to Gx/√m, which approximately
 //     preserves inner products;
-//  3. runs noisy projected gradient descent on the projected GLM in R^m —
-//     the Gaussian noise now lives in m dimensions, not d, which is the
-//     source of the dimension independence;
+//  3. runs noisy projected gradient descent on the projected GLM in R^m,
+//     with each record's profile read at the loss's own label
+//     (convex.GLM.Label) — the Gaussian noise now lives in m dimensions,
+//     not d, which is the source of the dimension independence;
 //  4. maps the solution back as θ = Gᵀθ′/√m and projects onto Θ.
 //
 // The privacy analysis is the same as NoisyGD's (the projection is a public
@@ -58,6 +59,9 @@ func (o GLMReduction) AnswerCost(eps, delta float64) mech.Cost {
 
 // Answer implements Oracle. The loss must implement convex.GLM and its
 // domain must be an L2 ball (the unconstrained-GLM setting of §4.2.2).
+// Each record's profile derivative is taken at the loss's own label
+// (glm.Label), the label its Lipschitz certificate covers, so the
+// sensitivity 2·Lipschitz/n bounds the reduced-space gradient too.
 func (o GLMReduction) Answer(src *sample.Source, l convex.Loss, data *dataset.Dataset, eps, delta float64) ([]float64, error) {
 	glm, ok := l.(convex.GLM)
 	if !ok {
@@ -173,9 +177,8 @@ func (o GLMReduction) Answer(src *sample.Source, l convex.Loss, data *dataset.Da
 				if p == 0 {
 					continue
 				}
-				x := u.PointInto(i, buf)
 				z := vecmath.Dot(theta, proj[i])
-				_, dv := glm.Scalar(z, x[len(x)-1])
+				_, dv := glm.Scalar(z, glm.Label(u.PointInto(i, buf)))
 				pv := p * dv
 				for r := 0; r < m; r++ {
 					out[r] += pv * proj[i][r]

@@ -25,10 +25,7 @@ import (
 // (σ_b = 2L·√(2 ln(1.25/δ))/ε) gives (ε, δ)-DP. Objective perturbation
 // often beats output perturbation in practice because the noise interacts
 // with the objective's curvature instead of being added raw.
-type ObjectivePerturbation struct {
-	// SolverIters bounds the internal solve (default 800).
-	SolverIters int
-}
+type ObjectivePerturbation struct{}
 
 // Name implements Oracle.
 func (o ObjectivePerturbation) Name() string { return "objperturb" }
@@ -65,10 +62,6 @@ func (o ObjectivePerturbation) Answer(src *sample.Source, l convex.Loss, data *d
 	if delta == 0 {
 		return nil, fmt.Errorf("erm: ObjectivePerturbation requires delta > 0")
 	}
-	iters := o.SolverIters
-	if iters <= 0 {
-		iters = 800
-	}
 	sigmaB, err := mech.GaussianSigma(2*l.Lipschitz(), eps, delta)
 	if err != nil {
 		return nil, err
@@ -82,7 +75,7 @@ func (o ObjectivePerturbation) Answer(src *sample.Source, l convex.Loss, data *d
 	if err := ensureDenseData(o.Name(), data); err != nil {
 		return nil, err
 	}
-	res, err := optimize.Minimize(perturbed{Loss: l, b: b}, data.Histogram(), optimize.Options{MaxIters: iters})
+	res, err := optimize.Minimize(perturbed{Loss: l, b: b}, data.Histogram(), optimize.Options{MaxIters: solverIters})
 	if err != nil {
 		return nil, err
 	}

@@ -4,20 +4,24 @@
 #   1. gofmt -l         : no unformatted files
 #   2. go vet ./...     : no vet diagnostics
 #   3. doccheck         : every internal package has a package doc comment,
-#                         and every exported symbol in internal/core,
-#                         internal/obs, internal/persist, internal/route,
-#                         internal/service,
-#                         internal/universe, internal/vecmath,
-#                         internal/xeval, internal/fault, and
-#                         internal/fault/drill has a doc comment (the
-#                         serving + persistence + observability surface is
-#                         the repo's operational API, the universe/kernel/
-#                         engine substrate is what every new sweep builds
-#                         on, and the fault seam is load-bearing for every
-#                         durability claim, so all are held to the
-#                         strictest standard; internal/route joins them
-#                         as the fleet's availability seam, and
-#                         internal/core as the mechanism itself)
+#                         and every exported symbol in the strict list
+#                         below has a doc comment:
+#                           - internal/obs, internal/persist, internal/route,
+#                             internal/service: the serving, persistence,
+#                             fleet and observability surface, the repo's
+#                             operational API;
+#                           - internal/core, internal/convex, internal/erm,
+#                             internal/optimize, internal/mw, internal/mech,
+#                             internal/sparse, internal/transcript: the
+#                             mechanism stack — Figure 3 itself, the CM
+#                             queries, the single-query oracles, the solvers,
+#                             the MW state, the privacy accounting and the
+#                             sparse-vector test with its transcript;
+#                           - internal/universe, internal/vecmath,
+#                             internal/xeval: the substrate every new sweep
+#                             builds on;
+#                           - internal/fault and internal/fault/drill: the
+#                             fault seam every durability claim rests on.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,7 +37,8 @@ go vet ./...
 pkgdoc_args=()
 for d in internal/*/; do
     case "$d" in
-        internal/core/) ;; # strict-checked below
+        internal/core/|internal/convex/|internal/erm/|internal/optimize/) ;; # strict-checked below
+        internal/mw/|internal/mech/|internal/sparse/|internal/transcript/) ;; # strict-checked below
         internal/obs/|internal/persist/|internal/route/|internal/service/) ;; # strict-checked below
         internal/universe/|internal/vecmath/|internal/xeval/) ;; # strict-checked below
         internal/fault/) ;; # strict-checked below (with its nested drill package)
@@ -41,7 +46,8 @@ for d in internal/*/; do
     esac
 done
 go run ./scripts/doccheck "${pkgdoc_args[@]}" \
-    internal/core \
+    internal/core internal/convex internal/erm internal/optimize \
+    internal/mw internal/mech internal/sparse internal/transcript \
     internal/obs internal/persist internal/route internal/service \
     internal/universe internal/vecmath internal/xeval \
     internal/fault internal/fault/drill
