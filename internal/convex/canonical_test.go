@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/universe"
@@ -204,6 +205,40 @@ func TestCanonicalKeyErrors(t *testing.T) {
 	}
 }
 
+// extKind is a kind registered from outside the built-in set, so the fuzz
+// target also covers canonicalization of a caller's own RegisterKind.
+const extKind = "canon-ext-test"
+
+var registerExtOnce sync.Once
+
+// registerExtKind registers extKind once: a threshold query on the first
+// coordinate whose params are a scalar and a list.
+func registerExtKind(tb testing.TB) {
+	tb.Helper()
+	var err error
+	registerExtOnce.Do(func() {
+		type extParams struct {
+			A float64   `json:"a"`
+			B []float64 `json:"b"`
+		}
+		err = RegisterKind(extKind, Registration{
+			Defaults: func(universe.Universe) any { return &extParams{B: []float64{}} },
+			Build: func(_ universe.Universe, p any, raw json.RawMessage) (Loss, error) {
+				a := p.(*extParams).A
+				return NewLinearQuery(shortName(extKind, raw), func(x []float64) float64 {
+					if x[0] > a {
+						return 1
+					}
+					return 0
+				})
+			},
+		})
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // FuzzCanonicalKey fuzzes raw params: whenever canonicalization succeeds,
 // the key must be a well-formed [kind, params] JSON array, and
 // re-canonicalizing the embedded params must be a fixed point.
@@ -212,6 +247,7 @@ func FuzzCanonicalKey(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	registerExtKind(f)
 	kinds := Kinds()
 	for _, seed := range []string{"", `{}`, `{"temp":0.7}`, `{"coords":[0,1]}`, `{"w":[1,0,0],"threshold":0.25}`, `{"target":[0,0,1]}`} {
 		for i := range kinds {
