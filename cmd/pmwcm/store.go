@@ -18,10 +18,11 @@ import (
 
 // storeCmd runs the fleet blob store: the durable home for serve replicas
 // started with -store-url. One store process holds every replica's state
-// under per-replica namespaces; replicas speak the persist.Remote
-// protocol against it (atomic PUTs, fingerprint-verified GETs). The
-// store is plain blob storage — it never decodes session state, so a
-// fleet can mix replica versions as long as the envelope schema allows.
+// under per-replica namespaces; replicas reach it through
+// persist.OpenRemote's blob protocol (atomic PUTs, conditional appends,
+// fingerprint-verified GETs). The store is plain blob storage — it never
+// decodes session state, so a fleet can mix replica versions as long as
+// the envelope schema allows.
 func storeCmd(args []string) error {
 	fs := flag.NewFlagSet("store", flag.ContinueOnError)
 	addr := fs.String("addr", ":9099", "listen address")

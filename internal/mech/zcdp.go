@@ -3,7 +3,6 @@ package mech
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Zero-concentrated differential privacy (zCDP, Bun–Steinke 2016) gives a
@@ -11,7 +10,7 @@ import (
 // mechanisms — the noise our gradient-descent oracles add. The paper
 // predates zCDP and uses DRV10 strong composition; we provide both so the
 // composition experiment can show the gap, and so deployments of the
-// oracles can account more tightly.
+// oracles can account more tightly (the registry's "zcdp" accountant).
 //
 //   - a Gaussian mechanism with L2 sensitivity Δ and noise σ satisfies
 //     ρ-zCDP with ρ = Δ²/(2σ²);
@@ -38,56 +37,4 @@ func RhoToDP(rho, delta float64) (Params, error) {
 		return Params{}, fmt.Errorf("mech: delta %v must be in (0, 1)", delta)
 	}
 	return Params{Eps: rho + 2*math.Sqrt(rho*math.Log(1/delta)), Delta: delta}, nil
-}
-
-// ZCDPAccountant tracks a composition of zCDP mechanisms. Safe for
-// concurrent use: long-lived sessions spend while status reads total.
-type ZCDPAccountant struct {
-	mu  sync.Mutex
-	rho float64
-	n   int
-}
-
-// SpendGaussian records one Gaussian release.
-func (a *ZCDPAccountant) SpendGaussian(sensitivity, sigma float64) error {
-	rho, err := GaussianRho(sensitivity, sigma)
-	if err != nil {
-		return err
-	}
-	a.mu.Lock()
-	a.rho += rho
-	a.n++
-	a.mu.Unlock()
-	return nil
-}
-
-// SpendRho records an arbitrary ρ-zCDP mechanism.
-func (a *ZCDPAccountant) SpendRho(rho float64) error {
-	if rho < 0 {
-		return fmt.Errorf("mech: negative rho %v", rho)
-	}
-	a.mu.Lock()
-	a.rho += rho
-	a.n++
-	a.mu.Unlock()
-	return nil
-}
-
-// Rho returns the accumulated zCDP parameter.
-func (a *ZCDPAccountant) Rho() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rho
-}
-
-// Count returns the number of recorded mechanisms.
-func (a *ZCDPAccountant) Count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.n
-}
-
-// Total converts the accumulated ρ into an (ε, δ)-DP guarantee.
-func (a *ZCDPAccountant) Total(delta float64) (Params, error) {
-	return RhoToDP(a.Rho(), delta)
 }

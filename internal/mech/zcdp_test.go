@@ -47,34 +47,6 @@ func TestRhoToDPHandChecked(t *testing.T) {
 	}
 }
 
-func TestZCDPAccountant(t *testing.T) {
-	var a ZCDPAccountant
-	if a.Rho() != 0 || a.Count() != 0 {
-		t.Fatal("fresh accountant dirty")
-	}
-	if err := a.SpendGaussian(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SpendRho(0.375); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a.Rho()-0.5) > 1e-15 {
-		t.Errorf("rho = %v", a.Rho())
-	}
-	if a.Count() != 2 {
-		t.Errorf("count = %d", a.Count())
-	}
-	if err := a.SpendRho(-1); err == nil {
-		t.Error("negative rho accepted")
-	}
-	if err := a.SpendGaussian(1, 0); err == nil {
-		t.Error("bad gaussian accepted")
-	}
-	if _, err := a.Total(1e-6); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // For a homogeneous chain of T Gaussian mechanisms each calibrated by the
 // classical bound at (ε₀, δ₀), the zCDP total must be at least as tight as
 // DRV10 strong composition once T is large — zCDP's advantage is the point
@@ -86,16 +58,21 @@ func TestZCDPTighterThanDRV10ForLongGaussianChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a ZCDPAccountant
-	for i := 0; i < T; i++ {
-		if err := a.SpendGaussian(1, sigma); err != nil {
-			t.Fatal(err)
-		}
-	}
-	zc, err := a.Total(1e-6)
+	rho, err := GaussianRho(1, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// No reservation: the whole δ = 1e-6 goes to the one ρ→DP conversion.
+	a, err := NewAccountant("zcdp", Params{Eps: 100, Delta: 1e-6}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < T; i++ {
+		if err := a.Spend(Cost{Eps: eps0, Delta: delta0, Rho: rho}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zc := a.Total()
 	drv, err := AdvancedComposition(eps0, delta0, T, 1e-6)
 	if err != nil {
 		t.Fatal(err)
@@ -111,14 +88,22 @@ func TestZCDPAdditivity(t *testing.T) {
 	f := func(rawA, rawB float64) bool {
 		ra := math.Abs(math.Mod(rawA, 10))
 		rb := math.Abs(math.Mod(rawB, 10))
-		var a, b, c ZCDPAccountant
-		if a.SpendRho(ra) != nil || b.SpendRho(rb) != nil {
+		var acct [3]Accountant
+		for i := range acct {
+			a, err := NewAccountant("zcdp", Params{Eps: 1, Delta: 1e-6}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acct[i] = a
+		}
+		a, b, c := acct[0], acct[1], acct[2]
+		if a.Spend(Cost{Rho: ra}) != nil || b.Spend(Cost{Rho: rb}) != nil {
 			return true
 		}
-		if c.SpendRho(ra) != nil || c.SpendRho(rb) != nil {
+		if c.Spend(Cost{Rho: ra}) != nil || c.Spend(Cost{Rho: rb}) != nil {
 			return true
 		}
-		return math.Abs(a.Rho()+b.Rho()-c.Rho()) < 1e-12
+		return math.Abs(a.Export().Rho+b.Export().Rho-c.Export().Rho) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -11,12 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/sample"
 )
 
-// testBlobServer starts a blob server over a temp tree and returns a
-// Remote over one namespace of it.
+// testBlobServer starts a blob server over a temp tree.
 func testBlobServer(t *testing.T) (*BlobServer, *httptest.Server) {
 	t.Helper()
 	bs, err := NewBlobServer(t.TempDir(), nil)
@@ -28,7 +27,8 @@ func testBlobServer(t *testing.T) (*BlobServer, *httptest.Server) {
 	return bs, srv
 }
 
-func testRemote(t *testing.T, srv *httptest.Server, ns string) *Remote {
+// testRemote returns a store over namespace ns of the blob server srv.
+func testRemote(t *testing.T, srv *httptest.Server, ns string) *Store {
 	t.Helper()
 	r, err := OpenRemote(srv.URL+"/v1/stores/"+ns, RemoteOptions{Backoff: time.Millisecond})
 	if err != nil {
@@ -37,104 +37,30 @@ func testRemote(t *testing.T, srv *httptest.Server, ns string) *Remote {
 	return r
 }
 
+// forEachTransport runs test over a store on each transport: a state
+// directory on fsys (nil is the real filesystem), and a namespace of a
+// blob server. dir is where the store's files land on disk either way.
+func forEachTransport(t *testing.T, fsys fault.FS, test func(t *testing.T, st *Store, dir string)) {
+	t.Run("file", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := OpenFS(dir, fsys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		test(t, st, dir)
+	})
+	t.Run("blob", func(t *testing.T) {
+		bs, srv := testBlobServer(t)
+		test(t, testRemote(t, srv, "r1"), filepath.Join(bs.Root(), "r1"))
+	})
+}
+
 func testSessionState(id string) *SessionState {
 	return &SessionState{
 		ID:      id,
 		Created: time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC),
 		Oracle:  "erm.laplace-linear",
 		Params:  json.RawMessage(`{"eps":0.5,"k":100}`),
-	}
-}
-
-func TestRemoteBackendRoundTrip(t *testing.T) {
-	_, srv := testBlobServer(t)
-	r := testRemote(t, srv, "r1")
-
-	if !strings.HasSuffix(r.Location(), "/v1/stores/r1") {
-		t.Errorf("Location() = %q", r.Location())
-	}
-
-	// Fresh namespace: no manifest, no sessions.
-	if m, err := r.LoadManifest(); err != nil || m != nil {
-		t.Fatalf("LoadManifest on empty namespace = %v, %v", m, err)
-	}
-	if ids, err := r.Sessions(); err != nil || len(ids) != 0 {
-		t.Fatalf("Sessions on empty namespace = %v, %v", ids, err)
-	}
-
-	man := &Manifest{
-		Seq:     7,
-		Dataset: DatasetInfo{N: 3, Universe: "u", Hash: "fnv1a64:0000000000000001"},
-		Source:  sample.State{},
-	}
-	if err := r.SaveManifest(man); err != nil {
-		t.Fatal(err)
-	}
-	back, err := r.LoadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Seq != 7 || back.Dataset.Hash != man.Dataset.Hash {
-		t.Fatalf("manifest did not round-trip: %+v", back)
-	}
-
-	st := testSessionState("s-000001")
-	if err := r.SaveSession(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SaveSession(testSessionState("s-000002")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.LoadSession("s-000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotParams, wantParams map[string]float64
-	if err := json.Unmarshal(got.Params, &gotParams); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(st.Params, &wantParams); err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != st.ID || got.Oracle != st.Oracle || gotParams["eps"] != wantParams["eps"] || gotParams["k"] != wantParams["k"] {
-		t.Fatalf("session did not round-trip: %+v", got)
-	}
-	ids, err := r.Sessions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 || ids[0] != "s-000001" || ids[1] != "s-000002" {
-		t.Fatalf("Sessions = %v", ids)
-	}
-
-	if err := r.DeleteSession("s-000001"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.DeleteSession("s-000001"); err != nil {
-		t.Fatalf("second delete not idempotent: %v", err)
-	}
-	if _, err := r.LoadSession("s-000001"); err == nil {
-		t.Fatal("loaded a deleted session")
-	}
-
-	// A session with no log blob loads as no tail, and removing the
-	// absent log succeeds.
-	if recs, err := r.LoadWAL("s-000002"); err != nil || recs != nil {
-		t.Errorf("LoadWAL = %v, %v", recs, err)
-	}
-	if err := r.RemoveWAL("s-000002"); err != nil {
-		t.Errorf("RemoveWAL = %v", err)
-	}
-
-	// Hostile ids never reach the wire.
-	if err := r.SaveSession(testSessionState("../escape")); err == nil {
-		t.Error("hostile save id accepted")
-	}
-	if _, err := r.LoadSession("../escape"); err == nil {
-		t.Error("hostile load id accepted")
-	}
-	if err := r.DeleteSession(""); err == nil {
-		t.Error("empty delete id accepted")
 	}
 }
 
@@ -359,7 +285,7 @@ func TestBlobServerListSkipsTempAndDirs(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(bs.Root(), "r1", "nested"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	names, err := r.list()
+	names, err := r.t.list()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,17 +320,81 @@ func TestValidateIDExport(t *testing.T) {
 	}
 }
 
-// TestStoreImplementsBackend pins the interface conformance of the
-// state-dir store and its adapter methods.
+// TestStoreImplementsBackend pins the interface conformance of the store
+// and the location it reports over each transport.
 func TestStoreImplementsBackend(t *testing.T) {
-	dir := t.TempDir()
-	var b Backend
-	s, err := Open(dir)
+	forEachTransport(t, nil, func(t *testing.T, st *Store, dir string) {
+		var b Backend = st
+		if _, ok := st.t.(*dirTransport); ok && b.Location() != dir {
+			t.Errorf("Location() = %q, want %q", b.Location(), dir)
+		}
+		if _, ok := st.t.(*httpTransport); ok && !strings.HasSuffix(b.Location(), "/v1/stores/r1") {
+			t.Errorf("Location() = %q", b.Location())
+		}
+	})
+}
+
+// TestBlobServerSweepsStaleTempFiles crashes a blob server at the rename
+// of a PUT — the temp file is written, the crash keeps the error path from
+// removing it — and reopens the root with a clean filesystem: the stale
+// temp file is gone and the earlier blob is intact.
+func TestBlobServerSweepsStaleTempFiles(t *testing.T) {
+	root := t.TempDir()
+	put := func(bs *BlobServer, body string) int {
+		t.Helper()
+		srv := httptest.NewServer(bs.Handler())
+		defer srv.Close()
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/stores/r1/blobs/manifest.json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	clean, err := NewBlobServer(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b = s
-	if b.Location() != dir {
-		t.Errorf("Location() = %q, want %q", b.Location(), dir)
+	if got := put(clean, "before"); got != http.StatusOK {
+		t.Fatalf("seed PUT = %d", got)
+	}
+	plan := fault.NewPlan(fault.Fault{Op: -1, Kind: fault.OpRename, Mode: fault.ModeCrash})
+	crashing, err := NewBlobServer(root, fault.Wrap(fault.OS, plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := put(crashing, "after"); got != http.StatusInternalServerError {
+		t.Fatalf("PUT crashed at rename = %d, want 500", got)
+	}
+	temps := func() []string {
+		t.Helper()
+		entries, err := os.ReadDir(filepath.Join(root, "r1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), tmpPrefix) {
+				out = append(out, e.Name())
+			}
+		}
+		return out
+	}
+	if got := temps(); len(got) != 1 {
+		t.Fatalf("crashed PUT left temp files %v, want 1", got)
+	}
+
+	if _, err := NewBlobServer(root, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := temps(); len(got) != 0 {
+		t.Errorf("stale temp files survived reopen: %v", got)
+	}
+	if data, err := os.ReadFile(filepath.Join(root, "r1", "manifest.json")); err != nil || string(data) != "before" {
+		t.Errorf("blob after reopen = %q, %v; want %q", data, err, "before")
 	}
 }

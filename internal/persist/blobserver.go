@@ -1,16 +1,14 @@
-// BlobServer is the serving side of the Remote backend: a small,
-// namespace-partitioned blob store over a directory tree, spoken over
-// HTTP by `pmwcm store`. One store process holds the state of a whole
-// fleet — each serve replica gets its own namespace (a subdirectory), so
-// replicas never collide on manifest.json while an operator still backs
-// up or inspects one flat tree.
+// BlobServer is the serving side of OpenRemote's store, spoken over HTTP
+// by `pmwcm store`: one process holds a whole fleet's state, each serve
+// replica in its own namespace (a subdirectory), so replicas never collide
+// on manifest.json while an operator still backs up one flat tree.
 //
-// The server reuses the state-dir discipline: replacing writes are atomic
-// (temp + fsync + rename through the fault.FS seam), appends are
-// conditional on the blob's size and fsynced before they are
-// acknowledged, reads stamp a content fingerprint header for end-to-end
-// verification, and names are validated against the same character set
-// as session ids so a request can never escape the root directory.
+// Each namespace is kept through the state dir's own transport (dir.go):
+// atomic replaces, idempotent deletes, lists without temp files, and a
+// sweep of the temp files a crash mid-PUT left behind. Only the
+// conditional append is the server's own. Reads stamp a content
+// fingerprint header, and names pass the session-id character set, so a
+// request can never escape the root directory.
 package persist
 
 import (
@@ -24,18 +22,16 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
-// maxBlobBytes caps a single blob (and a Remote response body). Session
-// state grows with the transcript; 64 MiB is ~two orders of magnitude
-// above the largest state the load tests produce.
+// maxBlobBytes caps a single blob (and a remote store's response body).
+// Session state grows with the transcript; 64 MiB is ~two orders of
+// magnitude above the largest state the load tests produce.
 const maxBlobBytes = 64 << 20
 
 // BlobServer serves GET/PUT/POST-append/DELETE/list over namespaced blobs
@@ -58,7 +54,9 @@ type blobMetrics struct {
 }
 
 // NewBlobServer creates the root directory if needed and returns a server
-// over it. A nil fsys uses the real filesystem.
+// over it, after sweeping every existing namespace of the stale temp
+// files a crash mid-PUT leaves behind. A nil fsys uses the real
+// filesystem.
 func NewBlobServer(root string, fsys fault.FS) (*BlobServer, error) {
 	if root == "" {
 		return nil, fmt.Errorf("persist: empty blob root")
@@ -69,7 +67,17 @@ func NewBlobServer(root string, fsys fault.FS) (*BlobServer, error) {
 	if err := fsys.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: creating blob root: %w", err)
 	}
-	return &BlobServer{root: root, fsys: fsys}, nil
+	b := &BlobServer{root: root, fsys: fsys}
+	namespaces, err := b.dir("").sweep()
+	if err != nil {
+		return nil, err
+	}
+	for _, ns := range namespaces {
+		if _, err := b.dir(ns).sweep(); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // Root returns the blob root directory.
@@ -120,24 +128,38 @@ func (b *BlobServer) Handler() http.Handler {
 	return mux
 }
 
-// blobError is the typed error document blob handlers return.
-func blobError(w http.ResponseWriter, status int, msg string) {
+// writeJSON writes one JSON document with the given status.
+func writeJSON(w http.ResponseWriter, status int, doc any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	json.NewEncoder(w).Encode(doc)
 }
 
-// blobPath validates the namespace and name and maps them under the root.
-// Both segments pass the session-id character set (no separators, no
-// leading dot), so the join cannot traverse out of root.
-func (b *BlobServer) blobPath(ns, name string) (string, error) {
-	if err := validID(ns); err != nil {
-		return "", fmt.Errorf("invalid namespace %q", ns)
+// blobError is the typed error document blob handlers return.
+func blobError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// dir returns the transport over namespace ns's directory.
+func (b *BlobServer) dir(ns string) *dirTransport {
+	return &dirTransport{dir: filepath.Join(b.root, ns), fsys: b.fsys}
+}
+
+// blob validates the request's namespace and blob name, answering 400
+// itself when one is invalid, and returns the namespace's transport. Both
+// segments pass the session-id character set (no separators, no leading
+// dot), so no name can traverse out of root.
+func (b *BlobServer) blob(w http.ResponseWriter, r *http.Request) (d *dirTransport, name string, ok bool) {
+	ns, name := r.PathValue("ns"), r.PathValue("name")
+	if err := ValidateID(ns); err != nil {
+		blobError(w, http.StatusBadRequest, fmt.Sprintf("invalid namespace %q", ns))
+		return nil, "", false
 	}
-	if err := validID(name); err != nil {
-		return "", fmt.Errorf("invalid blob name %q", name)
+	if err := ValidateID(name); err != nil {
+		blobError(w, http.StatusBadRequest, fmt.Sprintf("invalid blob name %q", name))
+		return nil, "", false
 	}
-	return filepath.Join(b.root, ns, name), nil
+	return b.dir(ns), name, true
 }
 
 // lock takes the lock stripe of the blob at path and returns its unlock.
@@ -151,38 +173,28 @@ func (b *BlobServer) lock(path string) func() {
 
 func (b *BlobServer) handleList(w http.ResponseWriter, r *http.Request) {
 	ns := r.PathValue("ns")
-	if err := validID(ns); err != nil {
+	if err := ValidateID(ns); err != nil {
 		blobError(w, http.StatusBadRequest, fmt.Sprintf("invalid namespace %q", ns))
 		return
 	}
-	entries, err := b.fsys.ReadDir(filepath.Join(b.root, ns))
+	names, err := b.dir(ns).list()
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		blobError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	names := []string{}
-	for _, e := range entries {
-		if e.IsDir() || strings.HasPrefix(e.Name(), tmpPrefix) {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
 	b.count("list", 0)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"blobs": names})
+	writeJSON(w, http.StatusOK, map[string]any{"blobs": append([]string{}, names...)})
 }
 
 func (b *BlobServer) handleGet(w http.ResponseWriter, r *http.Request) {
-	path, err := b.blobPath(r.PathValue("ns"), r.PathValue("name"))
-	if err != nil {
-		blobError(w, http.StatusBadRequest, err.Error())
+	d, name, ok := b.blob(w, r)
+	if !ok {
 		return
 	}
-	unlock := b.lock(path)
-	data, err := b.fsys.ReadFile(path)
+	unlock := b.lock(d.path(name))
+	data, err := d.get(name)
 	unlock()
-	if errors.Is(err, fs.ErrNotExist) {
+	if errors.Is(err, errNotFound) {
 		blobError(w, http.StatusNotFound, "no such blob")
 		return
 	}
@@ -197,10 +209,8 @@ func (b *BlobServer) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (b *BlobServer) handlePut(w http.ResponseWriter, r *http.Request) {
-	ns, name := r.PathValue("ns"), r.PathValue("name")
-	path, err := b.blobPath(ns, name)
-	if err != nil {
-		blobError(w, http.StatusBadRequest, err.Error())
+	d, name, ok := b.blob(w, r)
+	if !ok {
 		return
 	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxBlobBytes+1))
@@ -212,27 +222,22 @@ func (b *BlobServer) handlePut(w http.ResponseWriter, r *http.Request) {
 		blobError(w, http.StatusRequestEntityTooLarge, "blob exceeds size cap")
 		return
 	}
-	if err := b.put(path, data); err != nil {
+	unlock := b.lock(d.path(name))
+	err = b.fsys.MkdirAll(d.dir, 0o755)
+	if err == nil {
+		err = d.put(name, data)
+	}
+	unlock()
+	if err != nil {
 		blobError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	b.count("put", len(data))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"saved":       true,
 		"bytes":       len(data),
 		"fingerprint": Fingerprint64(data),
 	})
-}
-
-// put atomically replaces the blob at path under its lock stripe.
-func (b *BlobServer) put(path string, data []byte) error {
-	defer b.lock(path)()
-	dir := filepath.Dir(path)
-	if err := b.fsys.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return writeAtomicFS(b.fsys, dir, path, data, fault.File.Sync)
 }
 
 // handleAppend appends the body to a blob iff the blob is exactly at
@@ -243,9 +248,8 @@ func (b *BlobServer) put(path string, data []byte) error {
 // the blob past maxBlobBytes is 413. A failed write is cut back to at, so
 // the client's retry finds the blob where it left it.
 func (b *BlobServer) handleAppend(w http.ResponseWriter, r *http.Request) {
-	path, err := b.blobPath(r.PathValue("ns"), r.PathValue("name"))
-	if err != nil {
-		blobError(w, http.StatusBadRequest, err.Error())
+	d, name, ok := b.blob(w, r)
+	if !ok {
 		return
 	}
 	at, err := strconv.ParseInt(r.URL.Query().Get("at"), 10, 64)
@@ -262,6 +266,7 @@ func (b *BlobServer) handleAppend(w http.ResponseWriter, r *http.Request) {
 		blobError(w, http.StatusRequestEntityTooLarge, "append would grow the blob past the size cap")
 		return
 	}
+	path := d.path(name)
 	unlock := b.lock(path)
 	status, err := b.appendAt(path, at, data)
 	unlock()
@@ -270,8 +275,7 @@ func (b *BlobServer) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b.count("append", len(data))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"size": at + int64(len(data))})
+	writeJSON(w, http.StatusOK, map[string]any{"size": at + int64(len(data))})
 }
 
 // appendAt is handleAppend's body under the blob's lock stripe. It returns
@@ -318,45 +322,17 @@ func (b *BlobServer) appendAt(path string, at int64, data []byte) (int, error) {
 }
 
 func (b *BlobServer) handleDelete(w http.ResponseWriter, r *http.Request) {
-	path, err := b.blobPath(r.PathValue("ns"), r.PathValue("name"))
-	if err != nil {
-		blobError(w, http.StatusBadRequest, err.Error())
+	d, name, ok := b.blob(w, r)
+	if !ok {
 		return
 	}
-	unlock := b.lock(path)
-	err = b.fsys.Remove(path)
+	unlock := b.lock(d.path(name))
+	err := d.remove(name)
 	unlock()
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err != nil {
 		blobError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	b.count("delete", 0)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"deleted": true})
-}
-
-// writeAtomicFS writes data to path via a temp file in dir and a rename,
-// so readers and crash recovery only ever observe complete files; sync
-// hardens the temp file before the rename. The state dir and the blob
-// server share it.
-func writeAtomicFS(fsys fault.FS, dir, path string, data []byte, sync func(fault.File) error) error {
-	tmp, err := fsys.CreateTemp(dir, tmpPrefix+"*")
-	if err != nil {
-		return fmt.Errorf("persist: creating temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	serr := sync(tmp)
-	cerr := tmp.Close()
-	for _, err := range []error{werr, serr, cerr} {
-		if err != nil {
-			fsys.Remove(tmpName)
-			return fmt.Errorf("persist: writing %s: %w", filepath.Base(path), err)
-		}
-	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		fsys.Remove(tmpName)
-		return fmt.Errorf("persist: committing %s: %w", filepath.Base(path), err)
-	}
-	return nil
+	writeJSON(w, http.StatusOK, map[string]any{"deleted": true})
 }

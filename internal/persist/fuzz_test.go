@@ -18,7 +18,8 @@ import (
 func fuzzWALBytes(tb testing.TB, id string) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	for _, rec := range []*WALRecord{walHeader(id), walEvent(1), walEvent(2)} {
+	buf.Write(headerFrame(id))
+	for _, rec := range []*WALRecord{walEvent(1), walEvent(2)} {
 		b, err := frame(rec)
 		if err != nil {
 			tb.Fatal(err)

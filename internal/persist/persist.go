@@ -1,6 +1,6 @@
 // Package persist is the snapshot/restore persistence layer for the
 // serving subsystem: versioned, self-describing codecs for per-session
-// mechanism state and an atomic file store for a server's state directory.
+// mechanism state and one session store over two transports.
 //
 // Why it exists: every analyst session tracks privacy-budget state that the
 // paper's Figure-1 game requires to survive for the lifetime of the
@@ -20,12 +20,14 @@
 // continues bit-identically to an uninterrupted one (see core.Restore and
 // the golden tests in internal/core and internal/service).
 //
-// A state directory holds one file per session plus a manifest recording
-// the session-id sequence and a fingerprint of the private dataset, so a
-// restart against the wrong data is detected instead of silently serving a
-// different dataset under an old ledger. All writes are atomic
-// (temp file + rename in the same directory), so a crash mid-write leaves
-// the previous checkpoint intact, never a torn file.
+// A store holds a snapshot and a write-ahead log (wal.go) per session plus
+// a manifest recording the session-id sequence and a fingerprint of the
+// private dataset, so a restart against the wrong data is detected instead
+// of silently serving a different dataset under an old ledger. Store
+// writes that contract once; its documents live as files in a state
+// directory (dir.go) or as same-named blobs in a `pmwcm store` namespace
+// (backend.go, served by blobserver.go). Replacing writes are atomic, so a
+// crash mid-write leaves the previous checkpoint intact, never a torn one.
 package persist
 
 import (
@@ -34,8 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -182,14 +182,35 @@ type Manifest struct {
 	Source sample.State `json:"source"`
 }
 
-// Store is a session state directory. Methods are not safe for concurrent
-// use on the same id; the service serializes per-session saves behind the
-// session mutex and manifest saves behind the manager mutex.
+// Store is the Backend: the session-store contract written once over a
+// transport — a state directory (Open, OpenFS) or a blob-store namespace
+// (OpenRemote). Methods are not safe for concurrent use on the same id;
+// the service serializes per-session saves behind the session mutex and
+// manifest saves behind the manager mutex.
 type Store struct {
-	dir  string
-	fsys fault.FS
-	met  *storeMetrics
+	t   transport
+	loc string // Location
+	met *storeMetrics
 }
+
+// transport reaches a store's documents by state-dir file name; the Store
+// checks ids before they become names. A missing document is errNotFound.
+type transport interface {
+	// instrument adds the transport's own instruments to the store's m.
+	instrument(reg *obs.Registry, m *storeMetrics)
+	get(name string) ([]byte, error)
+	put(name string, data []byte) error // atomic replace
+	remove(name string) error           // idempotent
+	list() ([]string, error)            // sorted, temp files excluded
+	// loadLog reads the log at name and hands its bytes to parse; when
+	// parse reports a torn tail, loadLog durably cuts the log back to the
+	// clean prefix and reports that it did.
+	loadLog(name string, parse func(data []byte) (clean int64, torn bool, err error)) (cut bool, err error)
+	openLog(id string, met *storeMetrics) (*WAL, error) // see Backend.OpenWAL
+}
+
+// errNotFound marks an absent document: loads tell "absent" from broken.
+var errNotFound = errors.New("persist: blob not found")
 
 // storeMetrics holds the store's checkpoint instruments. nil means
 // uninstrumented: the write path pays one nil check and no clock reads.
@@ -197,9 +218,7 @@ type storeMetrics struct {
 	count map[string]*obs.Counter // by checkpoint kind
 	bytes map[string]*obs.Counter
 	fsync *obs.Histogram
-	// WAL instruments (wal.go): records and bytes appended, compactions
-	// (log folded into a snapshot and truncated), and torn-tail
-	// truncations found at recovery.
+	// WAL instruments (wal.go).
 	walRecords     *obs.Counter
 	walBytes       *obs.Counter
 	walCompactions *obs.Counter
@@ -216,22 +235,15 @@ const (
 
 // Instrument attaches checkpoint observability to the store:
 // pmwcm_checkpoint_total{kind} and pmwcm_checkpoint_bytes_total{kind}
-// counters plus the pmwcm_fsync_seconds latency histogram. Call once,
-// before the store is used concurrently; a nil registry is a no-op.
-// Instrumentation is timing/volume-only and never alters what is written.
+// counters, the WAL counters, and the pmwcm_fsync_seconds latency
+// histogram, under the same names over either transport, plus the remote
+// request instruments over a blob store. Call once, before the store is
+// used concurrently; a nil registry is a no-op. Instrumentation is
+// timing/volume-only and never alters what is written.
 func (s *Store) Instrument(reg *obs.Registry) {
-	if reg != nil {
-		s.met = newStoreMetrics(reg)
+	if reg == nil {
+		return
 	}
-}
-
-// newStoreMetrics registers the checkpoint and WAL instruments both
-// backends share, so dashboards are backend-agnostic.
-func newStoreMetrics(reg *obs.Registry) *storeMetrics {
-	const (
-		countHelp = "Durable checkpoints committed, by kind."
-		bytesHelp = "Bytes committed to durable checkpoints, by kind."
-	)
 	m := &storeMetrics{
 		count: map[string]*obs.Counter{},
 		bytes: map[string]*obs.Counter{},
@@ -247,24 +259,23 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 			"Torn WAL tails truncated at recovery.", nil),
 	}
 	for _, kind := range []string{KindManifest, KindSession, KindWAL} {
-		m.count[kind] = reg.Counter("pmwcm_checkpoint_total", countHelp, obs.Labels{"kind": kind})
-		m.bytes[kind] = reg.Counter("pmwcm_checkpoint_bytes_total", bytesHelp, obs.Labels{"kind": kind})
+		m.count[kind] = reg.Counter("pmwcm_checkpoint_total",
+			"Durable checkpoints committed, by kind.", obs.Labels{"kind": kind})
+		m.bytes[kind] = reg.Counter("pmwcm_checkpoint_bytes_total",
+			"Bytes committed to durable checkpoints, by kind.", obs.Labels{"kind": kind})
 	}
-	return m
+	s.met = m
+	s.t.instrument(reg, m)
 }
 
 // Open creates the directory if needed and returns a store over it,
 // backed by the real filesystem.
-func Open(dir string) (*Store, error) {
-	return OpenFS(dir, fault.OS)
-}
+func Open(dir string) (*Store, error) { return OpenFS(dir, fault.OS) }
 
 // OpenFS is Open over an explicit filesystem — the seam fault-injection
 // drills use to intercept every durability syscall the store makes.
-// Opening also sweeps stale ".tmp-*" files: a crash mid-writeAtomic (after
-// the temp file was created, before its rename) leaves one behind, and no
-// later write ever reuses or reads it, so the only correct recovery is to
-// delete it.
+// Opening also sweeps the stale temp files a crash mid-write leaves
+// behind (see dirTransport.sweep).
 func OpenFS(dir string, fsys fault.FS) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("persist: empty state directory")
@@ -275,84 +286,57 @@ func OpenFS(dir string, fsys fault.FS) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: creating state directory: %w", err)
 	}
-	s := &Store{dir: dir, fsys: fsys}
-	if err := s.sweepTemp(); err != nil {
+	d := &dirTransport{dir: dir, fsys: fsys}
+	if _, err := d.sweep(); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &Store{t: d, loc: dir}, nil
 }
 
-// sweepTemp removes stale temp files left by a crash mid-writeAtomic.
-func (s *Store) sweepTemp() error {
-	entries, err := s.fsys.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("persist: listing state directory: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), tmpPrefix) {
-			continue
-		}
-		if err := s.fsys.Remove(filepath.Join(s.dir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("persist: sweeping stale temp file %s: %w", e.Name(), err)
-		}
-	}
-	return nil
-}
-
-// Dir returns the state directory path.
-func (s *Store) Dir() string { return s.dir }
-
+// Document names: the manifest, each session's snapshot and log, and the
+// temp files atomic replaces write through.
 const (
 	manifestFile  = "manifest.json"
 	sessionPrefix = "session-"
 	sessionSuffix = ".json"
+	walSuffix     = ".wal"
 	tmpPrefix     = ".tmp-"
 )
 
-// validID restricts session ids to filename-safe characters so an id can
-// never escape the state directory or collide with the manifest.
-func validID(id string) error {
+// ValidateID reports whether id is usable as a session id: non-empty,
+// ≤128 filename-safe characters, no leading dot, so an id can never
+// escape the state directory or collide with the manifest. Exposed so
+// layers that mint or accept ids (the router, the service's requested-id
+// path) agree with the store about what can be persisted.
+func ValidateID(id string) error {
 	if id == "" || len(id) > 128 {
 		return fmt.Errorf("persist: invalid session id %q", id)
 	}
-	for _, c := range id {
+	for i, c := range id {
 		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.' && i > 0:
 		default:
 			return fmt.Errorf("persist: invalid session id %q", id)
 		}
 	}
-	if strings.HasPrefix(id, ".") {
-		return fmt.Errorf("persist: invalid session id %q", id)
-	}
 	return nil
 }
 
-// sessionPath maps an id to its state file.
-func (s *Store) sessionPath(id string) string {
-	return filepath.Join(s.dir, sessionPrefix+id+sessionSuffix)
-}
+// sessionName and walName map a session id to its documents' names.
+func sessionName(id string) string { return sessionPrefix + id + sessionSuffix }
+func walName(id string) string     { return sessionPrefix + id + walSuffix }
 
-// timedSync fsyncs f, landing the latency in the fsync histogram when the
-// store is instrumented. Snapshot and WAL syncs share the instrument, so
-// the histogram stays the one place fsync health is read from.
-func (s *Store) timedSync(f fault.File) error {
-	var start time.Time
-	if s.met != nil {
-		start = time.Now()
-	}
-	err := f.Sync()
-	if s.met != nil && err == nil {
-		s.met.fsync.Observe(time.Since(start).Seconds())
-	}
-	return err
-}
+// Store implements Backend over either transport.
+var _ Backend = (*Store)(nil)
 
-// writeAtomic writes data to path via a temp file and rename, so readers
-// and crash recovery only ever observe complete files. kind labels the
-// checkpoint counters when the store is instrumented.
-func (s *Store) writeAtomic(path, kind string, data []byte) error {
-	if err := writeAtomicFS(s.fsys, s.dir, path, data, s.timedSync); err != nil {
+// Location names where state lives: the state directory path or the
+// namespace URL.
+func (s *Store) Location() string { return s.loc }
+
+// put durably replaces one document. kind labels the checkpoint counters
+// when the store is instrumented.
+func (s *Store) put(name, kind string, data []byte) error {
+	if err := s.t.put(name, data); err != nil {
 		return err
 	}
 	if s.met != nil {
@@ -362,20 +346,20 @@ func (s *Store) writeAtomic(path, kind string, data []byte) error {
 	return nil
 }
 
-// SaveManifest atomically writes the manifest.
+// SaveManifest durably replaces the manifest.
 func (s *Store) SaveManifest(m *Manifest) error {
 	data, err := Encode(FormatManifest, m)
 	if err != nil {
 		return err
 	}
-	return s.writeAtomic(filepath.Join(s.dir, manifestFile), KindManifest, data)
+	return s.put(manifestFile, KindManifest, data)
 }
 
-// LoadManifest reads the manifest, returning (nil, nil) when the directory
-// has none yet (a fresh state directory).
+// LoadManifest reads the manifest, returning (nil, nil) when the store
+// has none yet (a fresh state directory or namespace).
 func (s *Store) LoadManifest() (*Manifest, error) {
-	data, err := s.fsys.ReadFile(filepath.Join(s.dir, manifestFile))
-	if errors.Is(err, fs.ErrNotExist) {
+	data, err := s.t.get(manifestFile)
+	if errors.Is(err, errNotFound) {
 		return nil, nil
 	}
 	if err != nil {
@@ -388,24 +372,24 @@ func (s *Store) LoadManifest() (*Manifest, error) {
 	return &m, nil
 }
 
-// SaveSession atomically writes one session's state file.
+// SaveSession durably replaces one session's state document.
 func (s *Store) SaveSession(st *SessionState) error {
-	if err := validID(st.ID); err != nil {
+	if err := ValidateID(st.ID); err != nil {
 		return err
 	}
 	data, err := Encode(FormatSession, st)
 	if err != nil {
 		return err
 	}
-	return s.writeAtomic(s.sessionPath(st.ID), KindSession, data)
+	return s.put(sessionName(st.ID), KindSession, data)
 }
 
-// LoadSession reads one session's state file.
+// LoadSession reads one session's state document.
 func (s *Store) LoadSession(id string) (*SessionState, error) {
-	if err := validID(id); err != nil {
+	if err := ValidateID(id); err != nil {
 		return nil, err
 	}
-	data, err := s.fsys.ReadFile(s.sessionPath(id))
+	data, err := s.t.get(sessionName(id))
 	if err != nil {
 		return nil, fmt.Errorf("persist: reading session %s: %w", id, err)
 	}
@@ -419,52 +403,76 @@ func (s *Store) LoadSession(id string) (*SessionState, error) {
 	return &st, nil
 }
 
-// Sessions lists the ids with a state file, sorted. Discovery scans the
-// directory rather than trusting the manifest, so a session checkpointed
-// right before a crash is recovered even if no manifest write followed.
+// Sessions lists the ids with a state document, sorted. Discovery lists
+// the documents rather than trusting the manifest, so a session
+// checkpointed right before a crash is recovered even if no manifest
+// write followed.
 func (s *Store) Sessions() ([]string, error) {
-	entries, err := s.fsys.ReadDir(s.dir)
+	names, err := s.t.list()
 	if err != nil {
-		return nil, fmt.Errorf("persist: listing state directory: %w", err)
+		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	return sessionIDs(names), nil
-}
-
-// sessionIDs picks the session ids out of state-file names, sorted.
-func sessionIDs(names []string) []string {
 	var ids []string
 	for _, name := range names {
-		if !strings.HasPrefix(name, sessionPrefix) || !strings.HasSuffix(name, sessionSuffix) {
-			continue
-		}
-		id := strings.TrimSuffix(strings.TrimPrefix(name, sessionPrefix), sessionSuffix)
-		if validID(id) == nil {
+		id, doc := strings.CutPrefix(name, sessionPrefix)
+		if id, ok := strings.CutSuffix(id, sessionSuffix); doc && ok && ValidateID(id) == nil {
 			ids = append(ids, id)
 		}
 	}
 	sort.Strings(ids)
-	return ids
+	return ids, nil
 }
 
-// DeleteSession removes a session's state file. Missing files are not an
-// error: deletion is an idempotent cleanup.
+// DeleteSession removes a session's state document. A missing one is not
+// an error: deletion is an idempotent cleanup.
 func (s *Store) DeleteSession(id string) error {
-	if err := validID(id); err != nil {
+	if err := ValidateID(id); err != nil {
 		return err
 	}
-	return s.remove(s.sessionPath(id))
+	return s.t.remove(sessionName(id))
 }
 
-// remove deletes a file, succeeding when it is already gone.
-func (s *Store) remove(path string) error {
-	if err := s.fsys.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("persist: deleting %s: %w", filepath.Base(path), err)
+// OpenWAL opens a session's append log: a state-dir file resumes at its
+// end, a blob log is replaced by its first Sync.
+func (s *Store) OpenWAL(id string) (*WAL, error) {
+	if err := ValidateID(id); err != nil {
+		return nil, err
 	}
-	return nil
+	return s.t.openLog(id, s.met)
+}
+
+// LoadWAL reads a session's log tail for replay. A missing log returns
+// (nil, nil): no tail to replay. A torn tail — a crash mid-append — is
+// cut back durably to its clean prefix so later appends land on a frame
+// boundary; everything before the tear is returned. Mid-log corruption
+// (a record that checksums but does not belong) is an error, never
+// silently skipped.
+func (s *Store) LoadWAL(id string) ([]*WALRecord, error) {
+	if err := ValidateID(id); err != nil {
+		return nil, err
+	}
+	var recs []*WALRecord
+	cut, err := s.t.loadLog(walName(id), func(data []byte) (clean int64, torn bool, err error) {
+		recs, clean, torn, err = parseWAL(data, id)
+		return clean, torn, err
+	})
+	if errors.Is(err, errNotFound) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if cut && s.met != nil {
+		s.met.walTruncations.Inc()
+	}
+	return recs, nil
+}
+
+// RemoveWAL deletes a session's log. A missing one is not an error:
+// removal is idempotent cleanup, the same contract as DeleteSession.
+func (s *Store) RemoveWAL(id string) error {
+	if err := ValidateID(id); err != nil {
+		return err
+	}
+	return s.t.remove(walName(id))
 }

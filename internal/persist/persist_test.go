@@ -60,54 +60,79 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreSessionLifecycle runs the session-document contract over both
+// transports: list, save, load, idempotent delete, and ids that never
+// reach the transport.
 func TestStoreSessionLifecycle(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ids, err := st.Sessions(); err != nil || len(ids) != 0 {
-		t.Fatalf("fresh dir sessions = %v, %v", ids, err)
-	}
-	rec := &SessionState{
-		ID:      "s-000001",
-		Created: time.Now().UTC().Truncate(time.Second),
-		Params:  json.RawMessage(`{"k":5}`),
-	}
-	if err := st.SaveSession(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveSession(&SessionState{ID: "s-000002"}); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := st.Sessions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 || ids[0] != "s-000001" || ids[1] != "s-000002" {
-		t.Fatalf("sessions = %v", ids)
-	}
-	back, err := st.LoadSession("s-000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var params struct {
-		K int `json:"k"`
-	}
-	if err := json.Unmarshal(back.Params, &params); err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != rec.ID || !back.Created.Equal(rec.Created) || params.K != 5 {
-		t.Fatalf("loaded %+v", back)
-	}
-	if err := st.DeleteSession("s-000002"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.DeleteSession("s-000002"); err != nil {
-		t.Errorf("second delete not idempotent: %v", err)
-	}
-	if ids, _ := st.Sessions(); len(ids) != 1 {
-		t.Fatalf("after delete: %v", ids)
-	}
+	forEachTransport(t, nil, func(t *testing.T, st *Store, _ string) {
+		if ids, err := st.Sessions(); err != nil || len(ids) != 0 {
+			t.Fatalf("fresh dir sessions = %v, %v", ids, err)
+		}
+		rec := &SessionState{
+			ID:      "s-000001",
+			Created: time.Now().UTC().Truncate(time.Second),
+			Oracle:  "erm.laplace-linear",
+			Params:  json.RawMessage(`{"k":5}`),
+		}
+		if err := st.SaveSession(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.SaveSession(&SessionState{ID: "s-000002"}); err != nil {
+			t.Fatal(err)
+		}
+		ids, err := st.Sessions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != 2 || ids[0] != "s-000001" || ids[1] != "s-000002" {
+			t.Fatalf("sessions = %v", ids)
+		}
+		back, err := st.LoadSession("s-000001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var params struct {
+			K int `json:"k"`
+		}
+		if err := json.Unmarshal(back.Params, &params); err != nil {
+			t.Fatal(err)
+		}
+		if back.ID != rec.ID || !back.Created.Equal(rec.Created) || back.Oracle != rec.Oracle || params.K != 5 {
+			t.Fatalf("loaded %+v", back)
+		}
+		if err := st.DeleteSession("s-000002"); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.DeleteSession("s-000002"); err != nil {
+			t.Errorf("second delete not idempotent: %v", err)
+		}
+		if ids, _ := st.Sessions(); len(ids) != 1 {
+			t.Fatalf("after delete: %v", ids)
+		}
+		if _, err := st.LoadSession("s-000002"); err == nil {
+			t.Fatal("loaded a deleted session")
+		}
+
+		// A session with no log loads as no tail, and removing the absent
+		// log succeeds.
+		if recs, err := st.LoadWAL("s-000001"); err != nil || recs != nil {
+			t.Errorf("LoadWAL = %v, %v", recs, err)
+		}
+		if err := st.RemoveWAL("s-000001"); err != nil {
+			t.Errorf("RemoveWAL = %v", err)
+		}
+
+		// Hostile ids never reach the transport.
+		if err := st.SaveSession(&SessionState{ID: "../escape"}); err == nil {
+			t.Error("hostile save id accepted")
+		}
+		if _, err := st.LoadSession("../escape"); err == nil {
+			t.Error("hostile load id accepted")
+		}
+		if err := st.DeleteSession(""); err == nil {
+			t.Error("empty delete id accepted")
+		}
+	})
 }
 
 func TestStoreRejectsHostileIDs(t *testing.T) {
@@ -126,25 +151,23 @@ func TestStoreRejectsHostileIDs(t *testing.T) {
 }
 
 func TestManifestRoundTripAndFingerprint(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m, err := st.LoadManifest(); err != nil || m != nil {
-		t.Fatalf("fresh manifest = %+v, %v", m, err)
-	}
 	d := testData(t)
-	want := Manifest{Seq: 7, Dataset: Fingerprint(d)}
-	if err := st.SaveManifest(&want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.LoadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != want {
-		t.Fatalf("manifest %+v != %+v", *got, want)
-	}
+	forEachTransport(t, nil, func(t *testing.T, st *Store, _ string) {
+		if m, err := st.LoadManifest(); err != nil || m != nil {
+			t.Fatalf("fresh manifest = %+v, %v", m, err)
+		}
+		want := Manifest{Seq: 7, Dataset: Fingerprint(d)}
+		if err := st.SaveManifest(&want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.LoadManifest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != want {
+			t.Fatalf("manifest %+v != %+v", *got, want)
+		}
+	})
 
 	// The fingerprint must be stable and sensitive to rows and universe.
 	if Fingerprint(d) != Fingerprint(d) {

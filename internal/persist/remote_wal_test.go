@@ -2,9 +2,9 @@ package persist
 
 // remote_wal_test.go covers the write-ahead log over the blob store: the
 // server's conditional append (409 on a size mismatch, 200 without a
-// second write on a retried append, 413 past the cap), and Remote's WAL
-// surface on top of it — round trip, lost-ack retries, sticky sync
-// failure healed by Reset, torn-tail heal, and idempotent removal.
+// second write on a retried append, 413 past the cap), and a remote
+// store's WAL surface on top of it — round trip, lost-ack retries, sticky
+// sync failure healed by Reset, torn-tail heal, and idempotent removal.
 
 import (
 	"bytes"
@@ -369,7 +369,8 @@ func TestRemoteRefusesOversizedBodies(t *testing.T) {
 	defer srv.Close()
 	r := testRemote(t, srv, "r1")
 	before := requests.Load()
-	_, _, err = r.do(http.MethodPut, r.blobURL("big"), make([]byte, maxBlobBytes+1), false)
+	h := r.t.(*httpTransport)
+	_, err = h.do(http.MethodPut, h.blobURL("big"), make([]byte, maxBlobBytes+1), false)
 	if err == nil || !strings.Contains(err.Error(), "blob cap") {
 		t.Fatalf("oversized body error = %v", err)
 	}

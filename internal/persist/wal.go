@@ -1,17 +1,14 @@
 package persist
 
-// wal.go is the append-only write-ahead log beside each session's snapshot
-// file. The snapshot path (persist.go) rewrites the session's complete
-// state — MW table, ledger, transcript — on every durable point, which is
-// correct but O(state) per ⊤ answer. The WAL makes the common durable
-// point O(1): each budget-relevant exchange appends one small
-// self-describing record, and recovery is "load the last snapshot, replay
-// the WAL tail". Compaction periodically folds the log back into the
-// snapshot format and truncates it, so neither file grows without bound.
-// The log is the only per-⊤ durable point on every backend: a state
-// directory keeps it as a file, a remote namespace as a blob of the same
-// name and bytes (see blobSink in backend.go), so a copied-down namespace
-// is still a valid state directory.
+// wal.go is the append-only write-ahead log beside each session's
+// snapshot. A snapshot holds the session's complete state — MW table,
+// ledger, transcript — so writing one is O(state). The log makes the
+// per-⊤ durable point O(1): each budget-relevant exchange appends one
+// small self-describing record, and recovery is "load the last snapshot,
+// replay the log tail". Compaction periodically folds the log back into
+// a snapshot and truncates it, so neither document grows without bound.
+// The log is the only per-⊤ durable point over either transport: a file
+// (fileSink, dir.go) or a blob of the same name and bytes (blobSink).
 //
 // File layout: session-<id>.wal holds a header record followed by event
 // records, each framed as
@@ -22,8 +19,8 @@ package persist
 //
 // The frame makes torn tails detectable without trusting file contents: a
 // crash mid-append leaves a record whose length field runs past EOF or
-// whose CRC disagrees, and LoadWAL truncates the file at the first such
-// frame. Truncation is safe by the service's commit discipline — every
+// whose CRC disagrees, and LoadWAL cuts the log back before the first
+// such frame. Truncation is safe by the service's commit discipline — every
 // ⊤ record is fsynced before its answer is released, so a torn tail can
 // only hold ⊥ records (which spend nothing) or a ⊤ whose answer no
 // analyst ever saw.
@@ -37,16 +34,10 @@ package persist
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sync"
 
-	"repro/internal/fault"
 	"repro/internal/transcript"
 )
 
@@ -96,20 +87,12 @@ type WALRecord struct {
 	Event *transcript.Event `json:"event,omitempty"`
 }
 
-// walSuffix names WAL files beside their session's snapshot file.
-const walSuffix = ".wal"
-
-// walPath maps a session id to its WAL file.
-func (s *Store) walPath(id string) string {
-	return filepath.Join(s.dir, sessionPrefix+id+walSuffix)
-}
-
-// WAL is an open, append-only session log over one of two sinks: a file
-// in a state directory (Store.OpenWAL) or a blob in a remote namespace
-// (Remote.OpenWAL). Both carry the same framed bytes, and both grow only
-// by Append, harden by Sync, and shrink only by Reset. Append and Reset
-// are not safe for concurrent use; the service serializes them behind the
-// session's save mutex. Sync may run concurrently with them (the service
+// WAL is an open, append-only session log (Store.OpenWAL) over one of two
+// sinks: a file in a state directory or a blob in a remote namespace.
+// Both carry the same framed bytes, and both grow only by Append, harden
+// by Sync, and shrink only by Reset. Append and Reset are not safe for
+// concurrent use; the service serializes them behind the session's save
+// mutex. Sync may run concurrently with them (the service
 // syncs outside that mutex, so one session's commits can overlap): it
 // covers every record appended before the call.
 //
@@ -140,35 +123,6 @@ type walSink interface {
 	close() error
 }
 
-// fileSink is the state-directory sink: writes go straight to the file
-// (the OS page cache is the buffer) and sync is an fsync.
-type fileSink struct {
-	f     fault.File
-	store *Store
-}
-
-func (k fileSink) write(p []byte) error { _, err := k.f.Write(p); return err }
-func (k fileSink) sync() error          { return k.store.timedSync(k.f) }
-func (k fileSink) close() error         { return k.f.Close() }
-
-// reset truncates the file and rewrites the header. The truncation is
-// synced so a crash right after compaction cannot resurrect
-// pre-compaction records next to the newer snapshot (replay would skip
-// them by seq, but an unsynced truncate could also tear and leave garbage
-// mid-file).
-func (k fileSink) reset(header []byte) error {
-	if err := k.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := k.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := k.f.Write(header); err != nil {
-		return err
-	}
-	return k.f.Sync()
-}
-
 // frame encodes one record as [len][crc][payload].
 func frame(rec *WALRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
@@ -182,67 +136,11 @@ func frame(rec *WALRecord) ([]byte, error) {
 	return buf, nil
 }
 
-// walHeader builds the self-describing first record for id.
-func walHeader(id string) *WALRecord {
-	return &WALRecord{Kind: WALHeader, Format: FormatWAL, Version: SchemaVersion, ID: id}
-}
-
-// headerFrame is walHeader framed (a header record always encodes).
+// headerFrame is the framed self-describing first record of id's log (a
+// header record always encodes).
 func headerFrame(id string) []byte {
-	buf, _ := frame(walHeader(id))
+	buf, _ := frame(&WALRecord{Kind: WALHeader, Format: FormatWAL, Version: SchemaVersion, ID: id})
 	return buf
-}
-
-// OpenWAL opens (creating if needed) the append-only WAL for a session. A
-// fresh file gets its self-describing header record; an existing file is
-// opened at its current end — callers that need the existing contents
-// replayed must LoadWAL first (which also truncates any torn tail, so the
-// append position is always a clean frame boundary).
-func (s *Store) OpenWAL(id string) (*WAL, error) {
-	if err := validID(id); err != nil {
-		return nil, err
-	}
-	f, err := s.fsys.OpenFile(s.walPath(id), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("persist: opening wal for %s: %w", id, err)
-	}
-	w := &WAL{sink: fileSink{f: f, store: s}, id: id, met: s.met}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("persist: stat wal for %s: %w", id, err)
-	}
-	if info.Size() == 0 {
-		header := headerFrame(id)
-		if _, err := f.Write(header); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("persist: writing wal header for %s: %w", id, err)
-		}
-		w.bytes = int64(len(header))
-		return w, nil
-	}
-	// Existing file: count its records so the compaction thresholds keep
-	// working across a reopen, and position the cursor at the end.
-	recs, size, _, err := readWAL(f, id)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if size != info.Size() {
-		// A torn tail survived to OpenWAL (LoadWAL normally truncates it
-		// first). Cut it here so appends land on a frame boundary.
-		if err := f.Truncate(size); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("persist: truncating torn wal tail for %s: %w", id, err)
-		}
-	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("persist: seeking wal for %s: %w", id, err)
-	}
-	w.records = len(recs)
-	w.bytes = size
-	return w, nil
 }
 
 // Append frames and writes one record without making it durable;
@@ -318,25 +216,13 @@ func (w *WAL) Bytes() int64 { return w.bytes }
 // tail matters).
 func (w *WAL) Close() error { return w.sink.close() }
 
-// readWAL reads every complete, checksummed record from f, stopping at the
-// first torn or corrupt frame. It returns the event/close records (header
-// verified and stripped), the byte offset of the clean prefix, and whether
-// a torn tail was found after it.
-func readWAL(f fault.File, id string) (recs []*WALRecord, clean int64, torn bool, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, false, fmt.Errorf("persist: rewinding wal for %s: %w", id, err)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("persist: reading wal for %s: %w", id, err)
-	}
-	return parseWAL(data, id)
-}
-
-// parseWAL is readWAL's pure frame parser over the raw file bytes — split
-// out so the fuzz target can feed it arbitrary inputs without touching
-// disk. Every returned record passed its length and CRC checks and
-// decoded; clean is always a frame boundary within data.
+// parseWAL reads every complete, checksummed record from a log's raw
+// bytes, stopping at the first torn or corrupt frame. It returns the
+// event/close records (header verified and stripped), the byte offset of
+// the clean prefix, and whether a torn tail follows it. Every returned
+// record passed its length and CRC checks and decoded; clean is always a
+// frame boundary within data. It is pure, so the fuzz target feeds it
+// arbitrary inputs without touching disk.
 func parseWAL(data []byte, id string) (recs []*WALRecord, clean int64, torn bool, err error) {
 	off := 0
 	sawHeader := false
@@ -388,49 +274,4 @@ func parseWAL(data []byte, id string) (recs []*WALRecord, clean int64, torn bool
 		}
 	}
 	return recs, int64(off), torn, nil
-}
-
-// LoadWAL reads a session's WAL tail for replay. A missing file returns
-// (nil, nil): no tail to replay. A torn tail — a crash mid-append — is
-// truncated in place (and the truncation synced) so subsequent appends
-// land on a clean frame boundary; everything before the tear is returned.
-// Mid-file corruption (a record that checksums but does not belong) is an
-// error, never silently skipped.
-func (s *Store) LoadWAL(id string) ([]*WALRecord, error) {
-	if err := validID(id); err != nil {
-		return nil, err
-	}
-	f, err := s.fsys.OpenFile(s.walPath(id), os.O_RDWR, 0)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("persist: opening wal for %s: %w", id, err)
-	}
-	defer f.Close()
-	recs, clean, torn, err := readWAL(f, id)
-	if err != nil {
-		return nil, err
-	}
-	if torn {
-		if err := f.Truncate(clean); err != nil {
-			return nil, fmt.Errorf("persist: truncating torn wal tail for %s: %w", id, err)
-		}
-		if err := f.Sync(); err != nil {
-			return nil, fmt.Errorf("persist: syncing truncated wal for %s: %w", id, err)
-		}
-		if m := s.met; m != nil {
-			m.walTruncations.Inc()
-		}
-	}
-	return recs, nil
-}
-
-// RemoveWAL deletes a session's WAL file. Missing files are not an error:
-// removal is idempotent cleanup, the same contract as DeleteSession.
-func (s *Store) RemoveWAL(id string) error {
-	if err := validID(id); err != nil {
-		return err
-	}
-	return s.remove(s.walPath(id))
 }

@@ -15,27 +15,11 @@ import (
 	"repro/internal/fault"
 )
 
-// forEachSink runs test over a state-directory backend on fsys (nil is the
-// real filesystem) and over a blob-store backend.
-func forEachSink(t *testing.T, fsys fault.FS, test func(t *testing.T, b Backend)) {
-	t.Run("file", func(t *testing.T) {
-		st, err := OpenFS(t.TempDir(), fsys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		test(t, st)
-	})
-	t.Run("blob", func(t *testing.T) {
-		_, srv := testBlobServer(t)
-		test(t, testRemote(t, srv, "r1"))
-	})
-}
-
 // TestWALSyncDurability drives several sessions concurrently, each
 // appending to and syncing its own log: every Sync must return nil only
 // once its records are in the log.
 func TestWALSyncDurability(t *testing.T) {
-	forEachSink(t, nil, func(t *testing.T, b Backend) {
+	forEachTransport(t, nil, func(t *testing.T, b *Store, _ string) {
 		const sessions, perSession = 4, 8
 		var wg sync.WaitGroup
 		errc := make(chan error, sessions)
@@ -113,7 +97,7 @@ func (f overlapFile) Sync() error {
 // for the same offset, and a file log's fsyncs must not overlap.
 func TestWALConcurrentSyncOneLog(t *testing.T) {
 	ofs := &syncOverlapFS{FS: fault.OS}
-	forEachSink(t, ofs, func(t *testing.T, b Backend) {
+	forEachTransport(t, ofs, func(t *testing.T, b *Store, _ string) {
 		const id, perWriter = "s-000001", 16
 		w, err := b.OpenWAL(id)
 		if err != nil {

@@ -5,10 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/transcript"
 )
+
+// walPath is the file of session id's log in a state-dir store.
+func walPath(st *Store, id string) string {
+	return filepath.Join(st.Location(), walName(id))
+}
 
 // walEvent builds a representative event record for index i.
 func walEvent(i int) *WALRecord {
@@ -91,14 +97,14 @@ func TestWALLoadMissingIsEmpty(t *testing.T) {
 	if err != nil || recs != nil {
 		t.Fatalf("missing wal = %v, %v; want nil, nil", recs, err)
 	}
-	if _, err := os.Stat(st.walPath("s-000001")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(walPath(st, "s-000001")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("LoadWAL of a missing log created a file: %v", err)
 	}
 }
 
 // TestWALTornTailTruncation corrupts the last record byte-level (a torn
-// write) and checks LoadWAL returns the clean prefix, truncates the file,
-// and leaves it appendable.
+// write) and checks LoadWAL returns the clean prefix and cuts the log back
+// to it on either transport, and that a file log stays appendable.
 func TestWALTornTailTruncation(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -114,65 +120,77 @@ func TestWALTornTailTruncation(t *testing.T) {
 		{name: "garbage-tail", mangle: func(d []byte) []byte { return append(d, 0xde, 0xad, 0xbe) }, surviv: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st, err := Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			const id = "s-000001"
-			w, err := st.OpenWAL(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i <= 3; i++ {
-				if err := w.Append(walEvent(i)); err != nil {
+			forEachTransport(t, nil, func(t *testing.T, st *Store, dir string) {
+				const id = "s-000001"
+				w, err := st.OpenWAL(id)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := w.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			path := st.walPath(id)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, tc.mangle(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
+				for i := 1; i <= 3; i++ {
+					if err := w.Append(walEvent(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(dir, walName(id))
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, tc.mangle(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
 
-			recs, err := st.LoadWAL(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) != tc.surviv {
-				t.Fatalf("survived %d records, want %d", len(recs), tc.surviv)
-			}
-			// The tear is gone from disk: a re-load sees the same prefix and
-			// a re-opened WAL appends on a clean boundary.
-			w2, err := st.OpenWAL(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w2.Records() != tc.surviv {
-				t.Fatalf("reopened Records() = %d, want %d", w2.Records(), tc.surviv)
-			}
-			if err := w2.Append(walEvent(9)); err != nil {
-				t.Fatal(err)
-			}
-			if err := w2.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			w2.Close()
-			recs, err = st.LoadWAL(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) != tc.surviv+1 || recs[len(recs)-1].Seq != 9 {
-				t.Fatalf("after reopen+append got %d records, last %+v", len(recs), recs[len(recs)-1])
-			}
+				recs, err := st.LoadWAL(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(recs) != tc.surviv {
+					t.Fatalf("survived %d records, want %d", len(recs), tc.surviv)
+				}
+				// The tear is gone: the log parses clean to its end, and a
+				// re-load sees the same prefix.
+				healed, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, clean, torn, err := parseWAL(healed, id); err != nil || torn || clean != int64(len(healed)) {
+					t.Fatalf("healed log: clean %d of %d bytes, torn %v, %v", clean, len(healed), torn, err)
+				}
+				if recs, err := st.LoadWAL(id); err != nil || len(recs) != tc.surviv {
+					t.Fatalf("re-load = %d records, %v; want %d", len(recs), err, tc.surviv)
+				}
+				if _, ok := st.t.(*dirTransport); !ok {
+					return // a blob log is replaced, not resumed, by OpenWAL
+				}
+				// A re-opened file log appends on a clean boundary.
+				w2, err := st.OpenWAL(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w2.Records() != tc.surviv {
+					t.Fatalf("reopened Records() = %d, want %d", w2.Records(), tc.surviv)
+				}
+				if err := w2.Append(walEvent(9)); err != nil {
+					t.Fatal(err)
+				}
+				if err := w2.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				w2.Close()
+				recs, err = st.LoadWAL(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(recs) != tc.surviv+1 || recs[len(recs)-1].Seq != 9 {
+					t.Fatalf("after reopen+append got %d records, last %+v", len(recs), recs[len(recs)-1])
+				}
+			})
 		})
 	}
 }
@@ -193,11 +211,11 @@ func TestWALRefusesForeignHeader(t *testing.T) {
 	w.Close()
 	// Copy the file under another session's name: the header id no longer
 	// matches and the file must be refused.
-	data, err := os.ReadFile(st.walPath("s-000001"))
+	data, err := os.ReadFile(walPath(st, "s-000001"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(st.walPath("s-000002"), data, 0o644); err != nil {
+	if err := os.WriteFile(walPath(st, "s-000002"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.LoadWAL("s-000002"); err == nil {
@@ -209,53 +227,48 @@ func TestWALRefusesForeignHeader(t *testing.T) {
 }
 
 func TestWALResetTruncates(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const id = "s-000001"
-	w, err := st.OpenWAL(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 4; i++ {
-		if err := w.Append(walEvent(i)); err != nil {
+	forEachTransport(t, nil, func(t *testing.T, st *Store, dir string) {
+		const id = "s-000001"
+		w, err := st.OpenWAL(id)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	headerBytes := func() int64 {
-		buf, _ := frame(walHeader(id))
-		return int64(len(buf))
-	}()
-	if err := w.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Records() != 0 || w.Bytes() != headerBytes {
-		t.Fatalf("after reset records=%d bytes=%d, want 0, %d", w.Records(), w.Bytes(), headerBytes)
-	}
-	// The header survives the reset, so the file is still self-describing
-	// and appendable.
-	if err := w.Append(walEvent(5)); err != nil {
-		t.Fatal(err)
-	}
-	w.Sync()
-	w.Close()
-	recs, err := st.LoadWAL(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Seq != 5 {
-		t.Fatalf("post-reset load = %+v", recs)
-	}
-	if err := st.RemoveWAL(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(st.walPath(id)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("RemoveWAL left the file: %v", err)
-	}
-	if err := st.RemoveWAL(id); err != nil {
-		t.Fatalf("RemoveWAL not idempotent: %v", err)
-	}
+		for i := 1; i <= 4; i++ {
+			if err := w.Append(walEvent(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		headerBytes := int64(len(headerFrame(id)))
+		if err := w.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if w.Records() != 0 || w.Bytes() != headerBytes {
+			t.Fatalf("after reset records=%d bytes=%d, want 0, %d", w.Records(), w.Bytes(), headerBytes)
+		}
+		// The header survives the reset, so the log is still
+		// self-describing and appendable.
+		if err := w.Append(walEvent(5)); err != nil {
+			t.Fatal(err)
+		}
+		w.Sync()
+		w.Close()
+		recs, err := st.LoadWAL(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].Seq != 5 {
+			t.Fatalf("post-reset load = %+v", recs)
+		}
+		if err := st.RemoveWAL(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, walName(id))); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("RemoveWAL left the file: %v", err)
+		}
+		if err := st.RemoveWAL(id); err != nil {
+			t.Fatalf("RemoveWAL not idempotent: %v", err)
+		}
+	})
 }
 
 // TestWALFilesInvisibleToSessions checks .wal files never surface as

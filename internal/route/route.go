@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/service"
@@ -165,10 +164,10 @@ type Router struct {
 	randBytes  func(n int) ([]byte, error)
 	started    time.Time
 
-	// stores lazily caches one persist.Remote per replica namespace for
-	// the transcript fallback (nil storeURL leaves it empty).
+	// stores lazily caches one remote persist.Store per replica namespace
+	// for the transcript fallback (nil storeURL leaves it empty).
 	storeMu sync.Mutex
-	stores  map[string]*persist.Remote
+	stores  map[string]*persist.Store
 }
 
 // New builds a Router over the replica set.
@@ -196,7 +195,7 @@ func New(reps []Replica, opts Options) (*Router, error) {
 		storeURL:   strings.TrimRight(opts.StoreURL, "/"),
 		randBytes:  opts.IDSource,
 		started:    time.Now(),
-		stores:     map[string]*persist.Remote{},
+		stores:     map[string]*persist.Store{},
 	}
 	if rt.randBytes == nil {
 		rt.randBytes = cryptoRandBytes
@@ -303,7 +302,7 @@ func (rt *Router) markDown(rep *replica) {
 
 // storeFor lazily opens the blob-store namespace holding rep's
 // checkpoints ("" StoreURL disables the fallback entirely).
-func (rt *Router) storeFor(rep *replica) (*persist.Remote, error) {
+func (rt *Router) storeFor(rep *replica) (*persist.Store, error) {
 	if rt.storeURL == "" {
 		return nil, fmt.Errorf("route: no -store-url configured, transcript fallback unavailable")
 	}
@@ -326,10 +325,9 @@ func (rt *Router) storeFor(rep *replica) (*persist.Remote, error) {
 // write-ahead log, and every ⊤ is in the log before its answer was
 // released, so the snapshot's events are extended by the log's contiguous
 // event records past them (each carries its full transcript event; no
-// re-execution needed). The budget bounds are recomputed by replaying the
-// recorded ⊤ spends through a fresh accountant, exactly as the service's
-// recovery verification does, so the record matches what the replica
-// itself last served.
+// re-execution needed). The budget bounds come from service.ReplayLedger,
+// the same replay the service's recovery verification runs, so the record
+// matches what the replica itself last served.
 func (rt *Router) storedTranscript(rep *replica, id string) (*service.TranscriptRecord, error) {
 	store, err := rt.storeFor(rep)
 	if err != nil {
@@ -360,20 +358,9 @@ func (rt *Router) storedTranscript(rep *replica, id string) (*service.Transcript
 		CumEps:     eps,
 		CumDelta:   delta,
 	}
-	acct, err := mech.NewAccountant(p.Accountant, mech.Params{Eps: p.Eps, Delta: p.Delta}, p.AccountantParams)
+	acct, err := service.ReplayLedger(p, st.Transcript)
 	if err != nil {
-		return nil, fmt.Errorf("route: session %s accountant: %w", id, err)
-	}
-	if err := acct.Reserve(mech.Params{Eps: p.Eps / 2, Delta: p.Delta / 2}); err != nil {
-		return nil, fmt.Errorf("route: session %s reservation: %w", id, err)
-	}
-	for _, ev := range st.Transcript.Events {
-		if !ev.Top {
-			continue
-		}
-		if err := acct.Spend(mech.Cost{Eps: ev.EpsSpent, Delta: ev.DeltaSpent, Rho: ev.RhoSpent}); err != nil {
-			return nil, fmt.Errorf("route: session %s: replaying spend %d: %w", id, ev.Index, err)
-		}
+		return nil, fmt.Errorf("route: session %s ledger: %w", id, err)
 	}
 	tot := acct.Total()
 	rec.EpsBound, rec.DeltaBound = tot.Eps, tot.Delta

@@ -231,9 +231,9 @@ type Config struct {
 	// session — live ones resume mid-interaction bit-identically, closed
 	// ones stay readable for audits. Nil serves from memory only. The
 	// store's manifest pins a fingerprint of Data; opening old state over
-	// a different dataset fails. Any persist.Backend works: the
-	// state-directory Store, or a Remote against a `pmwcm store` blob
-	// endpoint. Either way each event appends one small record to the
+	// a different dataset fails. Any persist.Backend works: a
+	// persist.Store over a state directory or over a `pmwcm store` blob
+	// namespace (persist.OpenRemote). Either way each event appends one small record to the
 	// session's write-ahead log, each ⊤ commit syncs that session's log,
 	// and the log periodically compacts into the snapshot format (after
 	// CompactEvery records or 1 MiB).
@@ -593,34 +593,45 @@ func eventsEqual(a, b transcript.Event) bool {
 	return true
 }
 
-// verifyLedger re-verifies a restored accountant against the replayed
-// transcript: a fresh accountant fed the reservation and every recorded ⊤
-// spend must land on exactly the restored ledger's composed bound and
-// remaining budget. This catches a state file whose ledger and transcript
-// disagree — tampering or a partial write that slipped past the envelope —
-// before the session spends any further budget on top of it.
-func verifyLedger(p SessionParams, srv *core.Server, t *transcript.Transcript) error {
-	fresh, err := mech.NewAccountant(p.Accountant, mech.Params{Eps: p.Eps, Delta: p.Delta}, p.AccountantParams)
+// ReplayLedger rebuilds a session's ledger from its transcript alone: a
+// fresh accountant of the session's kind and budget, the sparse-vector
+// reservation of half the budget, then every recorded ⊤ spend in order.
+// Recovery checks a restored ledger against it, and an auditor holding
+// only a stored transcript reads the session's budget bounds from it.
+func ReplayLedger(p SessionParams, t *transcript.Transcript) (mech.Accountant, error) {
+	acct, err := mech.NewAccountant(p.Accountant, mech.Params{Eps: p.Eps, Delta: p.Delta}, p.AccountantParams)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := fresh.Reserve(mech.Params{Eps: p.Eps / 2, Delta: p.Delta / 2}); err != nil {
-		return err
+	if err := acct.Reserve(mech.Params{Eps: p.Eps / 2, Delta: p.Delta / 2}); err != nil {
+		return nil, err
 	}
-	if srv.Answered() != len(t.Events) {
-		return fmt.Errorf("ledger records %d answered queries but transcript has %d events", srv.Answered(), len(t.Events))
-	}
-	tops := 0
 	for _, ev := range t.Events {
 		if !ev.Top {
 			continue
 		}
-		tops++
-		if err := fresh.Spend(mech.Cost{Eps: ev.EpsSpent, Delta: ev.DeltaSpent, Rho: ev.RhoSpent}); err != nil {
-			return fmt.Errorf("replaying transcript spend %d: %w", ev.Index, err)
+		if err := acct.Spend(mech.Cost{Eps: ev.EpsSpent, Delta: ev.DeltaSpent, Rho: ev.RhoSpent}); err != nil {
+			return nil, fmt.Errorf("replaying transcript spend %d: %w", ev.Index, err)
 		}
 	}
-	if srv.Updates() != tops {
+	return acct, nil
+}
+
+// verifyLedger re-verifies a restored accountant against the replayed
+// transcript: the ReplayLedger accountant must land on exactly the
+// restored ledger's composed bound and remaining budget. This catches a
+// state file whose ledger and transcript disagree — tampering or a
+// partial write that slipped past the envelope — before the session
+// spends any further budget on top of it.
+func verifyLedger(p SessionParams, srv *core.Server, t *transcript.Transcript) error {
+	if srv.Answered() != len(t.Events) {
+		return fmt.Errorf("ledger records %d answered queries but transcript has %d events", srv.Answered(), len(t.Events))
+	}
+	fresh, err := ReplayLedger(p, t)
+	if err != nil {
+		return err
+	}
+	if tops := t.Tops(); srv.Updates() != tops {
 		return fmt.Errorf("ledger records %d updates but transcript shows %d ⊤ answers", srv.Updates(), tops)
 	}
 	if fresh.Total() != srv.Privacy() || fresh.Remaining() != srv.Remaining() {
