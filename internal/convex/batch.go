@@ -9,12 +9,13 @@ import (
 )
 
 // BatchLoss is the optional batched fast path of a loss: kernels that
-// evaluate values, weighted gradient sums, and directional gradients over
-// a universe index range [lo, hi) in one call, writing into caller-owned
-// buffers. The xeval-based expectation paths in loss.go dispatch to these
-// kernels when present; every loss family in this package implements them.
+// evaluate values, weighted gradient sums, both of those at once, and
+// directional gradients over a universe index range [lo, hi) in one call,
+// writing into caller-owned buffers. The xeval-based expectation paths in
+// loss.go dispatch to these kernels when present; every loss family in
+// this package implements them.
 //
-// Contract shared by all three methods: indexing of out/w is relative to
+// Contract shared by all four methods: indexing of out/w is relative to
 // lo (out[0] corresponds to universe element lo), buffers are caller-owned
 // and may be sub-slices of full-universe vectors, and implementations must
 // be safe for concurrent calls on disjoint ranges.
@@ -25,13 +26,19 @@ type BatchLoss interface {
 	// GradBatch accumulates Σ_{i∈[lo,hi)} w[i−lo]·∇ℓ(θ; x_i) into grad
 	// (which it does not zero).
 	GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int)
+	// ValueGradBatch is EvalBatch and GradBatch in one pass: it writes
+	// ℓ(θ; x_i) into out[i−lo] for every i in [lo, hi) with w[i−lo] ≠ 0
+	// (other entries of out are unspecified) and accumulates
+	// Σ w[i−lo]·∇ℓ(θ; x_i) into grad. Both results are bit-identical to
+	// the two separate kernels'.
+	ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int)
 	// DirGradBatch writes ⟨dir, ∇ℓ(θ; x_i)⟩ into out[i−lo] for every i in
 	// [lo, hi) — the per-element dual-certificate kernel.
 	DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int)
 }
 
 // chunkBuf pools chunk-sized scratch vectors for the expectation kernels,
-// so a solver iterating GradOn/EvalOn thousands of times allocates no
+// so a solver iterating ValueGradOn thousands of times allocates no
 // per-chunk buffers after warmup.
 var chunkBuf = sync.Pool{New: func() any {
 	s := make([]float64, xeval.ChunkSize)
@@ -76,6 +83,32 @@ func gradRange(l Loss, grad, theta, w []float64, u universe.Universe, lo, hi int
 			continue
 		}
 		l.Grad(g, theta, pts[k*dim:(k+1)*dim:(k+1)*dim])
+		for j := range grad {
+			grad[j] += wi * g[j]
+		}
+	}
+	release()
+}
+
+// valueGradRange dispatches to the loss's ValueGradBatch kernel or the
+// generic per-element fallback, which makes the same Value and Grad calls
+// as evalRange and gradRange but only at nonzero weights.
+func valueGradRange(l Loss, out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
+	if bl, ok := l.(BatchLoss); ok {
+		bl.ValueGradBatch(out, grad, theta, w, u, lo, hi)
+		return
+	}
+	g := make([]float64, len(grad))
+	dim := u.Dim()
+	pts, release := xeval.MaterializePoints(u, lo, hi)
+	for k := 0; k < hi-lo; k++ {
+		wi := w[k]
+		if wi == 0 {
+			continue
+		}
+		x := pts[k*dim : (k+1)*dim : (k+1)*dim]
+		out[k] = l.Value(theta, x)
+		l.Grad(g, theta, x)
 		for j := range grad {
 			grad[j] += wi * g[j]
 		}
@@ -140,6 +173,32 @@ func (l *LinearForm) GradBatch(grad, theta, w []float64, u universe.Universe, lo
 	release()
 }
 
+// ValueGradBatch implements BatchLoss: EvalBatch and GradBatch at the
+// nonzero weights, sharing one weight(x) per element.
+func (l *LinearForm) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
+	d := l.dom.Dim()
+	dim := u.Dim()
+	pts, release := xeval.MaterializePoints(u, lo, hi)
+	for k := 0; k < hi-lo; k++ {
+		wi := w[k]
+		if wi == 0 {
+			continue
+		}
+		x := pts[k*dim : (k+1)*dim : (k+1)*dim]
+		var z float64
+		for j := 0; j < d; j++ {
+			z += theta[j] * x[j]
+		}
+		wx := l.weight(x)
+		out[k] = wx * z
+		f := wi * wx
+		for j := 0; j < d; j++ {
+			grad[j] += f * x[j]
+		}
+	}
+	release()
+}
+
 // DirGradBatch implements BatchLoss: weight(x)·⟨dir, feat(x)⟩ per element.
 func (l *LinearForm) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
 	d := l.dom.Dim()
@@ -184,6 +243,23 @@ func (l *LinearQuery) GradBatch(grad, theta, w []float64, u universe.Universe, l
 	release()
 }
 
+// ValueGradBatch implements BatchLoss: (θ − q(x))²/2 and Σ w·(θ − q(x))
+// at the nonzero weights, from one residual per element.
+func (l *LinearQuery) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
+	dim := u.Dim()
+	pts, release := xeval.MaterializePoints(u, lo, hi)
+	for k := 0; k < hi-lo; k++ {
+		wi := w[k]
+		if wi == 0 {
+			continue
+		}
+		r := theta[0] - l.pred(pts[k*dim:(k+1)*dim:(k+1)*dim])
+		out[k] = r * r / 2
+		grad[0] += wi * r
+	}
+	release()
+}
+
 // DirGradBatch implements BatchLoss: dir·(θ − q(x)) per element.
 func (l *LinearQuery) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
 	dim := u.Dim()
@@ -210,12 +286,26 @@ func (l *Regularized) EvalBatch(out, theta []float64, u universe.Universe, lo, h
 // GradBatch implements BatchLoss: the inner weighted sum plus σ·θ·Σw.
 func (l *Regularized) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	gradRange(l.inner, grad, theta, w, u, lo, hi)
-	// The ridge term contributes σ·θ per unit weight: σ·θ·Σw over the range.
+	l.addRidgeGrad(grad, theta, w[:hi-lo])
+}
+
+// addRidgeGrad adds the ridge term's share of a range's weighted gradient
+// sum: σ·θ per unit weight, σ·θ·Σw over the range.
+func (l *Regularized) addRidgeGrad(grad, theta, w []float64) {
 	var wsum float64
-	for _, wi := range w[:hi-lo] {
+	for _, wi := range w {
 		wsum += wi
 	}
 	vecmath.AddScaled(grad, l.sigma*wsum, theta)
+}
+
+// ValueGradBatch implements BatchLoss: EvalBatch's ridge term on the
+// values and GradBatch's on the gradient, over one inner pass.
+func (l *Regularized) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
+	valueGradRange(l.inner, out, grad, theta, w, u, lo, hi)
+	n := vecmath.Norm2(theta)
+	vecmath.AddConst(out[:hi-lo], l.sigma/2*n*n)
+	l.addRidgeGrad(grad, theta, w[:hi-lo])
 }
 
 // DirGradBatch implements BatchLoss: the inner values plus σ·⟨dir, θ⟩.
@@ -234,6 +324,15 @@ func (l *Scaled) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int
 func (l *Scaled) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	tmp := make([]float64, len(grad))
 	gradRange(l.inner, tmp, theta, w, u, lo, hi)
+	vecmath.AddScaled(grad, l.c, tmp)
+}
+
+// ValueGradBatch implements BatchLoss: the inner values times c, and c
+// times the inner weighted sum, over one inner pass.
+func (l *Scaled) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
+	tmp := make([]float64, len(grad))
+	valueGradRange(l.inner, out, tmp, theta, w, u, lo, hi)
+	vecmath.ScaleInPlace(out[:hi-lo], l.c)
 	vecmath.AddScaled(grad, l.c, tmp)
 }
 

@@ -289,6 +289,23 @@ func TestBatchKernelsMatchGenericFallback(t *testing.T) {
 			}
 		}
 
+		// The fused kernel must reproduce EvalBatch's values at every
+		// nonzero weight and GradBatch's sum, bit for bit.
+		fusedV := make([]float64, n)
+		fusedG := make([]float64, d)
+		bl.ValueGradBatch(fusedV, fusedG, theta, w, g, lo, hi)
+		for i, wi := range w {
+			if wi != 0 && math.Float64bits(fusedV[i]) != math.Float64bits(fastV[i]) {
+				t.Errorf("%s: ValueGradBatch value[%d] = %v, EvalBatch = %v", sp.Kind, lo+i, fusedV[i], fastV[i])
+				break
+			}
+		}
+		for j := 0; j < d; j++ {
+			if math.Float64bits(fusedG[j]) != math.Float64bits(fastG[j]) {
+				t.Errorf("%s: ValueGradBatch grad[%d] = %v, GradBatch = %v", sp.Kind, j, fusedG[j], fastG[j])
+			}
+		}
+
 		fastU := make([]float64, n)
 		bl.DirGradBatch(fastU, dir, theta, g, lo, hi)
 		for i := lo; i < hi; i++ {
@@ -300,6 +317,60 @@ func TestBatchKernelsMatchGenericFallback(t *testing.T) {
 			if math.Abs(fastU[i-lo]-want) > 1e-12 {
 				t.Errorf("%s: DirGradBatch[%d] = %v, generic = %v", sp.Kind, i, fastU[i-lo], want)
 				break
+			}
+		}
+	}
+}
+
+// TestValueGradOnBitIdentical pins the fused sweep to the two sweeps it
+// replaces in the solvers: ValueGradOn's value must carry EvalOn's bits and
+// its gradient GradOn's, with no tolerance, for every registry kind, both
+// decorators and the generic fallback, over a histogram with one chunk of
+// each kind (dense, sparse, all zero), serially and on 8 workers.
+func TestValueGradOnBitIdentical(t *testing.T) {
+	g := testUniverse(t)
+	if xeval.Chunks(g.Size()) != 3 {
+		t.Fatalf("|X| = %d spans %d chunks, want 3", g.Size(), xeval.Chunks(g.Size()))
+	}
+	p := make([]float64, g.Size())
+	for i := range p {
+		switch c := i / xeval.ChunkSize; {
+		case c == 0 && i%7 != 0: // dense, with some exact zeros
+			p[i] = 1 / float64(1+i%13)
+		case c == 1 && i%50 == 0: // sparse: 41 of 2048 cells
+			p[i] = 0.5
+		}
+	}
+	h := &histogram.Histogram{U: g, P: p}
+	src := sample.New(17)
+	for _, sp := range registrySpecs(t) {
+		l, err := Build(g, sp)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Kind, err)
+		}
+		losses := []Loss{l, hideBatch{l}}
+		if reg, err := NewRegularized(l, 0.25); err == nil {
+			losses = append(losses, reg)
+		}
+		if sc, err := NewScaled(l, 0.5); err == nil {
+			losses = append(losses, sc)
+		}
+		for _, l := range losses {
+			theta := probe(src, l)
+			for _, workers := range []int{1, 8} {
+				e := xeval.New(workers)
+				wantV := EvalOn(e, l, theta, h)
+				wantG := GradOn(e, l, nil, theta, h)
+				gotG := make([]float64, len(wantG))
+				gotV := ValueGradOn(e, l, gotG, theta, h)
+				if math.Float64bits(gotV) != math.Float64bits(wantV) {
+					t.Errorf("%T %s workers=%d: ValueGradOn value = %v, EvalOn = %v", l, l.Name(), workers, gotV, wantV)
+				}
+				for j := range wantG {
+					if math.Float64bits(gotG[j]) != math.Float64bits(wantG[j]) {
+						t.Errorf("%T %s workers=%d: ValueGradOn grad[%d] = %v, GradOn = %v", l, l.Name(), workers, j, gotG[j], wantG[j])
+					}
+				}
 			}
 		}
 	}

@@ -66,6 +66,22 @@ func BenchmarkEvalOn2p16Logistic(b *testing.B) {
 	}
 }
 
+// BenchmarkValueGradOn2p16Logistic measures the fused value+gradient
+// sweep each solver iterate runs; compare it with the EvalOn and GradOn
+// benchmarks above summed, the two sweeps it replaces.
+func BenchmarkValueGradOn2p16Logistic(b *testing.B) {
+	_, l, h, theta := bench2p16(b)
+	grad := make([]float64, l.Domain().Dim())
+	for _, workers := range []int{1, 8} {
+		e := xeval.New(workers)
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ValueGradOn(e, l, grad, theta, h)
+			}
+		})
+	}
+}
+
 // BenchmarkDirGradOn2p16Logistic measures the Claim-3.5 certificate
 // kernel u_t(x) = ⟨dir, ∇ℓ_x(θ)⟩ over the full universe.
 func BenchmarkDirGradOn2p16Logistic(b *testing.B) {

@@ -16,7 +16,7 @@ import (
 // otherwise the record's last coordinate. A family embeds glm, keeps only
 // its parameters and its Scalar profile, and hands that profile to the body
 // at construction; Name, Domain, Lipschitz, StrongConvexity, Label, Value,
-// Grad and the three batch kernels are defined here once.
+// Grad and the four batch kernels are defined here once.
 //
 // Every family normalizes its profile so that |profile′|·‖feat(x)‖ ≤ 1 over
 // Θ × X for the label Label(x) returns: the body certifies Lipschitz 1 and
@@ -97,6 +97,29 @@ func (g *glm) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi in
 		}
 		x := pts[k*dim : (k+1)*dim : (k+1)*dim]
 		_, dv := g.profile(predict(theta, x, d), g.Label(x))
+		f := wi * dv
+		for j := 0; j < d; j++ {
+			grad[j] += f * x[j]
+		}
+	}
+	release()
+}
+
+// ValueGradBatch implements BatchLoss: one profile call per nonzero
+// weight yields both the value and the derivative, so a family with a
+// costly profile (logistic's exp/log1p) pays for it once.
+func (g *glm) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
+	d := g.dom.Dim()
+	dim := u.Dim()
+	pts, release := xeval.MaterializePoints(u, lo, hi)
+	for k := 0; k < hi-lo; k++ {
+		wi := w[k]
+		if wi == 0 {
+			continue
+		}
+		x := pts[k*dim : (k+1)*dim : (k+1)*dim]
+		v, dv := g.profile(predict(theta, x, d), g.Label(x))
+		out[k] = v
 		f := wi * dv
 		for j := 0; j < d; j++ {
 			grad[j] += f * x[j]

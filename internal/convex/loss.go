@@ -68,7 +68,9 @@ func ScaleBound(l Loss) float64 {
 // count the result is bit-identical to the serial (nil-engine) path.
 // Per-chunk work dispatches through the BatchLoss fast path (batch.go)
 // when the loss provides one and falls back to per-element Value/Grad
-// calls otherwise.
+// calls otherwise. Solvers take each iterate's value and gradient from one
+// ValueGradOn sweep; EvalOn and GradOn remain for callers that need only
+// one of the two, and ValueGradOn returns exactly their bits.
 
 // EvalOn returns the population loss ℓ(θ; D) = Σ_x D(x)·ℓ(θ; x), evaluated
 // chunk-parallel on e (nil means serial).
@@ -82,36 +84,91 @@ func EvalOn(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram) fl
 	u := h.U
 	return e.Sum(u.Size(), func(lo, hi int) float64 {
 		w := h.P[lo:hi]
-		nnz := 0
-		for _, wi := range w {
-			if wi != 0 {
-				nnz++
-			}
-		}
+		nnz := nonzeros(w)
 		if nnz == 0 {
 			return 0
 		}
-		var s float64
 		if nnz < (hi-lo)/4 {
-			buf := make([]float64, u.Dim())
-			for i, wi := range w {
-				if wi != 0 {
-					s += wi * l.Value(theta, u.PointInto(lo+i, buf))
-				}
-			}
-			return s
+			return sparseValue(l, theta, u, w, lo)
 		}
 		bufp := chunkBuf.Get().(*[]float64)
 		out := (*bufp)[:hi-lo]
 		evalRange(l, out, theta, u, lo, hi)
-		for i, wi := range w {
-			if wi != 0 {
-				s += wi * out[i]
-			}
-		}
+		s := weightedValue(out, w)
 		chunkBuf.Put(bufp)
 		return s
 	})
+}
+
+// ValueGradOn returns the population loss ℓ(θ; D) and writes the
+// population gradient ∇ℓ(θ; D) into grad (len = Domain().Dim()), from one
+// chunk-parallel sweep on e (nil means serial). The value is
+// bit-identical to EvalOn's and the gradient to GradOn's.
+//
+// Each chunk writes a d+1 partial into one SumVec: slot 0 holds its value
+// partial, slots 1..d its gradient partial. SumVec reduces every slot with
+// the same pairwise tree as Sum, and each chunk takes the same branch with
+// the same arithmetic as in EvalOn and GradOn: all-zero chunks contribute
+// nothing, sparse chunks sum Value over their nonzero cells and run the
+// gradient kernel, dense chunks run the fused kernel and then the same
+// weighted sum over its values.
+func ValueGradOn(e *xeval.Engine, l Loss, grad, theta []float64, h *histogram.Histogram) float64 {
+	u := h.U
+	acc := e.SumVec(make([]float64, len(grad)+1), u.Size(), func(lo, hi int, out []float64) {
+		w := h.P[lo:hi]
+		nnz := nonzeros(w)
+		if nnz == 0 {
+			return
+		}
+		if nnz < (hi-lo)/4 {
+			out[0] = sparseValue(l, theta, u, w, lo)
+			gradRange(l, out[1:], theta, w, u, lo, hi)
+			return
+		}
+		bufp := chunkBuf.Get().(*[]float64)
+		vals := (*bufp)[:hi-lo]
+		valueGradRange(l, vals, out[1:], theta, w, u, lo, hi)
+		out[0] = weightedValue(vals, w)
+		chunkBuf.Put(bufp)
+	})
+	copy(grad, acc[1:])
+	return acc[0]
+}
+
+// nonzeros returns the number of nonzero weights in a chunk.
+func nonzeros(w []float64) int {
+	nnz := 0
+	for _, wi := range w {
+		if wi != 0 {
+			nnz++
+		}
+	}
+	return nnz
+}
+
+// sparseValue returns Σ w[i]·ℓ(θ; x_{lo+i}) over the nonzero weights of a
+// mostly-zero chunk, evaluating only those cells.
+func sparseValue(l Loss, theta []float64, u universe.Universe, w []float64, lo int) float64 {
+	var s float64
+	buf := make([]float64, u.Dim())
+	for i, wi := range w {
+		if wi != 0 {
+			s += wi * l.Value(theta, u.PointInto(lo+i, buf))
+		}
+	}
+	return s
+}
+
+// weightedValue returns Σ w[i]·vals[i] over the nonzero weights, in index
+// order; vals need only be defined where w is nonzero.
+func weightedValue(vals, w []float64) float64 {
+	var s float64
+	for i, wi := range w {
+		if wi != 0 {
+			s += wi * vals[i]
+		}
+	}
+	return s
 }
 
 // ValueOn returns the population loss ℓ(θ; D) = Σ_x D(x)·ℓ(θ; x) on the

@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/convex"
@@ -46,4 +47,41 @@ func BenchmarkFrankWolfe(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMinimizeMissLarge measures one public argmin solve shaped like
+// the miss_large workload's: a logistic query over the 3,888-point
+// labeled grid (4 features × 6 levels × 3 labels) under a non-uniform
+// dense histogram, as an MW hypothesis is, with MaxIters 400.
+func BenchmarkMinimizeMissLarge(b *testing.B) {
+	g, err := universe.NewLabeledGrid(4, 6, 1.0, 3, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := convex.Build(g, convex.Spec{Kind: "logistic"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := make([]float64, g.Size())
+	buf := make([]float64, g.Dim())
+	var z float64
+	for i := range p {
+		x := g.PointInto(i, buf)
+		// Tilt the mass toward records whose label agrees with their
+		// first two features, with a deterministic ripple.
+		p[i] = math.Exp(x[0]*x[4]+0.5*x[1]*x[4]) * (1 + 0.3*math.Sin(float64(i)))
+		z += p[i]
+	}
+	for i := range p {
+		p[i] /= z
+	}
+	h := &histogram.Histogram{U: g, P: p}
+	b.ResetTimer()
+	var res Result
+	for i := 0; i < b.N; i++ {
+		if res, err = Minimize(l, h, Options{MaxIters: 400}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Iters), "iters/op")
 }

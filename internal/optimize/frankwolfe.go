@@ -37,12 +37,11 @@ func FrankWolfe(l convex.Loss, h *histogram.Histogram, opts Options) (Result, er
 	}
 	grad := make([]float64, d)
 	best := vecmath.Copy(theta)
-	bestVal := convex.EvalOn(opts.Engine, l, theta, h)
+	bestVal := convex.ValueGradOn(opts.Engine, l, grad, theta, h)
 	converged := false
 	iters := 0
 	for t := 0; t < opts.MaxIters; t++ {
 		iters = t + 1
-		convex.GradOn(opts.Engine, l, grad, theta, h)
 		s := lmo.MinimizeLinear(grad)
 		// Duality gap ⟨∇, θ − s⟩ certifies optimality; stop when tiny.
 		gap := vecmath.Dot(grad, vecmath.Sub(theta, s))
@@ -54,7 +53,7 @@ func FrankWolfe(l convex.Loss, h *histogram.Histogram, opts Options) (Result, er
 		for i := range theta {
 			theta[i] = (1-gamma)*theta[i] + gamma*s[i]
 		}
-		if v := convex.EvalOn(opts.Engine, l, theta, h); v < bestVal {
+		if v := convex.ValueGradOn(opts.Engine, l, grad, theta, h); v < bestVal {
 			bestVal = v
 			copy(best, theta)
 		}

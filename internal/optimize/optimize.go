@@ -7,6 +7,13 @@
 // absorbed into the α/4 slack of Claim 3.6 (see DESIGN.md). For σ-strongly
 // convex objectives the solver switches to the 1/(σt) step schedule with
 // suffix averaging, which converges markedly faster.
+//
+// Every solver sweeps the universe once per iterate: convex.ValueGradOn
+// returns the iterate's value (for the best-iterate check) and its
+// gradient (for the next step) together, bit-identical to separate
+// EvalOn and GradOn sweeps. A Minimize solve therefore costs Iters+2
+// sweeps (the start point, one per iterate, the averaged iterate) and a
+// FrankWolfe solve at most Iters+1.
 package optimize
 
 import (
@@ -97,7 +104,7 @@ func Minimize(l convex.Loss, h *histogram.Histogram, opts Options) (Result, erro
 
 	grad := make([]float64, d)
 	best := vecmath.Copy(theta)
-	bestVal := convex.EvalOn(opts.Engine, l, theta, h)
+	bestVal := convex.ValueGradOn(opts.Engine, l, grad, theta, h)
 	avg := vecmath.Copy(theta)
 	var avgCount float64 = 1
 
@@ -105,7 +112,6 @@ func Minimize(l convex.Loss, h *histogram.Histogram, opts Options) (Result, erro
 	iters := 0
 	for t := 1; t <= opts.MaxIters; t++ {
 		iters = t
-		convex.GradOn(opts.Engine, l, grad, theta, h)
 		var step float64
 		if sigma > 0 {
 			step = 1 / (sigma * float64(t))
@@ -124,7 +130,7 @@ func Minimize(l convex.Loss, h *histogram.Histogram, opts Options) (Result, erro
 			avg[i] += (theta[i] - avg[i]) / avgCount
 		}
 
-		if v := convex.EvalOn(opts.Engine, l, theta, h); v < bestVal {
+		if v := convex.ValueGradOn(opts.Engine, l, grad, theta, h); v < bestVal {
 			bestVal = v
 			copy(best, theta)
 		}

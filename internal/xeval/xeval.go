@@ -2,11 +2,12 @@
 // map/reduce layer over universe index ranges [0, |X|).
 //
 // Every hot path in the reproduction — population losses and gradients
-// (convex.EvalOn/GradOn), the public argmin solves (optimize), the MW
-// histogram materialization (mw), and the Claim-3.5 dual certificate
-// (core) — is an expectation or per-element map over the dense universe.
-// This package gives all of them one execution substrate with two
-// properties the rest of the system relies on:
+// (convex.EvalOn/GradOn, and convex.ValueGradOn, which takes both from one
+// sweep), the public argmin solves (optimize, one ValueGradOn sweep per
+// iterate), the MW histogram materialization (mw), and the Claim-3.5
+// dual certificate (core) — is an expectation or per-element map over the
+// dense universe. This package gives all of them one execution substrate
+// with two properties the rest of the system relies on:
 //
 //  1. Determinism. Chunk boundaries depend only on the range length n
 //     (fixed chunk size, never the worker count), and reductions combine
@@ -205,15 +206,20 @@ func (e *Engine) SumVec(dst []float64, n int, f func(lo, hi int, out []float64))
 		return dst
 	}
 	dim := len(dst)
-	backing := make([]float64, chunks*dim)
-	e.run(chunks, func(c int) {
-		lo, hi := chunkBounds(c, n)
-		f(lo, hi, backing[c*dim:(c+1)*dim])
-	})
+	// Kernels accumulate into out once per element, so partials that
+	// share a cache line make concurrent workers contend for it on every
+	// write: a gap of one line (8 float64s) between partials keeps them
+	// apart.
+	stride := dim + 8
+	backing := make([]float64, chunks*stride)
 	parts := make([][]float64, chunks)
 	for c := range parts {
-		parts[c] = backing[c*dim : (c+1)*dim]
+		parts[c] = backing[c*stride : c*stride+dim : c*stride+dim]
 	}
+	e.run(chunks, func(c int) {
+		lo, hi := chunkBounds(c, n)
+		f(lo, hi, parts[c])
+	})
 	acc := pairwiseSumVec(parts)
 	copy(dst, acc)
 	return dst

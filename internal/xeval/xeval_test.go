@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // TestChunksBoundaries checks the chunk decomposition covers [0, n)
@@ -86,6 +87,22 @@ func TestSumDeterministicAcrossWorkers(t *testing.T) {
 					t.Errorf("workers=%d SumVec[%d] = %v, want bit-identical %v", w, i, got[i], wantVec[i])
 				}
 			}
+		}
+	}
+}
+
+// TestSumVecPartialsApart checks that no two chunks' partial vectors
+// fall within one 64-byte cache line of each other, so kernels that
+// accumulate into them per element never contend across workers.
+func TestSumVecPartialsApart(t *testing.T) {
+	const n, dim = 5*ChunkSize + 1, 5
+	addrs := make([]uintptr, Chunks(n))
+	New(1).SumVec(make([]float64, dim), n, func(lo, hi int, out []float64) {
+		addrs[lo/ChunkSize] = uintptr(unsafe.Pointer(&out[0]))
+	})
+	for c := 1; c < len(addrs); c++ {
+		if gap := addrs[c] - (addrs[c-1] + dim*8); addrs[c] < addrs[c-1] || gap < 64 {
+			t.Errorf("partials %d and %d are %d bytes apart, want at least 64", c-1, c, int(gap))
 		}
 	}
 }

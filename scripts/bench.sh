@@ -21,11 +21,13 @@
 # Micro mode — the CI perf-regression gate's protocol:
 #   scripts/bench.sh micro              # writes BENCH_micro_baseline.json
 #   OUT=bench_micro_current.json scripts/bench.sh micro
-# runs only the mech + convex + vecmath + persist micro-benchmarks at a
-# time-based
-# -benchtime (default 0.2s), long enough per benchmark that ns/op is
-# stable; compare runs with `go run ./scripts/benchdiff`. Regenerate (and
-# commit) the baseline when the protocol or the reference hardware changes.
+# runs only the mech + convex + vecmath + persist + optimize
+# micro-benchmarks at a time-based -benchtime (default 0.2s), long enough
+# per benchmark that ns/op is stable; compare runs with
+# `go run ./scripts/benchdiff`. The optimize solver benchmarks (one public
+# argmin solve each) are reported but not gated: they are not in
+# benchdiff's default -gate list. Regenerate (and commit) the baseline
+# when the protocol or the reference hardware changes.
 #
 # The first line of every output file is a meta event recording goos,
 # goarch, the CPU model, and the vecmath sweep sizes (the |X| grid the
@@ -41,7 +43,7 @@ BENCH="${BENCH:-.}"
 if [ "$MODE" = "micro" ]; then
 	BENCHTIME="${BENCHTIME:-0.2s}"
 	OUT="${OUT:-BENCH_micro_baseline.json}"
-	PKGS="./internal/mech ./internal/convex ./internal/vecmath ./internal/persist"
+	PKGS="./internal/mech ./internal/convex ./internal/vecmath ./internal/persist ./internal/optimize"
 else
 	BENCHTIME="${BENCHTIME:-1x}"
 	OUT="${OUT:-BENCH_$(date +%F).json}"
