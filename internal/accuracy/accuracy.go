@@ -21,7 +21,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/histogram"
 	"repro/internal/optimize"
-	"repro/internal/sample"
 )
 
 // Answerer is anything that answers an online sequence of CM queries:
@@ -44,19 +43,6 @@ type Exchange struct {
 // ok = false ends the game early.
 type Adversary interface {
 	Next(history []Exchange) (l convex.Loss, ok bool)
-}
-
-// Fixed asks a fixed list of losses in order.
-type Fixed struct {
-	Losses []convex.Loss
-}
-
-// Next implements Adversary.
-func (f *Fixed) Next(history []Exchange) (convex.Loss, bool) {
-	if len(history) >= len(f.Losses) {
-		return nil, false
-	}
-	return f.Losses[len(history)], true
 }
 
 // Greedy asks pool queries in decreasing order of their error on a
@@ -99,27 +85,6 @@ func (g *Greedy) Next(history []Exchange) (convex.Loss, bool) {
 	return g.order[len(history)], true
 }
 
-// RandomPool asks queries drawn uniformly (with replacement) from a pool —
-// the "many analysts, uncoordinated questions" traffic pattern.
-type RandomPool struct {
-	Pool []convex.Loss
-	Src  *sample.Source
-	// Max caps the number of queries (0 = len(Pool)).
-	Max int
-}
-
-// Next implements Adversary.
-func (r *RandomPool) Next(history []Exchange) (convex.Loss, bool) {
-	maxQ := r.Max
-	if maxQ <= 0 {
-		maxQ = len(r.Pool)
-	}
-	if len(history) >= maxQ || len(r.Pool) == 0 {
-		return nil, false
-	}
-	return r.Pool[r.Src.Intn(len(r.Pool))], true
-}
-
 // AnswerErr returns err_ℓ(D, θ̂) = ℓ(θ̂; D) − min_θ ℓ(θ; D) (Def 2.2).
 func AnswerErr(l convex.Loss, d *histogram.Histogram, theta []float64, solverIters int) (float64, error) {
 	return optimize.Excess(l, theta, d, optimize.Options{MaxIters: solverIters})
@@ -159,41 +124,6 @@ type GameResult struct {
 	// adversary ran out of queries (Claim 3.7 says it should not, at
 	// sufficient n).
 	HaltedEarly bool
-}
-
-// MeanErr returns the average per-query error of the transcript (0 for an
-// empty transcript).
-func (r *GameResult) MeanErr() float64 {
-	if len(r.Transcript) == 0 {
-		return 0
-	}
-	var s float64
-	for _, ex := range r.Transcript {
-		s += ex.Err
-	}
-	return s / float64(len(r.Transcript))
-}
-
-// QuantileErr returns the q-th error quantile of the transcript (q in
-// [0, 1]; nearest-rank). It returns 0 for an empty transcript.
-func (r *GameResult) QuantileErr(q float64) float64 {
-	n := len(r.Transcript)
-	if n == 0 {
-		return 0
-	}
-	errs := make([]float64, n)
-	for i, ex := range r.Transcript {
-		errs[i] = ex.Err
-	}
-	sort.Float64s(errs)
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return errs[idx]
 }
 
 // RunGame plays the Sample Accuracy game of Figure 1: the adversary picks

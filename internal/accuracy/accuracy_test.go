@@ -312,3 +312,17 @@ func TestEstimateDPValidation(t *testing.T) {
 		t.Error("threshold 1 accepted")
 	}
 }
+
+// Fixed asks a fixed list of losses in order. It is the tests' adversary
+// for driving RunGame; no program path uses it.
+type Fixed struct {
+	Losses []convex.Loss
+}
+
+// Next implements Adversary.
+func (f *Fixed) Next(history []Exchange) (convex.Loss, bool) {
+	if len(history) >= len(f.Losses) {
+		return nil, false
+	}
+	return f.Losses[len(history)], true
+}

@@ -2,6 +2,7 @@ package accuracy
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/convex"
@@ -69,4 +70,61 @@ func TestGameResultStats(t *testing.T) {
 	if got := r.QuantileErr(2); got != 0.4 {
 		t.Errorf("q=2 → %v", got)
 	}
+}
+
+// RandomPool asks queries drawn uniformly (with replacement) from a pool —
+// the "many analysts, uncoordinated questions" traffic pattern. RandomPool,
+// MeanErr and QuantileErr have no caller outside the tests in this file.
+type RandomPool struct {
+	Pool []convex.Loss
+	Src  *sample.Source
+	// Max caps the number of queries (0 = len(Pool)).
+	Max int
+}
+
+// Next implements Adversary.
+func (r *RandomPool) Next(history []Exchange) (convex.Loss, bool) {
+	maxQ := r.Max
+	if maxQ <= 0 {
+		maxQ = len(r.Pool)
+	}
+	if len(history) >= maxQ || len(r.Pool) == 0 {
+		return nil, false
+	}
+	return r.Pool[r.Src.Intn(len(r.Pool))], true
+}
+
+// MeanErr returns the average per-query error of the transcript (0 for an
+// empty transcript).
+func (r *GameResult) MeanErr() float64 {
+	if len(r.Transcript) == 0 {
+		return 0
+	}
+	var s float64
+	for _, ex := range r.Transcript {
+		s += ex.Err
+	}
+	return s / float64(len(r.Transcript))
+}
+
+// QuantileErr returns the q-th error quantile of the transcript (q in
+// [0, 1]; nearest-rank). It returns 0 for an empty transcript.
+func (r *GameResult) QuantileErr(q float64) float64 {
+	n := len(r.Transcript)
+	if n == 0 {
+		return 0
+	}
+	errs := make([]float64, n)
+	for i, ex := range r.Transcript {
+		errs[i] = ex.Err
+	}
+	sort.Float64s(errs)
+	idx := int(math.Ceil(q*float64(n))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= n {
+		idx = n - 1
+	}
+	return errs[idx]
 }

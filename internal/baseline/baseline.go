@@ -53,9 +53,6 @@ func NewComposition(oracle erm.Oracle, eps, delta float64, k int) (*Composition,
 	return &Composition{Oracle: oracle, Eps: eps, Delta: delta, K: k, eps0: eps0, delta0: delta0}, nil
 }
 
-// PerQueryBudget returns the (ε₀, δ₀) each query receives.
-func (c *Composition) PerQueryBudget() (float64, float64) { return c.eps0, c.delta0 }
-
 // Answer answers the next query. It refuses to exceed the declared k.
 func (c *Composition) Answer(src *sample.Source, l convex.Loss, data *dataset.Dataset) ([]float64, error) {
 	if c.answered >= c.K {
@@ -64,9 +61,6 @@ func (c *Composition) Answer(src *sample.Source, l convex.Loss, data *dataset.Da
 	c.answered++
 	return c.Oracle.Answer(src, l, data, c.eps0, c.delta0)
 }
-
-// Answered returns the number of queries answered so far.
-func (c *Composition) Answered() int { return c.answered }
 
 // exactSolverIters bounds Exact's solve.
 const exactSolverIters = 800

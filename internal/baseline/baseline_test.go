@@ -61,7 +61,7 @@ func TestPerQueryBudgetMatchesSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps0, delta0 := c.PerQueryBudget()
+	eps0, delta0 := c.eps0, c.delta0
 	wantEps, wantDelta, err := mech.SplitBudget(1, 1e-6, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +88,8 @@ func TestCompositionAnswersAndExhausts(t *testing.T) {
 			t.Errorf("answer %v outside [0,1]", theta)
 		}
 	}
-	if c.Answered() != 3 {
-		t.Errorf("Answered = %d", c.Answered())
+	if c.answered != 3 {
+		t.Errorf("Answered = %d", c.answered)
 	}
 	if _, err := c.Answer(src, l, data); err == nil {
 		t.Error("answer beyond k accepted")

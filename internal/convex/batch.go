@@ -349,7 +349,6 @@ var (
 	_ BatchLoss = (*SmoothedHinge)(nil)
 	_ BatchLoss = (*Huber)(nil)
 	_ BatchLoss = (*Pinball)(nil)
-	_ BatchLoss = (*Poisson)(nil)
 	_ BatchLoss = (*LinearForm)(nil)
 	_ BatchLoss = (*LinearQuery)(nil)
 	_ BatchLoss = (*Regularized)(nil)

@@ -36,8 +36,9 @@ type Domain interface {
 }
 
 // LinearMinimizer is implemented by domains with a cheap linear
-// minimization oracle argmin_{θ∈Θ} ⟨dir, θ⟩ — the primitive projection-free
-// (Frank–Wolfe) solvers need.
+// minimization oracle argmin_{θ∈Θ} ⟨dir, θ⟩. One call at an iterate's
+// gradient gives the iterate's Frank–Wolfe gap, a certificate of its
+// excess risk.
 type LinearMinimizer interface {
 	// MinimizeLinear returns a vertex of Θ minimizing ⟨dir, θ⟩.
 	MinimizeLinear(dir []float64) []float64
@@ -129,9 +130,6 @@ func (iv *Interval) Diameter() float64 { return iv.hi - iv.lo }
 // Center returns the midpoint.
 func (iv *Interval) Center() []float64 { return []float64{(iv.lo + iv.hi) / 2} }
 
-// Bounds returns (lo, hi).
-func (iv *Interval) Bounds() (float64, float64) { return iv.lo, iv.hi }
-
 // String describes the interval.
 func (iv *Interval) String() string { return fmt.Sprintf("Interval[%g, %g]", iv.lo, iv.hi) }
 
@@ -141,68 +139,4 @@ func (iv *Interval) MinimizeLinear(dir []float64) []float64 {
 		return []float64{iv.lo}
 	}
 	return []float64{iv.hi}
-}
-
-// Box is the domain [lo, hi]^d.
-type Box struct {
-	d      int
-	lo, hi float64
-}
-
-// NewBox constructs [lo, hi]^d.
-func NewBox(d int, lo, hi float64) (*Box, error) {
-	if d < 1 {
-		return nil, fmt.Errorf("convex: box dimension %d < 1", d)
-	}
-	if !(lo < hi) || math.IsNaN(lo) || math.IsNaN(hi) {
-		return nil, fmt.Errorf("convex: invalid box bounds [%v, %v]", lo, hi)
-	}
-	return &Box{d: d, lo: lo, hi: hi}, nil
-}
-
-// Dim returns d.
-func (b *Box) Dim() int { return b.d }
-
-// Project clamps coordinatewise.
-func (b *Box) Project(theta []float64) []float64 {
-	return vecmath.ProjectBox(theta, b.lo, b.hi)
-}
-
-// Contains reports coordinatewise membership up to tol.
-func (b *Box) Contains(theta []float64, tol float64) bool {
-	if len(theta) != b.d {
-		return false
-	}
-	for _, v := range theta {
-		if v < b.lo-tol || v > b.hi+tol {
-			return false
-		}
-	}
-	return true
-}
-
-// Diameter returns (hi−lo)·√d.
-func (b *Box) Diameter() float64 { return (b.hi - b.lo) * math.Sqrt(float64(b.d)) }
-
-// Center returns the midpoint in every coordinate.
-func (b *Box) Center() []float64 {
-	c := make([]float64, b.d)
-	vecmath.Fill(c, (b.lo+b.hi)/2)
-	return c
-}
-
-// String describes the box.
-func (b *Box) String() string { return fmt.Sprintf("Box(d=%d, [%g,%g])", b.d, b.lo, b.hi) }
-
-// MinimizeLinear returns the box corner minimizing ⟨dir, θ⟩.
-func (b *Box) MinimizeLinear(dir []float64) []float64 {
-	out := make([]float64, b.d)
-	for i, v := range dir {
-		if v > 0 {
-			out[i] = b.lo
-		} else {
-			out[i] = b.hi
-		}
-	}
-	return out
 }

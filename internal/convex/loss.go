@@ -1,8 +1,6 @@
 package convex
 
 import (
-	"math"
-
 	"repro/internal/histogram"
 	"repro/internal/universe"
 	"repro/internal/xeval"
@@ -32,7 +30,7 @@ type Loss interface {
 // §4.2.2): ℓ(θ; x) = Scalar(⟨θ, feat(x)⟩, Label(x)), so it depends on θ
 // only through the inner product with the record's features. Scalar and
 // Label expose the 1-dimensional profile and the label it reads, letting
-// the GLM oracle in internal/erm work in the reduced space. The six GLM
+// the GLM oracle in internal/erm work in the reduced space. The five GLM
 // families share one body (glm.go) that defines Value, Grad and the batch
 // kernels from these two methods.
 type GLM interface {
@@ -171,12 +169,6 @@ func weightedValue(vals, w []float64) float64 {
 	return s
 }
 
-// ValueOn returns the population loss ℓ(θ; D) = Σ_x D(x)·ℓ(θ; x) on the
-// serial engine. Shorthand for EvalOn(nil, ...).
-func ValueOn(l Loss, theta []float64, h *histogram.Histogram) float64 {
-	return EvalOn(nil, l, theta, h)
-}
-
 // GradOn writes the population gradient ∇ℓ(θ; D) = Σ_x D(x)·∇ℓ_x(θ) into
 // grad and returns it (allocating when nil), evaluated chunk-parallel on e
 // (nil means serial).
@@ -202,39 +194,6 @@ func DirGradOn(e *xeval.Engine, l Loss, out, dir, theta []float64, u universe.Un
 	e.ForEach(u.Size(), func(lo, hi int) {
 		dirGradRange(l, out[lo:hi], dir, theta, u, lo, hi)
 	})
-}
-
-// CertifyLipschitz empirically verifies the loss's claimed Lipschitz bound
-// by evaluating gradient norms at the given probe parameters over the whole
-// universe (chunk-parallel on e), returning the largest observed norm.
-// Tests compare it against Lipschitz().
-func CertifyLipschitz(e *xeval.Engine, l Loss, u universe.Universe, probes [][]float64) float64 {
-	d := l.Domain().Dim()
-	var worst float64
-	for _, th := range probes {
-		m, ok := e.Max(u.Size(), func(lo, hi int) float64 {
-			g := make([]float64, d)
-			buf := make([]float64, u.Dim())
-			var w float64
-			for i := lo; i < hi; i++ {
-				l.Grad(g, th, u.PointInto(i, buf))
-				var n2 float64
-				for _, v := range g {
-					n2 += v * v
-				}
-				if n2 > w {
-					w = n2
-				}
-			}
-			return w
-		})
-		if ok {
-			if n := math.Sqrt(m); n > worst {
-				worst = n
-			}
-		}
-	}
-	return worst
 }
 
 // allZero reports whether every entry of w is zero — the common case for

@@ -400,9 +400,6 @@ func (l *Regularized) StrongConvexity() float64 {
 // Inner returns the wrapped loss.
 func (l *Regularized) Inner() Loss { return l.inner }
 
-// Sigma returns the ridge coefficient.
-func (l *Regularized) Sigma() float64 { return l.sigma }
-
 // Scaled multiplies a loss by a positive constant c, scaling its Lipschitz
 // constant and strong-convexity modulus by c. Its main use is renormalizing
 // a Regularized loss back to the paper's 1-Lipschitz convention (§4.2.3

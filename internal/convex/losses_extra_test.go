@@ -1,6 +1,7 @@
 package convex
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -136,3 +137,56 @@ func TestScaledProperties(t *testing.T) {
 		t.Errorf("normalized Lipschitz = %v", norm.Lipschitz())
 	}
 }
+
+// Poisson is the (clamped) Poisson-regression negative log-likelihood in
+// GLM form: profile exp(z) − y·z for a non-negative count label y, with z
+// clamped to |z| ≤ zmax so the exponential's derivative — and hence the
+// Lipschitz constant — stays bounded over the domain. Normalized to be
+// 1-Lipschitz. It is not a registry kind, so no program builds it; the
+// loss tests run it as a sixth GLM family.
+type Poisson struct {
+	glm
+	zmax float64
+	ymax float64
+	c    float64
+}
+
+// NewPoisson constructs a Poisson loss. zmax bounds |⟨θ, x⟩| over Θ × X
+// (e.g. diam(Θ)/2 · featBound) and ymax bounds the label.
+func NewPoisson(name string, dom Domain, zmax, ymax, featBound float64) (*Poisson, error) {
+	if zmax <= 0 || ymax <= 0 || featBound <= 0 {
+		return nil, fmt.Errorf("convex: poisson bounds must be positive")
+	}
+	// |profile′| ≤ e^zmax + ymax, chain rule multiplies by featBound.
+	c := 1 / ((math.Exp(zmax) + ymax) * featBound)
+	l := &Poisson{zmax: zmax, ymax: ymax, c: c}
+	l.glm = glm{name: name, dom: dom, profile: l.Scalar}
+	return l, nil
+}
+
+// Scalar returns the profile c·(exp(z̄) − y⁺·z̄) and its derivative in z,
+// where z̄ clamps z to [−zmax, zmax] and y⁺ clamps the label to [0, ymax].
+// Outside the clamp the profile continues linearly (keeping convexity and
+// the Lipschitz bound).
+func (l *Poisson) Scalar(z, y float64) (float64, float64) {
+	if y < 0 {
+		y = 0
+	} else if y > l.ymax {
+		y = l.ymax
+	}
+	zc := z
+	if zc > l.zmax {
+		zc = l.zmax
+	} else if zc < -l.zmax {
+		zc = -l.zmax
+	}
+	base := math.Exp(zc) - y*zc
+	slope := math.Exp(zc) - y
+	// Linear continuation beyond the clamp preserves convexity.
+	return l.c * (base + slope*(z-zc)), l.c * slope
+}
+
+var (
+	_ GLM       = (*Poisson)(nil)
+	_ BatchLoss = (*Poisson)(nil)
+)

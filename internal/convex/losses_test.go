@@ -8,6 +8,7 @@ import (
 	"repro/internal/sample"
 	"repro/internal/universe"
 	"repro/internal/vecmath"
+	"repro/internal/xeval"
 )
 
 // testGrid builds a small labeled universe shared by loss tests.
@@ -130,7 +131,7 @@ func TestConvexityAlongSegments(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			a := randomTheta(src, dom)
 			b := randomTheta(src, dom)
-			mid := vecmath.Scale(0.5, vecmath.Add(a, b))
+			mid := vecmath.AddScaled(vecmath.Scale(0.5, a), 0.5, b)
 			x := g.Point(src.Intn(g.Size()))
 			lhs := l.Value(mid, x)
 			rhs := (l.Value(a, x) + l.Value(b, x)) / 2
@@ -139,6 +140,40 @@ func TestConvexityAlongSegments(t *testing.T) {
 			}
 		}
 	}
+}
+
+// CertifyLipschitz empirically verifies the loss's claimed Lipschitz bound
+// by evaluating gradient norms at the given probe parameters over the whole
+// universe (chunk-parallel on e), returning the largest observed norm.
+// TestLipschitzCertified and TestRegistryCertifiesBounds compare it against
+// Lipschitz().
+func CertifyLipschitz(e *xeval.Engine, l Loss, u universe.Universe, probes [][]float64) float64 {
+	d := l.Domain().Dim()
+	var worst float64
+	for _, th := range probes {
+		m, ok := e.Max(u.Size(), func(lo, hi int) float64 {
+			g := make([]float64, d)
+			buf := make([]float64, u.Dim())
+			var w float64
+			for i := lo; i < hi; i++ {
+				l.Grad(g, th, u.PointInto(i, buf))
+				var n2 float64
+				for _, v := range g {
+					n2 += v * v
+				}
+				if n2 > w {
+					w = n2
+				}
+			}
+			return w
+		})
+		if ok {
+			if n := math.Sqrt(m); n > worst {
+				worst = n
+			}
+		}
+	}
+	return worst
 }
 
 // TestLipschitzCertified verifies the claimed Lipschitz constants against
@@ -329,7 +364,7 @@ func TestRegularized(t *testing.T) {
 	if rg.StrongConvexity() != 0.7 {
 		t.Errorf("sigma = %v", rg.StrongConvexity())
 	}
-	if rg.Sigma() != 0.7 || rg.Inner() != Loss(sq) {
+	if rg.sigma != 0.7 || rg.Inner() != Loss(sq) {
 		t.Error("accessors wrong")
 	}
 	// Value difference is exactly the ridge term.
@@ -359,10 +394,10 @@ func TestLinearFormExactMinimize(t *testing.T) {
 	}
 	// Verify optimality against many random feasible points.
 	src := sample.New(6)
-	val := ValueOn(lf, theta, h)
+	val := EvalOn(nil, lf, theta, h)
 	for i := 0; i < 300; i++ {
 		probe := randomTheta(src, ball)
-		if pv := ValueOn(lf, probe, h); pv < val-1e-9 {
+		if pv := EvalOn(nil, lf, probe, h); pv < val-1e-9 {
 			t.Fatalf("found better point: %v (%v < %v)", probe, pv, val)
 		}
 	}
@@ -374,15 +409,15 @@ func TestValueGradOn(t *testing.T) {
 	sq, _ := NewSquared("sq", ball, []float64{0, 0, 1}, 1, 1)
 	h := histogram.Uniform(g)
 	theta := []float64{0.1, 0.2}
-	// ValueOn equals the weighted sum by definition.
+	// EvalOn equals the weighted sum by definition.
 	var want float64
 	for i := 0; i < g.Size(); i++ {
 		want += h.P[i] * sq.Value(theta, g.Point(i))
 	}
-	if got := ValueOn(sq, theta, h); math.Abs(got-want) > 1e-12 {
-		t.Errorf("ValueOn = %v, want %v", got, want)
+	if got := EvalOn(nil, sq, theta, h); math.Abs(got-want) > 1e-12 {
+		t.Errorf("EvalOn = %v, want %v", got, want)
 	}
-	// GradOn matches finite differences of ValueOn.
+	// GradOn matches finite differences of EvalOn.
 	grad := GradOn(nil, sq, nil, theta, h)
 	const step = 1e-6
 	for i := range theta {
@@ -390,7 +425,7 @@ func TestValueGradOn(t *testing.T) {
 		tm := vecmath.Copy(theta)
 		tp[i] += step
 		tm[i] -= step
-		fd := (ValueOn(sq, tp, h) - ValueOn(sq, tm, h)) / (2 * step)
+		fd := (EvalOn(nil, sq, tp, h) - EvalOn(nil, sq, tm, h)) / (2 * step)
 		if math.Abs(fd-grad[i]) > 1e-5 {
 			t.Errorf("GradOn[%d] = %v, fd %v", i, grad[i], fd)
 		}

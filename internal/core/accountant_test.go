@@ -149,8 +149,8 @@ func TestOfflineAndLinearPMWLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lp.AccountantName() != "zcdp" {
-		t.Errorf("linear accountant = %q", lp.AccountantName())
+	if lp.acct.Name() != "zcdp" {
+		t.Errorf("linear accountant = %q", lp.acct.Name())
 	}
 	answered := 0
 	for _, l := range linearPool(t, g, 10, 4) {
@@ -165,7 +165,7 @@ func TestOfflineAndLinearPMWLedger(t *testing.T) {
 	if answered == 0 {
 		t.Fatal("no linear queries answered")
 	}
-	priv := lp.Privacy()
+	priv := lp.acct.Total()
 	if priv.Eps <= 0.5 || priv.Eps > 1+1e-9 {
 		t.Errorf("linear PMW accounted eps = %v, want in (0.5, 1]", priv.Eps)
 	}

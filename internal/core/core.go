@@ -390,9 +390,6 @@ func svConfig(cfg Config, p Params) sparse.Config {
 	}
 }
 
-// Engine returns the server's universe-expectation engine.
-func (s *Server) Engine() *xeval.Engine { return s.eng }
-
 // EngineName returns the resolved evaluation engine in force: EngineDense
 // or EngineFactored ("auto" and "" resolve at construction).
 func (s *Server) EngineName() string { return s.engine }
@@ -531,7 +528,7 @@ func (s *Server) viewFor(l convex.Loss) (view, error) {
 	if err != nil {
 		return view{}, err
 	}
-	// The certificate is computed over subU, in the SupportIndex layout
+	// The certificate is computed over subU, in the SupportLevelsInto layout
 	// FactoredState.Update expects (SupportUniverse enumerates the same
 	// order).
 	update := func(uvec []float64) error {

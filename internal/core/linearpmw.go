@@ -39,8 +39,6 @@ type LinearPMW struct {
 	state *mw.State
 	eng   *xeval.Engine
 	acct  mech.Accountant
-
-	answered int
 }
 
 // LinearPMWConfig parameterizes LinearPMW.
@@ -188,7 +186,6 @@ func (p *LinearPMW) Answer(q *convex.LinearQuery) (float64, error) {
 		}
 		return 0, err
 	}
-	p.answered++
 	if !top {
 		return hypAns, nil
 	}
@@ -207,25 +204,8 @@ func (p *LinearPMW) Answer(q *convex.LinearQuery) (float64, error) {
 	return noisy, nil
 }
 
-// Halted reports whether the server has stopped.
-func (p *LinearPMW) Halted() bool { return p.nsv.Halted() }
-
-// Privacy returns the composed (ε, δ) bound of the interaction so far
-// under the run's accountant: the threshold slice plus the recorded
-// numeric releases.
-func (p *LinearPMW) Privacy() mech.Params { return p.acct.Total() }
-
-// AccountantName returns the accounting mode in force.
-func (p *LinearPMW) AccountantName() string { return p.acct.Name() }
-
 // Updates returns the number of MW updates performed.
 func (p *LinearPMW) Updates() int { return p.state.Updates() }
-
-// Answered returns the number of queries answered.
-func (p *LinearPMW) Answered() int { return p.answered }
-
-// Hypothesis returns a copy of the current public hypothesis.
-func (p *LinearPMW) Hypothesis() *histogram.Histogram { return p.state.Histogram().Clone() }
 
 // MWEMConfig parameterizes the classic offline MWEM algorithm of
 // Hardt–Ligett–McSherry (NIPS 2012) for linear queries: per round, the

@@ -81,10 +81,10 @@ func TestLinearPMWEndToEnd(t *testing.T) {
 	pool := linearQueryPool(t, g, 100, 4)
 	d := data.Histogram()
 	var worst float64
-	for _, q := range pool {
+	for i, q := range pool {
 		ans, err := srv.Answer(q)
 		if err != nil {
-			t.Fatalf("halted after %d: %v", srv.Answered(), err)
+			t.Fatalf("halted after %d: %v", i, err)
 		}
 		truth := q.ExactMinimize(d)[0]
 		if e := math.Abs(ans - truth); e > worst {
@@ -97,7 +97,7 @@ func TestLinearPMWEndToEnd(t *testing.T) {
 	if srv.Updates() > 120 {
 		t.Errorf("updates %d exceed budget", srv.Updates())
 	}
-	if err := srv.Hypothesis().Validate(); err != nil {
+	if err := srv.state.Histogram().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -238,7 +238,7 @@ func TestMWEMPureDPEndToEnd(t *testing.T) {
 			qv[j] = q.Predicate(g.Point(j))
 		}
 		hypAns = vecmath.Dot(qv, res.Hypothesis.P)
-		uniAns = vecmath.Mean(qv)
+		uniAns = vecmath.Sum(qv) / float64(len(qv))
 		if math.Abs(uniAns-truth) > uni {
 			uni = math.Abs(uniAns - truth)
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/optimize"
 	"repro/internal/sample"
-	"repro/internal/vecmath"
 )
 
 // failingOracle errors on every call.
@@ -28,7 +27,9 @@ type escapingOracle struct{}
 func (escapingOracle) Name() string { return "escaping" }
 func (escapingOracle) Answer(_ *sample.Source, l convex.Loss, _ *dataset.Dataset, _, _ float64) ([]float64, error) {
 	out := make([]float64, l.Domain().Dim())
-	vecmath.Fill(out, 100)
+	for i := range out {
+		out[i] = 100
+	}
 	return out, nil
 }
 
@@ -216,7 +217,7 @@ func TestErrSensitivityExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := convex.ValueOn(l, thetaHat.Theta, hh) - minD
+			e := convex.EvalOn(nil, l, thetaHat.Theta, hh) - minD
 			if e < 0 {
 				e = 0
 			}

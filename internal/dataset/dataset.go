@@ -82,29 +82,6 @@ func LinearModel(src *sample.Source, g *universe.LabeledGrid, theta []float64, n
 	})
 }
 
-// LogisticModel generates a binary-classification population: features
-// uniform over the grid, label +r with probability sigmoid(⟨θ*,x⟩/temp) and
-// −r otherwise, where r is the grid's label radius (recovered by rounding).
-func LogisticModel(src *sample.Source, g *universe.LabeledGrid, theta []float64, temp float64, draws int) (*histogram.Histogram, error) {
-	if len(theta) != g.FeatureDim() {
-		return nil, fmt.Errorf("dataset: theta dim %d != feature dim %d", len(theta), g.FeatureDim())
-	}
-	if temp <= 0 {
-		return nil, fmt.Errorf("dataset: temperature must be positive")
-	}
-	return modelPopulation(src, g, draws, func(x []float64) float64 {
-		var dot float64
-		for i, ti := range theta {
-			dot += ti * x[i]
-		}
-		p := 1 / (1 + math.Exp(-dot/temp))
-		if src.Bernoulli(p) {
-			return math.Inf(1) // rounds to the largest label on the grid
-		}
-		return math.Inf(-1)
-	})
-}
-
 // modelPopulation builds a population histogram by Monte-Carlo: draw a
 // random universe feature pattern, compute a label, round (x, label) to the
 // nearest universe element, and accumulate counts over `draws` repetitions.
@@ -120,15 +97,7 @@ func modelPopulation(src *sample.Source, g *universe.LabeledGrid, draws int, lab
 		// label coordinate is replaced by the model's label.
 		base := g.Point(src.Intn(g.Size()))
 		copy(point, base)
-		y := label(base[:d-1])
-		// Clamp infinities (used by LogisticModel to mean "extreme label")
-		// into values Nearest can round.
-		if math.IsInf(y, 1) {
-			y = math.MaxFloat64 / 2
-		} else if math.IsInf(y, -1) {
-			y = -math.MaxFloat64 / 2
-		}
-		point[d-1] = y
+		point[d-1] = label(base[:d-1])
 		counts[universe.Nearest(g, point)]++
 	}
 	return histogram.FromCounts(g, counts)
@@ -162,32 +131,5 @@ func PointMass(u universe.Universe, idx int) (*histogram.Histogram, error) {
 	}
 	p := make([]float64, u.Size())
 	p[idx] = 1
-	return histogram.FromProbs(u, p)
-}
-
-// Mixture returns a population that is a convex combination of point masses
-// at the given universe elements with the given weights (normalized here).
-func Mixture(u universe.Universe, elems []int, weights []float64) (*histogram.Histogram, error) {
-	if len(elems) == 0 || len(elems) != len(weights) {
-		return nil, fmt.Errorf("dataset: mixture needs equal, non-empty elems and weights")
-	}
-	p := make([]float64, u.Size())
-	var z float64
-	for i, e := range elems {
-		if e < 0 || e >= u.Size() {
-			return nil, fmt.Errorf("dataset: mixture element %d outside universe", e)
-		}
-		if weights[i] < 0 {
-			return nil, fmt.Errorf("dataset: negative mixture weight")
-		}
-		p[e] += weights[i]
-		z += weights[i]
-	}
-	if z == 0 {
-		return nil, fmt.Errorf("dataset: mixture weights sum to zero")
-	}
-	for i := range p {
-		p[i] /= z
-	}
 	return histogram.FromProbs(u, p)
 }

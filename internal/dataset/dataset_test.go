@@ -1,9 +1,11 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/histogram"
 	"repro/internal/sample"
 	"repro/internal/universe"
 )
@@ -217,4 +219,56 @@ func TestMixture(t *testing.T) {
 			t.Errorf("Mixture(%v,%v) accepted", c.e, c.w)
 		}
 	}
+}
+
+// LogisticModel generates a binary-classification population: features
+// uniform over the grid, label +r with probability sigmoid(⟨θ*,x⟩/temp) and
+// −r otherwise, where r is the grid's label radius (recovered by rounding
+// a huge label). LogisticModel and Mixture have no caller outside the
+// tests in this file.
+func LogisticModel(src *sample.Source, g *universe.LabeledGrid, theta []float64, temp float64, draws int) (*histogram.Histogram, error) {
+	if len(theta) != g.FeatureDim() {
+		return nil, fmt.Errorf("dataset: theta dim %d != feature dim %d", len(theta), g.FeatureDim())
+	}
+	if temp <= 0 {
+		return nil, fmt.Errorf("dataset: temperature must be positive")
+	}
+	return modelPopulation(src, g, draws, func(x []float64) float64 {
+		var dot float64
+		for i, ti := range theta {
+			dot += ti * x[i]
+		}
+		p := 1 / (1 + math.Exp(-dot/temp))
+		if src.Bernoulli(p) {
+			return math.MaxFloat64 / 2 // rounds to the largest label on the grid
+		}
+		return -math.MaxFloat64 / 2
+	})
+}
+
+// Mixture returns a population that is a convex combination of point masses
+// at the given universe elements with the given weights (normalized here).
+func Mixture(u universe.Universe, elems []int, weights []float64) (*histogram.Histogram, error) {
+	if len(elems) == 0 || len(elems) != len(weights) {
+		return nil, fmt.Errorf("dataset: mixture needs equal, non-empty elems and weights")
+	}
+	p := make([]float64, u.Size())
+	var z float64
+	for i, e := range elems {
+		if e < 0 || e >= u.Size() {
+			return nil, fmt.Errorf("dataset: mixture element %d outside universe", e)
+		}
+		if weights[i] < 0 {
+			return nil, fmt.Errorf("dataset: negative mixture weight")
+		}
+		p[e] += weights[i]
+		z += weights[i]
+	}
+	if z == 0 {
+		return nil, fmt.Errorf("dataset: mixture weights sum to zero")
+	}
+	for i := range p {
+		p[i] /= z
+	}
+	return histogram.FromProbs(u, p)
 }

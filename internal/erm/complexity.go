@@ -44,11 +44,6 @@ func (OutputPerturbation) MinN(l convex.Loss, alpha, eps float64) int {
 	return ceilPos(math.Sqrt(d) / (math.Sqrt(sigma) * alpha * eps))
 }
 
-// MinN for objective perturbation matches the strongly convex shape.
-func (ObjectivePerturbation) MinN(l convex.Loss, alpha, eps float64) int {
-	return OutputPerturbation{}.MinN(l, alpha, eps)
-}
-
 // MinN implements Theorem 4.3's shape for unconstrained GLMs:
 // n = Õ(1 / (α²·ε)) — independent of the ambient dimension.
 func (GLMReduction) MinN(_ convex.Loss, alpha, eps float64) int {
@@ -74,7 +69,6 @@ func (NetExpMech) MinN(l convex.Loss, alpha, eps float64) int {
 var (
 	_ SampleComplexity = NoisyGD{}
 	_ SampleComplexity = OutputPerturbation{}
-	_ SampleComplexity = ObjectivePerturbation{}
 	_ SampleComplexity = GLMReduction{}
 	_ SampleComplexity = LaplaceLinear{}
 	_ SampleComplexity = NetExpMech{}

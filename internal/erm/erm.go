@@ -49,8 +49,8 @@ func ensureDenseData(name string, data *dataset.Dataset) error {
 	return nil
 }
 
-// solverIters bounds the internal exact solves of OutputPerturbation,
-// ObjectivePerturbation and NonPrivate.
+// solverIters bounds the internal exact solves of OutputPerturbation and
+// NonPrivate.
 const solverIters = 800
 
 // Oracle answers one CM query under (ε, δ)-differential privacy.

@@ -11,7 +11,6 @@ package histogram
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/sample"
 	"repro/internal/universe"
@@ -110,20 +109,6 @@ func (h *Histogram) Clone() *Histogram {
 // L1 returns ‖h − g‖₁. Total-variation distance is L1/2.
 func (h *Histogram) L1(g *Histogram) float64 { return vecmath.Dist1(h.P, g.P) }
 
-// TV returns the total-variation distance.
-func (h *Histogram) TV(g *Histogram) float64 { return h.L1(g) / 2 }
-
-// LInf returns max |h(x) − g(x)|.
-func (h *Histogram) LInf(g *Histogram) float64 {
-	var m float64
-	for i := range h.P {
-		if d := math.Abs(h.P[i] - g.P[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // KL returns the Kullback–Leibler divergence KL(g ‖ h) = Σ g(x) log(g(x)/h(x)).
 // This is the multiplicative-weights potential Ψ(g, h): Lemma 3.4's regret
 // bound is exactly the statement that each MW update decreases KL(D ‖ D̂t)
@@ -143,23 +128,6 @@ func (h *Histogram) KL(g *Histogram) float64 {
 	// Guard tiny negative values from rounding when g ≈ h.
 	if s < 0 && s > -1e-12 {
 		return 0
-	}
-	return s
-}
-
-// Dot returns Σ q(x)·h(x) — the answer of the linear query q on h, in the
-// paper's ⟨q, D⟩ notation.
-func (h *Histogram) Dot(q []float64) float64 { return vecmath.Dot(q, h.P) }
-
-// Expect returns E_{x←h}[f(x)] for a function given per universe index.
-// This evaluates ℓ(θ; D) = Σ_x D(x)·ℓ(θ; x) when f is the per-element loss.
-func (h *Histogram) Expect(f func(i int) float64) float64 {
-	var s float64
-	for i, p := range h.P {
-		if p == 0 {
-			continue
-		}
-		s += p * f(i)
 	}
 	return s
 }
@@ -185,48 +153,4 @@ func AdjacentRows(rows []int, j, v int) []int {
 	copy(out, rows)
 	out[j] = v
 	return out
-}
-
-// CoordinateMarginal returns the marginal distribution of the coord-th
-// record coordinate: the distinct values it takes over the universe (in
-// increasing order) and their probabilities under h. Useful for comparing
-// a released synthetic dataset's one-way marginals with the truth.
-func (h *Histogram) CoordinateMarginal(coord int) (values, probs []float64, err error) {
-	if coord < 0 || coord >= h.U.Dim() {
-		return nil, nil, fmt.Errorf("histogram: coordinate %d outside [0, %d)", coord, h.U.Dim())
-	}
-	acc := map[float64]float64{}
-	buf := make([]float64, h.U.Dim())
-	for i, p := range h.P {
-		if p == 0 {
-			continue
-		}
-		acc[h.U.PointInto(i, buf)[coord]] += p
-	}
-	values = make([]float64, 0, len(acc))
-	for v := range acc {
-		values = append(values, v)
-	}
-	sort.Float64s(values)
-	probs = make([]float64, len(values))
-	for i, v := range values {
-		probs[i] = acc[v]
-	}
-	return values, probs, nil
-}
-
-// CoordinateMean returns E_h[x_coord].
-func (h *Histogram) CoordinateMean(coord int) (float64, error) {
-	if coord < 0 || coord >= h.U.Dim() {
-		return 0, fmt.Errorf("histogram: coordinate %d outside [0, %d)", coord, h.U.Dim())
-	}
-	var m float64
-	buf := make([]float64, h.U.Dim())
-	for i, p := range h.P {
-		if p == 0 {
-			continue
-		}
-		m += p * h.U.PointInto(i, buf)[coord]
-	}
-	return m, nil
 }

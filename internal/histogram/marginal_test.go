@@ -1,7 +1,9 @@
 package histogram
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/universe"
@@ -78,4 +80,50 @@ func TestCoordinateMean(t *testing.T) {
 	if _, err := h.CoordinateMean(9); err == nil {
 		t.Error("bad coord accepted")
 	}
+}
+
+// CoordinateMarginal returns the marginal distribution of the coord-th
+// record coordinate: the distinct values it takes over the universe (in
+// increasing order) and their probabilities under h. Useful for comparing
+// a released synthetic dataset's one-way marginals with the truth.
+// CoordinateMarginal and CoordinateMean have no caller outside the tests
+// in this file.
+func (h *Histogram) CoordinateMarginal(coord int) (values, probs []float64, err error) {
+	if coord < 0 || coord >= h.U.Dim() {
+		return nil, nil, fmt.Errorf("histogram: coordinate %d outside [0, %d)", coord, h.U.Dim())
+	}
+	acc := map[float64]float64{}
+	buf := make([]float64, h.U.Dim())
+	for i, p := range h.P {
+		if p == 0 {
+			continue
+		}
+		acc[h.U.PointInto(i, buf)[coord]] += p
+	}
+	values = make([]float64, 0, len(acc))
+	for v := range acc {
+		values = append(values, v)
+	}
+	sort.Float64s(values)
+	probs = make([]float64, len(values))
+	for i, v := range values {
+		probs[i] = acc[v]
+	}
+	return values, probs, nil
+}
+
+// CoordinateMean returns E_h[x_coord].
+func (h *Histogram) CoordinateMean(coord int) (float64, error) {
+	if coord < 0 || coord >= h.U.Dim() {
+		return 0, fmt.Errorf("histogram: coordinate %d outside [0, %d)", coord, h.U.Dim())
+	}
+	var m float64
+	buf := make([]float64, h.U.Dim())
+	for i, p := range h.P {
+		if p == 0 {
+			continue
+		}
+		m += p * h.U.PointInto(i, buf)[coord]
+	}
+	return m, nil
 }

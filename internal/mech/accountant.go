@@ -70,17 +70,6 @@ func ApproxCost(eps, delta float64) Cost { return Cost{Eps: eps, Delta: delta} }
 // mechanism); pure DP implies (ε²/2)-zCDP (Bun–Steinke Proposition 1.4).
 func PureCost(eps float64) Cost { return Cost{Eps: eps, Rho: eps * eps / 2} }
 
-// GaussianCost declares a Gaussian release of the given L2 sensitivity and
-// noise σ under the (ε, δ)-DP guarantee it was calibrated for; the zCDP
-// certificate is ρ = Δ²/(2σ²).
-func GaussianCost(sensitivity, sigma, eps, delta float64) Cost {
-	c := Cost{Eps: eps, Delta: delta}
-	if sensitivity >= 0 && sigma > 0 {
-		c.Rho = sensitivity * sensitivity / (2 * sigma * sigma)
-	}
-	return c
-}
-
 // Accountant tracks cumulative privacy spend against a total (ε, δ) budget
 // under one composition calculus. Implementations are safe for concurrent
 // use and store O(1) state regardless of how many spends are recorded.

@@ -11,11 +11,13 @@ import (
 // bit-identical, then that both copies keep agreeing after further spends.
 func TestAccountantExportRestore(t *testing.T) {
 	budget := Params{Eps: 1, Delta: 1e-6}
+	// The Cost literals are Gaussian releases, ρ = Δ²/(2σ²) at Δ = 1 and
+	// σ = 30, 50.
 	spends := []Cost{
-		GaussianCost(1, 30, 0.05, 1e-8),
+		{Eps: 0.05, Delta: 1e-8, Rho: 1.0 / 1800},
 		PureCost(0.02),
 		ApproxCost(0.03, 1e-9),
-		GaussianCost(1, 50, 0.01, 1e-8),
+		{Eps: 0.01, Delta: 1e-8, Rho: 1.0 / 5000},
 	}
 	for _, name := range AccountantNames() {
 		t.Run(name, func(t *testing.T) {

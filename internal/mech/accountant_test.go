@@ -19,8 +19,8 @@ func mustAcct(t *testing.T, name string, budget Params) Accountant {
 }
 
 // canonicalGaussian is the declared cost of one (ε₀, δ₀)-calibrated
-// Gaussian release: ρ = ε₀²/(4·ln(1.25/δ₀)), the quantity GaussianCost
-// computes from (Δ, σ) after the calibration cancels Δ.
+// Gaussian release: ρ = Δ²/(2σ²) at σ = GaussianSigma(Δ, ε₀, δ₀), which
+// is ε₀²/(4·ln(1.25/δ₀)) once Δ cancels.
 func canonicalGaussian(eps0, delta0 float64) Cost {
 	return Cost{Eps: eps0, Delta: delta0, Rho: eps0 * eps0 / (4 * math.Log(1.25/delta0))}
 }
@@ -311,7 +311,7 @@ func TestAccountantConcurrency(t *testing.T) {
 // ExampleNewAccountant shows the registry round trip.
 func ExampleNewAccountant() {
 	a, _ := NewAccountant("zcdp", Params{Eps: 1, Delta: 1e-6}, nil)
-	_ = a.Spend(GaussianCost(1, 10, 0.3, 1e-7))
+	_ = a.Spend(canonicalGaussian(0.3, 1e-7))
 	fmt.Printf("%s spends=%d\n", a.Name(), a.Count())
 	// Output: zcdp spends=1
 }

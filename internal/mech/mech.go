@@ -62,15 +62,6 @@ func GaussianSigma(sensitivity, eps, delta float64) (float64, error) {
 	return sensitivity * math.Sqrt(2*math.Log(1.25/delta)) / eps, nil
 }
 
-// Gaussian releases value + N(0, σ²) with σ from GaussianSigma.
-func Gaussian(src *sample.Source, value, sensitivity, eps, delta float64) (float64, error) {
-	sigma, err := GaussianSigma(sensitivity, eps, delta)
-	if err != nil {
-		return 0, err
-	}
-	return value + src.Gaussian(0, sigma), nil
-}
-
 // Exponential samples an index with probability ∝ exp(ε·scoreᵢ/(2·sens)),
 // the exponential mechanism for a score function of the given sensitivity.
 // Sampling uses the Gumbel-max trick, which is exact and avoids normalizing
@@ -90,30 +81,6 @@ func Exponential(src *sample.Source, scores []float64, sens, eps float64) (int, 
 	bestIdx := 0
 	for i, s := range scores {
 		if v := s + src.Gumbel(beta); v > best {
-			best = v
-			bestIdx = i
-		}
-	}
-	return bestIdx, nil
-}
-
-// ReportNoisyMax returns argmaxᵢ (scoreᵢ + Lap(2·sens/ε)), the (ε, 0)-DP
-// noisy-max selection mechanism.
-func ReportNoisyMax(src *sample.Source, scores []float64, sens, eps float64) (int, error) {
-	if len(scores) == 0 {
-		return 0, fmt.Errorf("mech: no candidates")
-	}
-	if sens <= 0 {
-		return 0, fmt.Errorf("mech: score sensitivity %v must be positive", sens)
-	}
-	if err := (Params{Eps: eps}).Validate(); err != nil {
-		return 0, err
-	}
-	b := 2 * sens / eps
-	best := math.Inf(-1)
-	bestIdx := 0
-	for i, s := range scores {
-		if v := s + src.Laplace(b); v > best {
 			best = v
 			bestIdx = i
 		}

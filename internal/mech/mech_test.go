@@ -1,6 +1,7 @@
 package mech
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -307,4 +308,38 @@ func TestLaplaceMechanismEmpiricalDP(t *testing.T) {
 			t.Errorf("bin %d violates ε=1 ratio: p0=%v p1=%v", i, p0, p1)
 		}
 	}
+}
+
+// Gaussian releases value + N(0, σ²) with σ from GaussianSigma. Gaussian
+// and ReportNoisyMax have no caller outside the tests in this file.
+func Gaussian(src *sample.Source, value, sensitivity, eps, delta float64) (float64, error) {
+	sigma, err := GaussianSigma(sensitivity, eps, delta)
+	if err != nil {
+		return 0, err
+	}
+	return value + src.Gaussian(0, sigma), nil
+}
+
+// ReportNoisyMax returns argmaxᵢ (scoreᵢ + Lap(2·sens/ε)), the (ε, 0)-DP
+// noisy-max selection mechanism.
+func ReportNoisyMax(src *sample.Source, scores []float64, sens, eps float64) (int, error) {
+	if len(scores) == 0 {
+		return 0, fmt.Errorf("mech: no candidates")
+	}
+	if sens <= 0 {
+		return 0, fmt.Errorf("mech: score sensitivity %v must be positive", sens)
+	}
+	if err := (Params{Eps: eps}).Validate(); err != nil {
+		return 0, err
+	}
+	b := 2 * sens / eps
+	best := math.Inf(-1)
+	bestIdx := 0
+	for i, s := range scores {
+		if v := s + src.Laplace(b); v > best {
+			best = v
+			bestIdx = i
+		}
+	}
+	return bestIdx, nil
 }

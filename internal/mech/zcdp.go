@@ -17,17 +17,6 @@ import (
 //   - ρ values add under (adaptive) composition;
 //   - ρ-zCDP implies (ρ + 2·√(ρ·ln(1/δ)), δ)-DP for every δ > 0.
 
-// GaussianRho returns the zCDP parameter of a Gaussian mechanism.
-func GaussianRho(sensitivity, sigma float64) (float64, error) {
-	if sensitivity < 0 {
-		return 0, fmt.Errorf("mech: negative sensitivity %v", sensitivity)
-	}
-	if sigma <= 0 {
-		return 0, fmt.Errorf("mech: sigma %v must be positive", sigma)
-	}
-	return sensitivity * sensitivity / (2 * sigma * sigma), nil
-}
-
 // RhoToDP converts a zCDP guarantee to an (ε, δ)-DP guarantee.
 func RhoToDP(rho, delta float64) (Params, error) {
 	if rho < 0 {

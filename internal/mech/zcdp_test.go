@@ -1,6 +1,7 @@
 package mech
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -108,4 +109,16 @@ func TestZCDPAdditivity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// GaussianRho returns the zCDP parameter of a Gaussian mechanism. It has
+// no caller outside the tests in this file.
+func GaussianRho(sensitivity, sigma float64) (float64, error) {
+	if sensitivity < 0 {
+		return 0, fmt.Errorf("mech: negative sensitivity %v", sensitivity)
+	}
+	if sigma <= 0 {
+		return 0, fmt.Errorf("mech: sigma %v must be positive", sigma)
+	}
+	return sensitivity * sensitivity / (2 * sigma * sigma), nil
 }

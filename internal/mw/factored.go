@@ -40,7 +40,7 @@ type FactoredState struct {
 // component is one junta block: a set of coordinates whose joint
 // log-weight table is materialized. Coordinates are sorted ascending and
 // the table is indexed in mixed radix with coords[0] fastest-varying
-// (universe.SupportIndex convention).
+// (universe.SupportLevelsInto convention).
 type component struct {
 	coords []int
 	logW   []float64
@@ -111,9 +111,9 @@ func (st *FactoredState) checkCoords(coords []int) error {
 
 // Update applies one multiplicative-weights step whose penalty reads only
 // the given coordinates: u is indexed over their joint level assignments
-// in universe.SupportIndex convention (coords[0] fastest-varying, matching
-// the enumeration order of universe.SupportUniverse(f, coords)). Entries
-// must satisfy |u| ≤ S, as in the dense State.
+// in universe.SupportLevelsInto convention (coords[0] fastest-varying,
+// matching the enumeration order of universe.SupportUniverse(f, coords)).
+// Entries must satisfy |u| ≤ S, as in the dense State.
 //
 // Components overlapping coords are merged first; if the merged table
 // would exceed MaxComponentCells the update fails with an error wrapping

@@ -96,7 +96,9 @@ func TestConstantUpdateNoOp(t *testing.T) {
 	}
 	st, _ := New(u, 0.5, 1)
 	uv := make([]float64, u.Size())
-	vecmath.Fill(uv, 0.7)
+	for i := range uv {
+		uv[i] = 0.7
+	}
 	if err := st.Update(uv); err != nil {
 		t.Fatal(err)
 	}

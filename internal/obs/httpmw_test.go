@@ -62,8 +62,8 @@ func TestMiddlewareMetricsByRouteAndClass(t *testing.T) {
 	// pattern, not its raw URL.
 	hist := reg.Histogram("pmwcm_http_request_seconds", "", DefBuckets,
 		Labels{"route": "GET /v1/ping"})
-	if hist.Count() != 3 {
-		t.Errorf("ping latency count = %d, want 3", hist.Count())
+	if hist.count.Load() != 3 {
+		t.Errorf("ping latency count = %d, want 3", hist.count.Load())
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package obs is the observability core of the serving subsystem: a
-// small, dependency-free metrics layer (atomic counters, gauges, and
-// fixed-bucket rolling latency histograms) plus a registry that renders
-// both Prometheus text format and JSON, and an HTTP middleware that adds
-// per-route metrics and structured request logging (httpmw.go).
+// small, dependency-free metrics layer (atomic counters, fixed-bucket
+// rolling latency histograms, and gauges that collectors sample at
+// scrape time) plus a registry that renders both Prometheus text format
+// and JSON, and an HTTP middleware that adds per-route metrics and
+// structured request logging (httpmw.go).
 //
 // Design constraints, in order:
 //
@@ -12,7 +13,7 @@
 //     every released answer bit-identical (pinned by a golden test in
 //     internal/service). Scrape-time collectors read session state
 //     through the same read-only accessors the status endpoints use.
-//  2. Hot-path updates are lock-free. Counter/Gauge/Histogram updates
+//  2. Hot-path updates are lock-free. Counter and Histogram updates
 //     are single atomic operations (a CAS loop for float accumulation),
 //     safe on the serving fast path; the registry's RWMutex is only
 //     taken when an instrument is first created or the registry is
@@ -106,36 +107,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a point-in-time float value. All methods are safe for
-// concurrent use and no-op on a nil receiver.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add accumulates delta with a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	addFloatBits(&g.bits, delta)
-}
-
-// Value returns the current value (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // addFloatBits atomically adds delta to a float64 stored as bits.
 func addFloatBits(bits *atomic.Uint64, delta float64) {
 	for {
@@ -183,7 +154,6 @@ type family struct {
 type instrumentEntry struct {
 	labels Labels
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -235,8 +205,6 @@ func (r *Registry) register(name, help, kind string, bounds []float64, labels La
 		switch kind {
 		case KindCounter:
 			e.c = &Counter{}
-		case KindGauge:
-			e.g = &Gauge{}
 		case KindHistogram:
 			e.h = newHistogram(f.bounds)
 		}
@@ -259,22 +227,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 		return &Counter{} // kind clash: detached, never rendered
 	}
 	return e.c
-}
-
-// Gauge returns the named gauge for the given label set, creating it on
-// first use. A nil registry returns a nil (no-op) gauge.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	if r == nil {
-		return nil
-	}
-	if e, ok := r.lookup(name, labels.key()); ok {
-		return e.g
-	}
-	e := r.register(name, help, KindGauge, nil, labels)
-	if e == nil {
-		return &Gauge{}
-	}
-	return e.g
 }
 
 // Histogram returns the named histogram for the given label set,
@@ -383,8 +335,6 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 			switch f.kind {
 			case KindCounter:
 				s.Value = float64(e.c.Value())
-			case KindGauge:
-				s.Value = e.g.Value()
 			case KindHistogram:
 				s = e.h.snapshot()
 				s.Labels = e.labels

@@ -16,12 +16,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("g", "a gauge", nil)
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
-	}
 }
 
 func TestNilRegistryAndInstrumentsNoOp(t *testing.T) {
@@ -33,15 +27,9 @@ func TestNilRegistryAndInstrumentsNoOp(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter value != 0")
 	}
-	g := r.Gauge("x", "", nil)
-	g.Set(1)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge value != 0")
-	}
 	h := r.Histogram("x", "", DefBuckets, nil)
 	h.Observe(0.1)
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram not a no-op")
 	}
 	r.RegisterCollector(func(emit func(Sample)) { emit(Sample{Name: "y"}) })
@@ -78,10 +66,8 @@ func TestLabelsClonedOnRegister(t *testing.T) {
 func TestKindClashReturnsDetachedInstrument(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("n", "", nil).Inc()
-	g := r.Gauge("n", "", nil) // same name, wrong kind
-	g.Set(99)                  // must not panic or corrupt the family
-	h := r.Histogram("n", "", DefBuckets, nil)
-	h.Observe(1)
+	h := r.Histogram("n", "", DefBuckets, nil) // same name, wrong kind
+	h.Observe(1)                               // must not panic or corrupt the family
 	snap := r.Snapshot()
 	if len(snap) != 1 || snap[0].Kind != KindCounter || snap[0].Samples[0].Value != 1 {
 		t.Fatalf("kind clash corrupted the family: %+v", snap)
@@ -111,7 +97,9 @@ func TestSnapshotSortedAndCollectorMerge(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("req_total", "requests", Labels{"route": "/x", "class": "2xx"}).Add(3)
-	r.Gauge("temp", "with\nnewline", nil).Set(1.5)
+	r.RegisterCollector(func(emit func(Sample)) {
+		emit(Sample{Name: "temp", Help: "with\nnewline", Value: 1.5})
+	})
 	r.Histogram("lat_seconds", "latency", []float64{0.1, 1}, nil).Observe(0.05)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -196,7 +184,6 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				r.Counter("c_total", "", Labels{"w": "x"}).Inc()
-				r.Gauge("g", "", nil).Add(1)
 				r.Histogram("h_seconds", "", DefBuckets, nil).Observe(0.001)
 				r.Snapshot()
 			}

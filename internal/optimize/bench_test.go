@@ -9,46 +9,6 @@ import (
 	"repro/internal/universe"
 )
 
-func benchSetup(b *testing.B) (convex.Loss, *histogram.Histogram) {
-	b.Helper()
-	g, err := universe.NewLabeledGrid(2, 3, 1.0, 3, 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ball, err := convex.NewL2Ball(2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sq, err := convex.NewSquared("sq", ball, []float64{0, 0, 1}, 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sq, histogram.Uniform(g)
-}
-
-// BenchmarkMinimize measures the public argmin solve of Figure 3's
-// θ̂t computation (one per query).
-func BenchmarkMinimize(b *testing.B) {
-	sq, h := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Minimize(sq, h, Options{MaxIters: 400}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFrankWolfe measures the projection-free alternative.
-func BenchmarkFrankWolfe(b *testing.B) {
-	sq, h := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FrankWolfe(sq, h, Options{MaxIters: 400}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMinimizeMissLarge measures one public argmin solve shaped like
 // the miss_large workload's: a logistic query over the 3,888-point
 // labeled grid (4 features × 6 levels × 3 labels) under a non-uniform

@@ -3,17 +3,17 @@
 //
 // Paper Figure 3 repeatedly computes θ̂t = argmin_θ ℓ(θ; D̂t) where D̂t is
 // the *public* hypothesis histogram. This step has no privacy cost, so a
-// plain projected-subgradient method suffices; its accuracy tolerance is
-// absorbed into the α/4 slack of Claim 3.6 (see DESIGN.md). For σ-strongly
-// convex objectives the solver switches to the 1/(σt) step schedule with
-// suffix averaging, which converges markedly faster.
+// plain projected-subgradient method suffices. How its accuracy tolerance
+// enters Claim 3.6's α/4 progress bound is not yet written down: the
+// argument is open under ROADMAP item 3. For σ-strongly convex objectives
+// the solver switches to the 1/(σt) step schedule with suffix averaging,
+// which converges markedly faster.
 //
 // Every solver sweeps the universe once per iterate: convex.ValueGradOn
 // returns the iterate's value (for the best-iterate check) and its
 // gradient (for the next step) together, bit-identical to separate
 // EvalOn and GradOn sweeps. A Minimize solve therefore costs Iters+2
-// sweeps (the start point, one per iterate, the averaged iterate) and a
-// FrankWolfe solve at most Iters+1.
+// sweeps (the start point, one per iterate, the averaged iterate).
 package optimize
 
 import (

@@ -35,7 +35,7 @@ func TestMinimizeSquaredAgainstProbes(t *testing.T) {
 	src := sample.New(1)
 	for i := 0; i < 500; i++ {
 		probe := ball.Project(src.GaussianVec(2, 1))
-		if pv := convex.ValueOn(sq, probe, h); pv < res.Value-1e-4 {
+		if pv := convex.EvalOn(nil, sq, probe, h); pv < res.Value-1e-4 {
 			t.Fatalf("probe %v beats solver: %v < %v", probe, pv, res.Value)
 		}
 	}
@@ -115,9 +115,9 @@ func TestMinimizeLinearFormMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if convex.ValueOn(lf, res2.Theta, h) > convex.ValueOn(lf, exact, h)+1e-3 {
+	if convex.EvalOn(nil, lf, res2.Theta, h) > convex.EvalOn(nil, lf, exact, h)+1e-3 {
 		t.Errorf("iterative path much worse than closed form: %v vs %v",
-			convex.ValueOn(lf, res2.Theta, h), convex.ValueOn(lf, exact, h))
+			convex.EvalOn(nil, lf, res2.Theta, h), convex.EvalOn(nil, lf, exact, h))
 	}
 }
 
@@ -170,7 +170,7 @@ func TestExcess(t *testing.T) {
 	// Away from it, excess = (1/2)(θ−q̄)² offset... verify against direct
 	// computation.
 	theta := []float64{0.9}
-	want := convex.ValueOn(lq, theta, h) - convex.ValueOn(lq, []float64{1.0 / 3}, h)
+	want := convex.EvalOn(nil, lq, theta, h) - convex.EvalOn(nil, lq, []float64{1.0 / 3}, h)
 	e, err = Excess(lq, theta, h, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -199,5 +199,51 @@ func TestMinimizeConvergesFlag(t *testing.T) {
 	}
 	if res.Iters == 0 {
 		t.Error("no iterations recorded")
+	}
+}
+
+// TestMinimizeFrankWolfeGap certifies Minimize's output by its
+// Frank–Wolfe gap g(θ) = max_{s∈Θ} ⟨∇ℓ(θ; h), θ − s⟩ (Jaggi, "Revisiting
+// Frank–Wolfe", ICML 2013), read off one MinimizeLinear call. Convexity
+// gives ℓ(θ) − ℓ* ≤ g(θ), so the gap bounds the excess risk. The
+// histogram is random so that the optimum is non-trivial; the losses are
+// a squared loss and every registry kind that builds at its defaults on
+// the grid.
+func TestMinimizeFrankWolfeGap(t *testing.T) {
+	g := grid(t)
+	src := sample.New(1)
+	p := make([]float64, g.Size())
+	var z float64
+	for i := range p {
+		p[i] = src.Exponential(1)
+		z += p[i]
+	}
+	for i := range p {
+		p[i] /= z
+	}
+	h, err := histogram.FromProbs(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ball, _ := convex.NewL2Ball(2, 1)
+	sq, _ := convex.NewSquared("sq", ball, []float64{0, 0, 1}, 1, 1)
+	losses := []convex.Loss{sq}
+	for _, kind := range convex.Kinds() {
+		if l, err := convex.Build(g, convex.Spec{Kind: kind}); err == nil {
+			losses = append(losses, l)
+		}
+	}
+	for _, l := range losses {
+		res, err := Minimize(l, h, Options{MaxIters: 3000})
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name(), err)
+		}
+		grad := make([]float64, len(res.Theta))
+		convex.GradOn(nil, l, grad, res.Theta, h)
+		s := l.Domain().(convex.LinearMinimizer).MinimizeLinear(grad)
+		gap := vecmath.Dot(grad, vecmath.Sub(res.Theta, s))
+		if gap > 1e-4 {
+			t.Errorf("%s: Frank–Wolfe gap %v at Minimize's θ = %v, want ≤ 1e-4", l.Name(), gap, res.Theta)
+		}
 	}
 }

@@ -72,38 +72,6 @@ func twoSweepMinimize(l convex.Loss, h *histogram.Histogram, opts Options) Resul
 	return Result{Theta: best, Value: bestVal, Iters: iters, Converged: converged}
 }
 
-// twoSweepFrankWolfe is FrankWolfe as it was before the fused sweep.
-func twoSweepFrankWolfe(l convex.Loss, h *histogram.Histogram, opts Options) Result {
-	opts = opts.withDefaults()
-	dom := l.Domain()
-	lmo := dom.(convex.LinearMinimizer)
-	theta := dom.Center()
-	grad := make([]float64, dom.Dim())
-	best := vecmath.Copy(theta)
-	bestVal := convex.EvalOn(opts.Engine, l, theta, h)
-	converged := false
-	iters := 0
-	for t := 0; t < opts.MaxIters; t++ {
-		iters = t + 1
-		convex.GradOn(opts.Engine, l, grad, theta, h)
-		s := lmo.MinimizeLinear(grad)
-		gap := vecmath.Dot(grad, vecmath.Sub(theta, s))
-		if gap < opts.Tol {
-			converged = true
-			break
-		}
-		gamma := 2 / float64(t+2)
-		for i := range theta {
-			theta[i] = (1-gamma)*theta[i] + gamma*s[i]
-		}
-		if v := convex.EvalOn(opts.Engine, l, theta, h); v < bestVal {
-			bestVal = v
-			copy(best, theta)
-		}
-	}
-	return Result{Theta: best, Value: bestVal, Iters: iters, Converged: converged}
-}
-
 // noExact hides a batched loss's ExactSolvable method but keeps its
 // kernels, so closed-form kinds run the iterative loop on the fast path.
 type noExact struct{ convex.BatchLoss }
@@ -188,8 +156,7 @@ func sameResult(a, b Result) bool {
 }
 
 // exits are the two ways out of a solver loop: the Tol break, and running
-// out of iterations under a Tol that a moving step or an open gap cannot
-// undercut.
+// out of iterations under a Tol that a moving step cannot undercut.
 var exits = []struct {
 	name      string
 	opts      Options
@@ -199,12 +166,11 @@ var exits = []struct {
 	{"maxiters", Options{MaxIters: 5, Tol: 1e-300}, false},
 }
 
-// TestOneSweepSolversMatchTwoSweep pins Minimize and FrankWolfe to the
-// two-sweep loops they replaced: same Theta, Value, Iters and Converged
-// bits for every registry kind, on the batched kernels and the generic
-// fallback, through both loop exits. A linear objective can close its
-// gap exactly in a step, so the exits are checked as covered across the
-// losses rather than per loss.
+// TestOneSweepSolversMatchTwoSweep pins Minimize to the two-sweep loop
+// it replaced: same Theta, Value, Iters and Converged bits for every
+// registry kind, on the batched kernels and the generic fallback, through
+// both loop exits. The exits are checked as covered across the losses
+// rather than per loss.
 func TestOneSweepSolversMatchTwoSweep(t *testing.T) {
 	g := sweepUniverse(t)
 	h := mixedHistogram(g)
@@ -215,42 +181,31 @@ func TestOneSweepSolversMatchTwoSweep(t *testing.T) {
 			opts := ex.opts
 			opts.Engine = e
 			name := fmt.Sprintf("%T/%s/%s", l, l.Name(), ex.name)
-			for _, solver := range []struct {
-				name string
-				run  func(convex.Loss, *histogram.Histogram, Options) (Result, error)
-				ref  func(convex.Loss, *histogram.Histogram, Options) Result
-			}{
-				{"Minimize", Minimize, twoSweepMinimize},
-				{"FrankWolfe", FrankWolfe, twoSweepFrankWolfe},
-			} {
-				want := solver.ref(l, h, opts)
-				if want.Iters > 0 && want.Converged == ex.converged {
-					seen[solver.name+"/"+ex.name] = true
-				}
-				got, err := solver.run(l, h, opts)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", name, solver.name, err)
-				}
-				if !sameResult(got, want) {
-					t.Errorf("%s: %s = %+v, two-sweep loop %+v", name, solver.name, got, want)
-				}
+			want := twoSweepMinimize(l, h, opts)
+			if want.Iters > 0 && want.Converged == ex.converged {
+				seen[ex.name] = true
+			}
+			got, err := Minimize(l, h, opts)
+			if err != nil {
+				t.Fatalf("%s: Minimize: %v", name, err)
+			}
+			if !sameResult(got, want) {
+				t.Errorf("%s: Minimize = %+v, two-sweep loop %+v", name, got, want)
 			}
 		}
 	}
-	for _, solver := range []string{"Minimize", "FrankWolfe"} {
-		for _, ex := range exits {
-			if !seen[solver+"/"+ex.name] {
-				t.Errorf("no loss left %s through the %s exit", solver, ex.name)
-			}
+	for _, ex := range exits {
+		if !seen[ex.name] {
+			t.Errorf("no loss left Minimize through the %s exit", ex.name)
 		}
 	}
 }
 
 // TestSolverSweepCount counts universe sweeps through the xeval observer:
 // Minimize on a GLM costs exactly Iters+2 (start point, one per iterate,
-// averaged iterate) and FrankWolfe at most Iters+1, so a second sweep per
-// iterate fails here. It installs the process-wide observer, so it must
-// not run in parallel with other tests.
+// averaged iterate), so a second sweep per iterate fails here. It
+// installs the process-wide observer, so it must not run in parallel with
+// other tests.
 func TestSolverSweepCount(t *testing.T) {
 	g := sweepUniverse(t)
 	h := mixedHistogram(g)
@@ -276,18 +231,6 @@ func TestSolverSweepCount(t *testing.T) {
 			if sweeps != res.Iters+2 {
 				t.Errorf("%s/workers=%d: Minimize swept %d times in %d iters, want %d",
 					ex.name, e.Workers(), sweeps, res.Iters, res.Iters+2)
-			}
-
-			sweeps = 0
-			if res, err = FrankWolfe(l, h, opts); err != nil {
-				t.Fatal(err)
-			}
-			if res.Converged != ex.converged {
-				t.Fatalf("%s: FrankWolfe converged=%v, want the %s exit", ex.name, res.Converged, ex.name)
-			}
-			if sweeps > res.Iters+1 {
-				t.Errorf("%s/workers=%d: FrankWolfe swept %d times in %d iters, want at most %d",
-					ex.name, e.Workers(), sweeps, res.Iters, res.Iters+1)
 			}
 		}
 	}

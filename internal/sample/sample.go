@@ -108,14 +108,8 @@ func (s *Source) Float64() float64 { return s.rng.Float64() }
 // math/rand.
 func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 
-// Int63 returns a uniform non-negative int64.
-func (s *Source) Int63() int64 { return s.rng.Int63() }
-
 // Perm returns a uniform random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
-// Normal returns a standard normal variate.
-func (s *Source) Normal() float64 { return s.rng.NormFloat64() }
 
 // Gaussian returns a normal variate with the given mean and standard
 // deviation sigma. sigma must be >= 0.
@@ -157,15 +151,6 @@ func (s *Source) Gumbel(beta float64) float64 {
 	return -beta * math.Log(-math.Log(u))
 }
 
-// LaplaceVec returns a vector of n i.i.d. Laplace(b) variates.
-func (s *Source) LaplaceVec(n int, b float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Laplace(b)
-	}
-	return out
-}
-
 // GaussianVec returns a vector of n i.i.d. N(0, sigma²) variates.
 func (s *Source) GaussianVec(n int, sigma float64) []float64 {
 	out := make([]float64, n)
@@ -192,17 +177,6 @@ func (s *Source) UnitVec(d int) []float64 {
 			return v
 		}
 	}
-}
-
-// BallVec returns a uniform random point in the ball of radius r in R^d.
-func (s *Source) BallVec(d int, r float64) []float64 {
-	v := s.UnitVec(d)
-	// Radius ~ r · U^{1/d} gives uniform volume measure.
-	scale := r * math.Pow(s.rng.Float64(), 1/float64(d))
-	for i := range v {
-		v[i] *= scale
-	}
-	return v
 }
 
 // Categorical samples an index from the (unnormalized, non-negative) weight

@@ -240,3 +240,15 @@ func TestLaplaceDensityRatio(t *testing.T) {
 		}
 	}
 }
+
+// BallVec returns a uniform random point in the ball of radius r in R^d.
+// It has no caller outside the tests in this file.
+func (s *Source) BallVec(d int, r float64) []float64 {
+	v := s.UnitVec(d)
+	// Radius ~ r · U^{1/d} gives uniform volume measure.
+	scale := r * math.Pow(s.rng.Float64(), 1/float64(d))
+	for i := range v {
+		v[i] *= scale
+	}
+	return v
+}

@@ -19,12 +19,13 @@ func TestStreamMatchesStdlib(t *testing.T) {
 				t.Fatalf("draw %d: Float64 %v != stdlib %v", i, got, want)
 			}
 		case 1:
-			if got, want := s.Int63(), ref.Int63(); got != want {
-				t.Fatalf("draw %d: Int63 %v != stdlib %v", i, got, want)
+			// Split seeds its child with one Int63 draw.
+			if got, want := s.Split().State().Seed, ref.Int63(); got != want {
+				t.Fatalf("draw %d: Split seed %v != stdlib Int63 %v", i, got, want)
 			}
 		case 2:
-			if got, want := s.Normal(), ref.NormFloat64(); got != want {
-				t.Fatalf("draw %d: Normal %v != stdlib %v", i, got, want)
+			if got, want := s.Gaussian(0, 1), ref.NormFloat64(); got != want {
+				t.Fatalf("draw %d: Gaussian %v != stdlib %v", i, got, want)
 			}
 		case 3:
 			if got, want := s.Intn(1000), ref.Intn(1000); got != want {
@@ -77,10 +78,10 @@ func TestStateRoundTrip(t *testing.T) {
 		if a, b := s.Laplace(0.7), r.Laplace(0.7); a != b {
 			t.Fatalf("draw %d after restore: %v != %v", i, a, b)
 		}
-		if a, b := s.Normal(), r.Normal(); a != b {
-			t.Fatalf("draw %d after restore: Normal %v != %v", i, a, b)
+		if a, b := s.Gaussian(0, 1), r.Gaussian(0, 1); a != b {
+			t.Fatalf("draw %d after restore: Gaussian %v != %v", i, a, b)
 		}
-		if a, b := s.Split().Int63(), r.Split().Int63(); a != b {
+		if a, b := s.Split().Float64(), r.Split().Float64(); a != b {
 			t.Fatalf("draw %d after restore: Split child diverged", i)
 		}
 	}

@@ -402,9 +402,6 @@ func (s *Session) Checkpoint() error {
 // ID returns the session identifier.
 func (s *Session) ID() string { return s.id }
 
-// Params returns the session's (fully merged) creation parameters.
-func (s *Session) Params() SessionParams { return s.params }
-
 // QueryResult is one answered query plus the ledger movement it caused.
 type QueryResult struct {
 	// Loss is the resolved instance name of the queried loss.

@@ -48,9 +48,9 @@ func TestExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Tops() != ref.Tops() || restored.Seen() != ref.Seen() || restored.Halted() != ref.Halted() {
+	if restored.tops != ref.tops || restored.seen != ref.seen || restored.Halted() != ref.Halted() {
 		t.Fatalf("restored counters %d/%d/%v != %d/%d/%v",
-			restored.Tops(), restored.Seen(), restored.Halted(), ref.Tops(), ref.Seen(), ref.Halted())
+			restored.tops, restored.seen, restored.Halted(), ref.tops, ref.seen, ref.Halted())
 	}
 	for i := splitAt; ; i++ {
 		a, err1 := ref.Query(vals(i))

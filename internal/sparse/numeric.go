@@ -72,9 +72,3 @@ func (n *NumericSV) ReleaseEps() float64 { return n.epsValue }
 
 // Halted reports whether the underlying SV has stopped.
 func (n *NumericSV) Halted() bool { return n.sv.Halted() }
-
-// Tops returns the number of ⊤ answers so far.
-func (n *NumericSV) Tops() int { return n.sv.Tops() }
-
-// Seen returns the number of queries consumed.
-func (n *NumericSV) Seen() int { return n.sv.Seen() }

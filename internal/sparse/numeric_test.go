@@ -43,8 +43,8 @@ func TestNumericReleasesOnTop(t *testing.T) {
 	if math.Abs(noisy-0.7) > 0.05 {
 		t.Errorf("released %v, want ≈0.7 (tiny sensitivity)", noisy)
 	}
-	if n.Tops() != 1 || n.Seen() != 2 {
-		t.Errorf("Tops/Seen = %d/%d", n.Tops(), n.Seen())
+	if n.sv.tops != 1 || n.sv.seen != 2 {
+		t.Errorf("Tops/Seen = %d/%d", n.sv.tops, n.sv.seen)
 	}
 }
 

@@ -194,17 +194,6 @@ func FromExport(cfg Config, ex Export) (*SV, error) {
 // Halted reports whether SV has stopped (T tops reached or k queries seen).
 func (sv *SV) Halted() bool { return sv.halted }
 
-// Tops returns the number of ⊤ answers so far.
-func (sv *SV) Tops() int { return sv.tops }
-
-// Seen returns the number of queries consumed so far.
-func (sv *SV) Seen() int { return sv.seen }
-
-// Privacy returns the total (ε, δ) guarantee of the run.
-func (sv *SV) Privacy() mech.Params {
-	return mech.Params{Eps: sv.cfg.Eps, Delta: sv.cfg.Delta}
-}
-
 // MinDatasetSize returns the sample-size requirement of Theorem 3.1 for the
 // given scale parameter S (with Δ = 3S/n the theorem reads
 // n ≥ 256·S·√(T·log(2/δ)·log(4k/β)) / (ε·α)); experiments use it to choose

@@ -25,11 +25,11 @@ func TestSVInvariants(t *testing.T) {
 			if _, err := sv.Query(v); err != nil {
 				return false
 			}
-			if sv.Tops() > T || sv.Seen() > K {
+			if sv.tops > T || sv.seen > K {
 				return false
 			}
 		}
-		if sv.Tops() != T && sv.Seen() != K {
+		if sv.tops != T && sv.seen != K {
 			return false
 		}
 		// Post-halt queries always fail.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mech"
 	"repro/internal/sample"
 )
 
@@ -65,8 +66,8 @@ func TestHaltsAfterTTops(t *testing.T) {
 	if _, err := sv.Query(10 * cfg.Alpha); err != ErrHalted {
 		t.Fatalf("query after halt: err = %v, want ErrHalted", err)
 	}
-	if sv.Tops() != cfg.T || sv.Seen() != cfg.T {
-		t.Errorf("Tops/Seen = %d/%d", sv.Tops(), sv.Seen())
+	if sv.tops != cfg.T || sv.seen != cfg.T {
+		t.Errorf("Tops/Seen = %d/%d", sv.tops, sv.seen)
 	}
 }
 
@@ -243,4 +244,10 @@ func TestPrivacyAccessor(t *testing.T) {
 	if p.Eps != 1 || p.Delta != 1e-6 {
 		t.Errorf("Privacy = %+v", p)
 	}
+}
+
+// Privacy returns the total (ε, δ) guarantee of the run. It has no caller
+// outside the tests in this file.
+func (sv *SV) Privacy() mech.Params {
+	return mech.Params{Eps: sv.cfg.Eps, Delta: sv.cfg.Delta}
 }

@@ -11,10 +11,6 @@
 package transcript
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-
 	"repro/internal/convex"
 	"repro/internal/core"
 )
@@ -101,22 +97,6 @@ func (t *Transcript) SpentOracle() (eps, delta float64) {
 		delta += e.DeltaSpent
 	}
 	return eps, delta
-}
-
-// WriteJSON serializes the transcript.
-func (t *Transcript) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
-// ReadJSON deserializes a transcript.
-func ReadJSON(r io.Reader) (*Transcript, error) {
-	var t Transcript
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("transcript: decode: %w", err)
-	}
-	return &t, nil
 }
 
 // Recorder wraps a core.Server, transcribing every exchange. It satisfies

@@ -56,9 +56,9 @@ func ComposeIndex(f Factored, digits []int) int {
 	return idx
 }
 
-// ProjectIndex returns the sub-cube index (in SupportIndex convention) of
-// element i's levels at the given coordinates. buf is scratch of length ≥
-// Dim().
+// ProjectIndex returns the sub-cube index (in SupportLevelsInto
+// convention) of element i's levels at the given coordinates. buf is
+// scratch of length ≥ Dim().
 func ProjectIndex(f Factored, coords []int, i int, buf []int) int {
 	digits := DigitsInto(f, i, buf)
 	idx := 0
@@ -84,22 +84,9 @@ func SupportSize(f Factored, coords []int) (int, error) {
 	return size, nil
 }
 
-// SupportIndex composes per-coordinate levels (aligned with coords, which
-// must be the same slice an enumeration used) into the sub-cube index, with
-// coords[0] fastest-varying — the same mixed-radix convention as the full
-// universe.
-func SupportIndex(f Factored, coords, levels []int) int {
-	idx := 0
-	stride := 1
-	for j, c := range coords {
-		idx += levels[j] * stride
-		stride *= f.Levels(c)
-	}
-	return idx
-}
-
-// SupportLevelsInto decodes a sub-cube index (as produced by SupportIndex)
-// back into per-coordinate levels aligned with coords.
+// SupportLevelsInto decodes a sub-cube index back into per-coordinate
+// levels aligned with coords. The index is mixed radix with coords[0]
+// fastest-varying, the same convention as the full universe.
 func SupportLevelsInto(f Factored, coords []int, idx int, buf []int) []int {
 	buf = buf[:len(coords)]
 	for j, c := range coords {
@@ -113,7 +100,7 @@ func SupportLevelsInto(f Factored, coords []int, idx int, buf []int) []int {
 // SupportUniverse materializes the sub-cube of f spanned by the given
 // coordinates as an explicit Points universe of full-dimension vectors:
 // the support coordinates enumerate all their joint values (coords[0]
-// fastest-varying, matching SupportIndex), and every other coordinate is
+// fastest-varying, matching SupportLevelsInto), and every other coordinate is
 // pinned at its level-0 value. Losses supported on coords take the same
 // values on this embedding as on the full universe, so the dense
 // minimization and evaluation machinery runs on it unchanged — that is
@@ -173,21 +160,4 @@ func nearestFactored(f Factored, v []float64) int {
 		stride *= l
 	}
 	return idx
-}
-
-// maxNormFactored maximizes Σ_j x_j² term by term: the maximum over a
-// product set is the sum of per-coordinate maxima of x_j².
-func maxNormFactored(f Factored) float64 {
-	var n2 float64
-	for j := 0; j < f.Dim(); j++ {
-		var m float64
-		for lev := 0; lev < f.Levels(j); lev++ {
-			v := f.CoordValue(j, lev)
-			if v2 := v * v; v2 > m {
-				m = v2
-			}
-		}
-		n2 += m
-	}
-	return math.Sqrt(n2)
 }

@@ -2,6 +2,7 @@ package universe
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -347,4 +348,50 @@ func TestLabeledGridFactoredContract(t *testing.T) {
 	if g.Levels(0) != 4 || g.Levels(3) != 3 {
 		t.Errorf("Levels = %d/%d, want 4/3", g.Levels(0), g.Levels(3))
 	}
+}
+
+// MaxProductSize caps Π_j len(factor_j) so that universe sizes always fit
+// an int exactly (2^52 keeps every index exactly representable as a
+// float64 too, which histogram weights rely on).
+const MaxProductSize = 1 << 52
+
+// NewProduct constructs an implicit product universe from per-coordinate
+// value lists. Each factor needs ≥ 1 value; the total size must stay ≤
+// 2^52. desc is the String() label ("" gets a generic one). NewProduct,
+// SupportIndex and MaxProductSize have no caller outside the tests in
+// this file.
+func NewProduct(factors [][]float64, desc string) (*Product, error) {
+	if len(factors) == 0 {
+		return nil, fmt.Errorf("universe: product needs ≥ 1 factor")
+	}
+	size := 1
+	copied := make([][]float64, len(factors))
+	for j, f := range factors {
+		if len(f) == 0 {
+			return nil, fmt.Errorf("universe: factor %d is empty", j)
+		}
+		if size > MaxProductSize/len(f) {
+			return nil, fmt.Errorf("universe: product size exceeds 2^52")
+		}
+		size *= len(f)
+		copied[j] = append([]float64(nil), f...)
+	}
+	if desc == "" {
+		desc = fmt.Sprintf("product d=%d (|X|=%d)", len(factors), size)
+	}
+	return &Product{factors: copied, size: size, desc: desc}, nil
+}
+
+// SupportIndex composes per-coordinate levels (aligned with coords, which
+// must be the same slice an enumeration used) into the sub-cube index, with
+// coords[0] fastest-varying — the same mixed-radix convention as the full
+// universe.
+func SupportIndex(f Factored, coords, levels []int) int {
+	idx := 0
+	stride := 1
+	for j, c := range coords {
+		idx += levels[j] * stride
+		stride *= f.Levels(c)
+	}
+	return idx
 }

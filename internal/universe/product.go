@@ -20,36 +20,6 @@ type Product struct {
 	desc    string
 }
 
-// MaxProductSize caps Π_j len(factor_j) so that universe sizes always fit
-// an int exactly (2^52 keeps every index exactly representable as a
-// float64 too, which histogram weights rely on).
-const MaxProductSize = 1 << 52
-
-// NewProduct constructs an implicit product universe from per-coordinate
-// value lists. Each factor needs ≥ 1 value; the total size must stay ≤
-// 2^52. desc is the String() label ("" gets a generic one).
-func NewProduct(factors [][]float64, desc string) (*Product, error) {
-	if len(factors) == 0 {
-		return nil, fmt.Errorf("universe: product needs ≥ 1 factor")
-	}
-	size := 1
-	copied := make([][]float64, len(factors))
-	for j, f := range factors {
-		if len(f) == 0 {
-			return nil, fmt.Errorf("universe: factor %d is empty", j)
-		}
-		if size > MaxProductSize/len(f) {
-			return nil, fmt.Errorf("universe: product size exceeds 2^52")
-		}
-		size *= len(f)
-		copied[j] = append([]float64(nil), f...)
-	}
-	if desc == "" {
-		desc = fmt.Sprintf("product d=%d (|X|=%d)", len(factors), size)
-	}
-	return &Product{factors: copied, size: size, desc: desc}, nil
-}
-
 // NewProductHypercube constructs {±1/√d}^d as an implicit product
 // universe. The index convention (bit j of i selects the sign of
 // coordinate j, set bit = +1/√d) and the coordinate values are

@@ -372,27 +372,3 @@ func Nearest(u Universe, v []float64) int {
 	}
 	return bestIdx
 }
-
-// MaxNorm returns the largest Euclidean norm over all universe points,
-// used to certify Lipschitz/scale constants for loss families. Past the
-// dense limit it requires a Factored universe and maximizes coordinate by
-// coordinate (the max of Σⱼ xⱼ² over a product set is the sum of
-// per-coordinate maxima).
-func MaxNorm(u Universe) float64 {
-	if f, ok := u.(Factored); ok && u.Size() > DenseLimit {
-		return maxNormFactored(f)
-	}
-	var m float64
-	buf := make([]float64, u.Dim())
-	for i := 0; i < u.Size(); i++ {
-		p := u.PointInto(i, buf)
-		var n2 float64
-		for _, x := range p {
-			n2 += x * x
-		}
-		if n := math.Sqrt(n2); n > m {
-			m = n
-		}
-	}
-	return m
-}

@@ -63,26 +63,6 @@ func Norm2(a []float64) float64 {
 	return maxAbs * math.Sqrt(s)
 }
 
-// Norm1 returns the L1 norm Σ|aᵢ|.
-func Norm1(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// NormInf returns the L∞ norm max|aᵢ|.
-func NormInf(a []float64) float64 {
-	var m float64
-	for _, v := range a {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
-
 // Dist2 returns ‖a − b‖₂.
 func Dist2(a, b []float64) float64 {
 	checkLen("Dist2", a, b)
@@ -102,16 +82,6 @@ func Dist1(a, b []float64) float64 {
 		s += math.Abs(a[i] - b[i])
 	}
 	return s
-}
-
-// Add returns a new vector a + b.
-func Add(a, b []float64) []float64 {
-	checkLen("Add", a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
 }
 
 // Sub returns a new vector a − b.
@@ -152,14 +122,6 @@ func Copy(a []float64) []float64 {
 // Zeros returns a zero vector of length n.
 func Zeros(n int) []float64 { return make([]float64, n) }
 
-// Fill sets every entry of a to v and returns a.
-func Fill(a []float64, v float64) []float64 {
-	for i := range a {
-		a[i] = v
-	}
-	return a
-}
-
 // Sum returns the Kahan-compensated sum of a. Compensated summation matters
 // for histograms over large universes, where naive accumulation of ~|X|
 // small probabilities loses relative precision.
@@ -172,14 +134,6 @@ func Sum(a []float64) float64 {
 		sum = t
 	}
 	return sum
-}
-
-// Mean returns the arithmetic mean of a, or 0 for an empty slice.
-func Mean(a []float64) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	return Sum(a) / float64(len(a))
 }
 
 // Max returns the maximum entry and its index. It panics on an empty slice.
@@ -196,20 +150,6 @@ func Max(a []float64) (float64, int) {
 	return best, idx
 }
 
-// Min returns the minimum entry and its index. It panics on an empty slice.
-func Min(a []float64) (float64, int) {
-	if len(a) == 0 {
-		panic("vecmath: Min of empty slice")
-	}
-	best, idx := a[0], 0
-	for i, v := range a[1:] {
-		if v < best {
-			best, idx = v, i+1
-		}
-	}
-	return best, idx
-}
-
 // Clamp returns v restricted to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {
@@ -219,23 +159,6 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// LogSumExp returns log Σ exp(aᵢ) computed stably. For an empty slice it
-// returns −Inf (the log of an empty sum).
-func LogSumExp(a []float64) float64 {
-	if len(a) == 0 {
-		return math.Inf(-1)
-	}
-	m, _ := Max(a)
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var s float64
-	for _, v := range a {
-		s += math.Exp(v - m)
-	}
-	return m + math.Log(s)
 }
 
 // Softmax writes exp(aᵢ)/Σ exp(aⱼ) into dst (allocating when dst is nil)
@@ -396,56 +319,6 @@ func ProjectL2Ball(a []float64, r float64) []float64 {
 		return Copy(a)
 	}
 	return Scale(r/n, a)
-}
-
-// ProjectBox returns the entrywise projection of a onto [lo, hi]^d.
-func ProjectBox(a []float64, lo, hi float64) []float64 {
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = Clamp(v, lo, hi)
-	}
-	return out
-}
-
-// ProjectSimplex returns the Euclidean projection of a onto the probability
-// simplex {p : pᵢ ≥ 0, Σpᵢ = 1}, using the sort-based algorithm of
-// Held, Wolfe and Crowder.
-func ProjectSimplex(a []float64) []float64 {
-	n := len(a)
-	if n == 0 {
-		return nil
-	}
-	sorted := Copy(a)
-	// Insertion sort descending; universes here are small enough that the
-	// O(n²) worst case never dominates, and it avoids an interface shim.
-	for i := 1; i < n; i++ {
-		v := sorted[i]
-		j := i - 1
-		for j >= 0 && sorted[j] < v {
-			sorted[j+1] = sorted[j]
-			j--
-		}
-		sorted[j+1] = v
-	}
-	var cum float64
-	var rho int
-	var theta float64
-	for i := 0; i < n; i++ {
-		cum += sorted[i]
-		t := (cum - 1) / float64(i+1)
-		if sorted[i]-t > 0 {
-			rho = i
-			theta = t
-		}
-	}
-	_ = rho
-	out := make([]float64, n)
-	for i, v := range a {
-		if w := v - theta; w > 0 {
-			out[i] = w
-		}
-	}
-	return out
 }
 
 // ApproxEqual reports whether |a−b| ≤ tol elementwise.

@@ -184,26 +184,6 @@ func Regressions(src *sample.Source, g *universe.LabeledGrid, k int) ([]convex.L
 	return out, nil
 }
 
-// Classifications returns k logistic CM queries with randomized margins
-// and temperatures over a labeled grid.
-func Classifications(src *sample.Source, g *universe.LabeledGrid, k int) ([]convex.Loss, error) {
-	ball, err := convex.NewL2Ball(g.FeatureDim(), 1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]convex.Loss, 0, k)
-	for i := 0; i < k; i++ {
-		margin := (src.Float64() - 0.5) * 0.4
-		temp := 0.3 + src.Float64()*0.7
-		lg, err := convex.NewLogistic(fmt.Sprintf("classify%d", i), ball, margin, temp, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, lg)
-	}
-	return out, nil
-}
-
 // AsLosses upcasts typed linear queries to the generic Loss interface.
 func AsLosses(qs []*convex.LinearQuery) []convex.Loss {
 	out := make([]convex.Loss, len(qs))

@@ -24,8 +24,9 @@
 # runs only the mech + convex + vecmath + persist + optimize
 # micro-benchmarks at a time-based -benchtime (default 0.2s), long enough
 # per benchmark that ns/op is stable; compare runs with
-# `go run ./scripts/benchdiff`. The optimize solver benchmarks (one public
-# argmin solve each) are reported but not gated: they are not in
+# `go run ./scripts/benchdiff`. The optimize solver benchmark
+# (BenchmarkMinimizeMissLarge: one public argmin solve shaped like the
+# miss_large workload's) is reported but not gated: it is not in
 # benchdiff's default -gate list. Regenerate (and commit) the baseline
 # when the protocol or the reference hardware changes.
 #

@@ -22,6 +22,10 @@
 #                             builds on;
 #                           - internal/fault and internal/fault/drill: the
 #                             fault seam every durability claim rests on.
+#   4. deadcode         : no exported declaration under internal/ that only
+#                         tests use, beyond the allowlist in
+#                         scripts/deadcode/main.go (each entry with its
+#                         reason).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,5 +55,7 @@ go run ./scripts/doccheck "${pkgdoc_args[@]}" \
     internal/obs internal/persist internal/route internal/service \
     internal/universe internal/vecmath internal/xeval \
     internal/fault internal/fault/drill
+
+go run ./scripts/deadcode
 
 echo "doccheck: OK"
