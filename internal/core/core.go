@@ -247,7 +247,6 @@ type Server struct {
 	params Params
 	engine string // resolved engine name: EngineDense or EngineFactored
 	data   *dataset.Dataset
-	hist   *histogram.Histogram // private histogram of data (dense engine only)
 	src    *sample.Source
 	sv     *sparse.SV
 	state  *mw.State         // dense engine
@@ -370,7 +369,6 @@ func New(cfg Config, data *dataset.Dataset, src *sample.Source) (*Server, error)
 		}
 		state.SetEngine(eng)
 		srv.state = state
-		srv.hist = data.Histogram()
 	}
 	return srv, nil
 }
@@ -504,7 +502,7 @@ type view struct {
 // viewFor builds l's evaluation frame under the server's engine.
 func (s *Server) viewFor(l convex.Loss) (view, error) {
 	if s.fstate == nil {
-		return view{hyp: s.state.Histogram(), data: s.hist, u: s.data.U, update: s.state.Update}, nil
+		return view{hyp: s.state.Histogram(), data: s.data.Histogram(), u: s.data.U, update: s.state.Update}, nil
 	}
 	coords, ok := convex.SupportOf(l)
 	if !ok {
@@ -641,7 +639,7 @@ func (s *Server) Answer(l convex.Loss) ([]float64, error) {
 			UpdateIndex: s.state.Updates() + 1,
 			TrueErr:     qval,
 			Progress:    vecmath.Dot(uvec, vecmath.Sub(v.hyp.P, v.data.P)),
-			Potential:   clampKL(s.state.Potential(s.hist)),
+			Potential:   clampKL(s.state.Potential(v.data)),
 		})
 	}
 	if err := v.update(uvec); err != nil {

@@ -34,7 +34,6 @@ import (
 type LinearPMW struct {
 	cfg   LinearPMWConfig
 	data  *dataset.Dataset
-	hist  *histogram.Histogram
 	nsv   *sparse.NumericSV
 	state *mw.State
 	eng   *xeval.Engine
@@ -133,7 +132,6 @@ func NewLinearPMW(cfg LinearPMWConfig, data *dataset.Dataset, src *sample.Source
 	return &LinearPMW{
 		cfg:   cfg,
 		data:  data,
-		hist:  data.Histogram(),
 		nsv:   nsv,
 		state: state,
 		eng:   eng,
@@ -173,7 +171,7 @@ func (p *LinearPMW) Answer(q *convex.LinearQuery) (float64, error) {
 	}
 	hyp := p.state.Histogram()
 	hypAns := vecmath.Dot(qvec, hyp.P)
-	trueAns := vecmath.Dot(qvec, p.hist.P)
+	trueAns := vecmath.Dot(qvec, p.data.Histogram().P)
 	disc := trueAns - hypAns
 	abs := disc
 	if abs < 0 {

@@ -165,3 +165,33 @@ func TestRestoreRejectsDrift(t *testing.T) {
 		t.Error("nil snapshot accepted")
 	}
 }
+
+// TestServersShareDatasetHistogram checks that a server built by New and
+// one built by Restore over the same dataset read the dataset's own
+// histogram — one pointer — rather than building copies of it.
+func TestServersShareDatasetHistogram(t *testing.T) {
+	g := testGrid(t)
+	data := skewedData(t, g, 20000, 1)
+	cfg := Config{
+		Eps: 1, Delta: 1e-6,
+		Alpha: 0.05, Beta: 0.05,
+		K: 4, S: 2,
+		Oracle:  erm.NoisyGD{},
+		TBudget: 4,
+	}
+	srv, err := New(cfg, data, sample.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := snapCycle(t, srv, cfg)
+	l := squaredPool(t, g, 1, 3)[0]
+	for name, s := range map[string]*Server{"New": srv, "Restore": back} {
+		v, err := s.viewFor(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.data != data.Histogram() {
+			t.Errorf("%s server reads histogram %p, the dataset owns %p", name, v.data, data.Histogram())
+		}
+	}
+}

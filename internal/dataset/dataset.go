@@ -12,6 +12,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/histogram"
 	"repro/internal/sample"
@@ -20,9 +21,18 @@ import (
 
 // Dataset is an ordered collection of rows, each an index into a finite
 // universe. Order matters only for defining adjacency (replace row j).
+//
+// A Dataset is immutable: U and Rows must not be modified after
+// construction. That is what lets it own one histogram, built on the
+// first Histogram call and shared by every caller, concurrent sessions
+// included. Build datasets with New, Adjacent or SampleFrom, and pass them
+// by pointer.
 type Dataset struct {
 	U    universe.Universe
 	Rows []int
+
+	histOnce sync.Once
+	hist     *histogram.Histogram
 }
 
 // New validates row indices and wraps them.
@@ -41,14 +51,22 @@ func New(u universe.Universe, rows []int) (*Dataset, error) {
 // N returns the number of rows n.
 func (d *Dataset) N() int { return len(d.Rows) }
 
-// Histogram returns the histogram representation of the dataset.
+// Histogram returns the histogram representation of the dataset. It is
+// built from the rows once, on the first call, and every later call
+// returns the same pointer; it is safe to call from many goroutines. The
+// histogram is shared and read-only: callers must Clone it before
+// modifying it. The first call costs O(n + |X|) and allocates |X| cells,
+// so paths for universes too large to enumerate must not call it.
 func (d *Dataset) Histogram() *histogram.Histogram {
-	h, err := histogram.FromRows(d.U, d.Rows)
-	if err != nil {
-		// Construction validated rows; a failure here is a programmer error.
-		panic("dataset: invalid internal state: " + err.Error())
-	}
-	return h
+	d.histOnce.Do(func() {
+		h, err := histogram.FromRows(d.U, d.Rows)
+		if err != nil {
+			// Construction validated rows; a failure here is a programmer error.
+			panic("dataset: invalid internal state: " + err.Error())
+		}
+		d.hist = h
+	})
+	return d.hist
 }
 
 // Adjacent returns the neighbouring dataset with row j replaced by universe

@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/histogram"
@@ -44,6 +45,49 @@ func TestHistogramRoundTrip(t *testing.T) {
 	for i := range want {
 		if math.Abs(h.P[i]-want[i]) > 1e-12 {
 			t.Errorf("P[%d] = %v, want %v", i, h.P[i], want[i])
+		}
+	}
+}
+
+// TestHistogramSharedOnce calls Histogram from many goroutines at once:
+// every caller gets the one histogram the dataset owns, equal to a fresh
+// count of the rows.
+func TestHistogramSharedOnce(t *testing.T) {
+	g := grid(t)
+	pop, err := Skewed(g, 1.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := SampleFrom(sample.New(4), pop, 20000)
+	const callers = 8
+	got := make([]*histogram.Histogram, callers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range got {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			start.Wait()
+			got[i] = d.Histogram()
+		}(i)
+	}
+	start.Done()
+	done.Wait()
+	for i, h := range got {
+		if h != got[0] {
+			t.Fatalf("caller %d got histogram %p, caller 0 got %p", i, h, got[0])
+		}
+	}
+	if d.Histogram() != got[0] {
+		t.Fatal("a later call built a second histogram")
+	}
+	fresh, err := histogram.FromRows(d.U, d.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range fresh.P {
+		if got[0].P[i] != p {
+			t.Fatalf("P[%d] = %v, fresh count gives %v", i, got[0].P[i], p)
 		}
 	}
 }

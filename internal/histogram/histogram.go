@@ -66,10 +66,11 @@ func FromCounts(u universe.Universe, counts []int) (*Histogram, error) {
 
 // FromRows returns the histogram of a dataset given as row indices into u.
 func FromRows(u universe.Universe, rows []int) (*Histogram, error) {
-	counts := make([]int, u.Size())
+	size := u.Size()
+	counts := make([]int, size)
 	for j, r := range rows {
-		if r < 0 || r >= u.Size() {
-			return nil, fmt.Errorf("histogram: row %d has index %d outside universe of size %d", j, r, u.Size())
+		if r < 0 || r >= size {
+			return nil, fmt.Errorf("histogram: row %d has index %d outside universe of size %d", j, r, size)
 		}
 		counts[r]++
 	}
@@ -132,17 +133,13 @@ func (h *Histogram) KL(g *Histogram) float64 {
 	return s
 }
 
-// Sample draws a universe index from the distribution.
-func (h *Histogram) Sample(src *sample.Source) int {
-	return src.Categorical(h.P)
-}
-
-// SampleRows draws n i.i.d. rows (universe indices).
+// SampleRows draws n i.i.d. rows (universe indices). Row i is what the
+// i-th of n successive src.Categorical(h.P) calls would return; the
+// sampler builds the cumulative sums once, so the cost is
+// O(|X| + n·log|X|) instead of O(n·|X|).
 func (h *Histogram) SampleRows(src *sample.Source, n int) []int {
 	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = h.Sample(src)
-	}
+	src.CategoricalInto(rows, h.P)
 	return rows
 }
 

@@ -212,8 +212,8 @@ func TestSampleMatchesDistribution(t *testing.T) {
 	src := sample.New(5)
 	n := 100000
 	var ones int
-	for i := 0; i < n; i++ {
-		if h.Sample(src) == 1 {
+	for _, r := range h.SampleRows(src, n) {
+		if r == 1 {
 			ones++
 		}
 	}

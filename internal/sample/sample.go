@@ -210,6 +210,52 @@ func (s *Source) Categorical(w []float64) int {
 	return len(w) - 1
 }
 
+// CategoricalInto fills out with len(out) independent draws from the weight
+// vector w. Each entry equals what one Categorical(w) call would return
+// after the entries before it: one Float64 per draw, compared against the
+// same left-to-right cumulative sums, with the same fallback. The sums are
+// built once and each draw binary-searches them, so the cost is
+// O(|w| + len(out)·log|w|) instead of O(len(out)·|w|). It panics where
+// Categorical does.
+func (s *Source) CategoricalInto(out []int, w []float64) {
+	cum := make([]float64, len(w))
+	var total float64
+	for i, v := range w {
+		if v < 0 || math.IsNaN(v) {
+			panic("sample: Categorical weight negative or NaN")
+		}
+		total += v
+		cum[i] = total
+	}
+	if total <= 0 {
+		panic("sample: Categorical weights sum to zero")
+	}
+	// Floating-point slack: a draw past the last sum takes the last
+	// positive-weight index, as in Categorical. total > 0, so one exists.
+	last := len(w) - 1
+	for w[last] <= 0 {
+		last--
+	}
+	for k := range out {
+		u := s.rng.Float64() * total
+		// The first i with u < cum[i]; cum is non-decreasing, so the
+		// predicate is monotone and the linear scan's answer is this one.
+		lo, hi := 0, len(cum)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if u < cum[mid] {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		if lo == len(cum) {
+			lo = last
+		}
+		out[k] = lo
+	}
+}
+
 // Bernoulli returns true with probability p (clamped to [0,1]).
 func (s *Source) Bernoulli(p float64) bool {
 	if p <= 0 {

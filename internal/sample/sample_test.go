@@ -188,6 +188,51 @@ func TestCategoricalPanics(t *testing.T) {
 	}
 }
 
+// TestCategoricalIntoMatchesCategorical pins the batched sampler to the
+// per-draw one: on the same seed, every draw is the same index, for weight
+// vectors with leading, interior and trailing zeros, a single cell, and a
+// long skewed vector.
+func TestCategoricalIntoMatchesCategorical(t *testing.T) {
+	skewed := make([]float64, 3888)
+	for i := range skewed {
+		skewed[i] = 1 / math.Pow(float64(i+1), 1.3)
+	}
+	skewed[17], skewed[18], skewed[3887] = 0, 0, 0
+	for _, w := range [][]float64{
+		{1, 0, 3},
+		{0, 0, 2, 0, 0, 5, 0},
+		{0.25, 0, 0, 0.75, 0, 0, 0},
+		{7},
+		{0, 0, 1e-300, 0},
+		skewed,
+	} {
+		for _, seed := range []int64{1, 2, 99} {
+			got := make([]int, 5000)
+			New(seed).CategoricalInto(got, w)
+			ref := New(seed)
+			for k, g := range got {
+				if want := ref.Categorical(w); g != want {
+					t.Fatalf("len(w)=%d seed %d draw %d: CategoricalInto %d, Categorical %d", len(w), seed, k, g, want)
+				}
+			}
+		}
+	}
+}
+
+func TestCategoricalIntoPanics(t *testing.T) {
+	s := New(9)
+	for _, w := range [][]float64{{}, {0, 0}, {-1, 2}, {math.NaN()}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CategoricalInto(%v) did not panic", w)
+				}
+			}()
+			s.CategoricalInto(make([]int, 1), w)
+		}()
+	}
+}
+
 func TestBernoulli(t *testing.T) {
 	s := New(10)
 	if s.Bernoulli(0) || !s.Bernoulli(1) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/convex"
 	"repro/internal/dataset"
+	"repro/internal/histogram"
 	"repro/internal/sample"
 	"repro/internal/universe"
 )
@@ -400,6 +401,62 @@ func TestOracleByName(t *testing.T) {
 	}
 	if _, err := OracleByName("bogus", 0); err == nil {
 		t.Error("OracleByName accepted an unknown oracle")
+	}
+}
+
+// TestOraclesLeaveDatasetHistogramUntouched answers directly with every
+// oracle OracleByName serves, on one dataset, and checks that the
+// histogram the dataset shares with all of them is still the same pointer
+// with the same bits as a fresh count of the rows: no oracle writes it.
+func TestOraclesLeaveDatasetHistogramUntouched(t *testing.T) {
+	data := durableData(t, 1)
+	shared := data.Histogram()
+	logistic, err := convex.Build(data.U, convex.Spec{Kind: "logistic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	squared, err := convex.Build(data.U, convex.Spec{Kind: "squared"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ridge, err := convex.NewRegularized(squared, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halfspace, err := convex.Build(data.U, distinctSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses := []convex.Loss{logistic, squared, ridge, halfspace}
+	for _, name := range []string{"noisygd", "netexp", "outputperturb", "glmreduce", "laplace-linear", "nonprivate"} {
+		oracle, err := OracleByName(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answered := 0
+		for i, l := range losses {
+			// Not every oracle takes every loss (outputperturb needs
+			// strong convexity, glmreduce a GLM, laplace-linear a
+			// linear query); each must answer at least one.
+			if _, err := oracle.Answer(sample.New(int64(i)), l, data, 1, 1e-6); err == nil {
+				answered++
+			}
+		}
+		if answered == 0 {
+			t.Errorf("oracle %q answered none of the losses", name)
+		}
+	}
+	if data.Histogram() != shared {
+		t.Fatal("the dataset's histogram pointer changed")
+	}
+	fresh, err := histogram.FromRows(data.U, data.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range fresh.P {
+		if shared.P[i] != p {
+			t.Fatalf("shared P[%d] = %v after the oracles ran, fresh count gives %v", i, shared.P[i], p)
+		}
 	}
 }
 

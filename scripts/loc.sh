@@ -2,13 +2,14 @@
 # loc.sh — Go line counts per package, non-test and test files separately,
 # plus the repo-wide totals. Lines are raw `wc -l` counts (blank and
 # comment lines included). bench/ is excluded: it is the benchmark
-# harness, not the program.
+# harness, not the program. So is every testdata/ directory: the go tool
+# never builds what is under one (fixture modules, sample inputs).
 #
 #   scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-find . -name '*.go' -not -path './bench/*' -not -path './.git/*' -print0 |
+find . -name '*.go' -not -path './bench/*' -not -path './.git/*' -not -path '*/testdata/*' -print0 |
     xargs -0 wc -l |
     awk '
         $2 == "total" { next }
