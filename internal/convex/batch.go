@@ -37,13 +37,24 @@ type BatchLoss interface {
 	DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int)
 }
 
-// chunkBuf pools chunk-sized scratch vectors for the expectation kernels,
-// so a solver iterating ValueGradOn thousands of times allocates no
-// per-chunk buffers after warmup.
+// chunkBuf pools scratch vectors for the expectation kernels, so a solver
+// sweeping thousands of iterates allocates no per-chunk buffers after
+// warmup. Entries hold at least ChunkSize floats; scratch grows the rare
+// entry that must hold more.
 var chunkBuf = sync.Pool{New: func() any {
 	s := make([]float64, xeval.ChunkSize)
 	return &s
 }}
+
+// scratch returns a pooled buffer of length n with unspecified contents,
+// and the handle to hand back with chunkBuf.Put once the caller is done.
+func scratch(n int) (*[]float64, []float64) {
+	p := chunkBuf.Get().(*[]float64)
+	if cap(*p) < n {
+		*p = make([]float64, n)
+	}
+	return p, (*p)[:n]
+}
 
 // All range kernels below materialize their chunk's points once via
 // xeval.MaterializePoints and then iterate the flat row-major matrix.
@@ -322,18 +333,22 @@ func (l *Scaled) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int
 
 // GradBatch implements BatchLoss: c times the inner weighted sum.
 func (l *Scaled) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	tmp := make([]float64, len(grad))
+	tp, tmp := scratch(len(grad))
+	clear(tmp)
 	gradRange(l.inner, tmp, theta, w, u, lo, hi)
 	vecmath.AddScaled(grad, l.c, tmp)
+	chunkBuf.Put(tp)
 }
 
 // ValueGradBatch implements BatchLoss: the inner values times c, and c
 // times the inner weighted sum, over one inner pass.
 func (l *Scaled) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	tmp := make([]float64, len(grad))
+	tp, tmp := scratch(len(grad))
+	clear(tmp)
 	valueGradRange(l.inner, out, tmp, theta, w, u, lo, hi)
 	vecmath.ScaleInPlace(out[:hi-lo], l.c)
 	vecmath.AddScaled(grad, l.c, tmp)
+	chunkBuf.Put(tp)
 }
 
 // DirGradBatch implements BatchLoss: the inner values times c.

@@ -2,6 +2,7 @@ package convex
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
@@ -82,6 +83,28 @@ func naiveValueOn(l Loss, theta []float64, h *histogram.Histogram) float64 {
 		s += p * l.Value(theta, h.U.Point(i))
 	}
 	return s
+}
+
+// refGradOn is the population gradient as the one-shot GradOn sweep
+// computed it before the Sweep object replaced it: a d-slot vector
+// reduction over the gradient kernel, skipping all-zero chunks. It pins
+// the Sweep's gradient bits to that sweep's.
+func refGradOn(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram) []float64 {
+	d := l.Domain().Dim()
+	return e.NewVecSum(h.U.Size(), d, func(lo, hi int, out []float64) {
+		w := h.P[lo:hi]
+		if allZero(w) {
+			return
+		}
+		gradRange(l, out, theta, w, h.U, lo, hi)
+	}).Run(make([]float64, d))
+}
+
+// sweepGrad returns the population gradient from a fresh Sweep's Grad.
+func sweepGrad(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram) []float64 {
+	grad := make([]float64, l.Domain().Dim())
+	NewSweep(e, l, h).Grad(grad, theta)
+	return grad
 }
 
 // naiveGradOn is the pre-engine reference population gradient.
@@ -170,14 +193,14 @@ func TestEngineMatchesSequentialAllKinds(t *testing.T) {
 			}
 
 			wantG := naiveGradOn(l, theta, h)
-			gotG := GradOn(par, l, nil, theta, h)
-			serG := GradOn(ser, l, nil, theta, h)
+			gotG := sweepGrad(par, l, theta, h)
+			serG := sweepGrad(ser, l, theta, h)
 			for j := range wantG {
 				if math.Abs(gotG[j]-wantG[j]) > 1e-12 {
-					t.Errorf("%s: GradOn[%d] parallel = %v, sequential %v", l.Name(), j, gotG[j], wantG[j])
+					t.Errorf("%s: Sweep.Grad[%d] parallel = %v, sequential %v", l.Name(), j, gotG[j], wantG[j])
 				}
 				if gotG[j] != serG[j] {
-					t.Errorf("%s: GradOn[%d] differs across worker counts", l.Name(), j)
+					t.Errorf("%s: Sweep.Grad[%d] differs across worker counts", l.Name(), j)
 				}
 			}
 
@@ -222,10 +245,10 @@ func TestEngineOnHypercube(t *testing.T) {
 		t.Errorf("EvalOn = %v, want %v", got, want)
 	}
 	wantG := naiveGradOn(l, theta, h)
-	gotG := GradOn(xeval.New(8), l, nil, theta, h)
+	gotG := sweepGrad(xeval.New(8), l, theta, h)
 	for j := range wantG {
 		if math.Abs(gotG[j]-wantG[j]) > 1e-12 {
-			t.Errorf("GradOn[%d] = %v, want %v", j, gotG[j], wantG[j])
+			t.Errorf("Sweep.Grad[%d] = %v, want %v", j, gotG[j], wantG[j])
 		}
 	}
 }
@@ -322,26 +345,38 @@ func TestBatchKernelsMatchGenericFallback(t *testing.T) {
 	}
 }
 
-// TestValueGradOnBitIdentical pins the fused sweep to the two sweeps it
-// replaces in the solvers: ValueGradOn's value must carry EvalOn's bits and
-// its gradient GradOn's, with no tolerance, for every registry kind, both
-// decorators and the generic fallback, over a histogram with one chunk of
-// each kind (dense, sparse, all zero), serially and on 8 workers.
-func TestValueGradOnBitIdentical(t *testing.T) {
+// TestSweepBitIdentical pins the Sweep object to the sweeps it replaces in
+// the solvers and the oracles: ValueGrad's value must carry EvalOn's bits,
+// and both its gradient and Grad's must carry the one-shot gradient
+// sweep's (refGradOn), with no tolerance. It covers every registry kind,
+// both decorators and the generic fallback, on 1, 2 and 8 workers, over
+// three histograms: one chunk of each kind (dense, sparse, all zero),
+// dense everywhere, and sparse everywhere. One Sweep serves a sequence of
+// iterates with Grad and ValueGrad interleaved, so partials a previous
+// sweep left behind would show here.
+func TestSweepBitIdentical(t *testing.T) {
 	g := testUniverse(t)
 	if xeval.Chunks(g.Size()) != 3 {
 		t.Fatalf("|X| = %d spans %d chunks, want 3", g.Size(), xeval.Chunks(g.Size()))
 	}
-	p := make([]float64, g.Size())
-	for i := range p {
+	mixed := make([]float64, g.Size())
+	for i := range mixed {
 		switch c := i / xeval.ChunkSize; {
 		case c == 0 && i%7 != 0: // dense, with some exact zeros
-			p[i] = 1 / float64(1+i%13)
+			mixed[i] = 1 / float64(1+i%13)
 		case c == 1 && i%50 == 0: // sparse: 41 of 2048 cells
-			p[i] = 0.5
+			mixed[i] = 0.5
 		}
 	}
-	h := &histogram.Histogram{U: g, P: p}
+	sparse := make([]float64, g.Size())
+	for _, i := range []int{0, 7, 500, 2047, 2048, 2100, 4095, 4096, 4500, 5487} {
+		sparse[i] = 0.1
+	}
+	hists := map[string]*histogram.Histogram{
+		"mixed":  {U: g, P: mixed},
+		"dense":  skewedHistogram(g),
+		"sparse": {U: g, P: sparse},
+	}
 	src := sample.New(17)
 	for _, sp := range registrySpecs(t) {
 		l, err := Build(g, sp)
@@ -356,22 +391,38 @@ func TestValueGradOnBitIdentical(t *testing.T) {
 			losses = append(losses, sc)
 		}
 		for _, l := range losses {
-			theta := probe(src, l)
-			for _, workers := range []int{1, 8} {
-				e := xeval.New(workers)
-				wantV := EvalOn(e, l, theta, h)
-				wantG := GradOn(e, l, nil, theta, h)
-				gotG := make([]float64, len(wantG))
-				gotV := ValueGradOn(e, l, gotG, theta, h)
-				if math.Float64bits(gotV) != math.Float64bits(wantV) {
-					t.Errorf("%T %s workers=%d: ValueGradOn value = %v, EvalOn = %v", l, l.Name(), workers, gotV, wantV)
-				}
-				for j := range wantG {
-					if math.Float64bits(gotG[j]) != math.Float64bits(wantG[j]) {
-						t.Errorf("%T %s workers=%d: ValueGradOn grad[%d] = %v, GradOn = %v", l, l.Name(), workers, j, gotG[j], wantG[j])
+			thetas := [][]float64{probe(src, l), probe(src, l), probe(src, l)}
+			for hname, h := range hists {
+				for _, workers := range []int{1, 2, 8} {
+					e := xeval.New(workers)
+					sw := NewSweep(e, l, h)
+					name := fmt.Sprintf("%T %s %s workers=%d", l, l.Name(), hname, workers)
+					for k, theta := range thetas {
+						wantV := EvalOn(e, l, theta, h)
+						wantG := refGradOn(e, l, theta, h)
+						gotG := make([]float64, len(wantG))
+						if k%2 == 1 {
+							sw.Grad(gotG, theta)
+							sameBits(t, name+" Grad", gotG, wantG)
+						}
+						gotV := sw.ValueGrad(gotG, theta)
+						if math.Float64bits(gotV) != math.Float64bits(wantV) {
+							t.Errorf("%s iterate %d: ValueGrad value = %v, EvalOn = %v", name, k, gotV, wantV)
+						}
+						sameBits(t, name+" ValueGrad", gotG, wantG)
 					}
 				}
 			}
+		}
+	}
+}
+
+// sameBits reports every coordinate where got and want differ in any bit.
+func sameBits(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Errorf("%s: grad[%d] = %v, want %v", name, j, got[j], want[j])
 		}
 	}
 }

@@ -34,8 +34,10 @@ func bench2p16(b *testing.B) (*universe.LabeledGrid, Loss, *histogram.Histogram,
 }
 
 // BenchmarkGradOn2p16Logistic measures the population-gradient hot path —
-// the per-iteration cost of every public argmin solve — serial vs
+// one Sweep.Grad, the per-step cost of the noisygd oracle — serial vs
 // parallel. The acceptance criterion for the engine is ≥3× at 8 workers.
+// The name predates the Sweep object; it is kept so the committed micro
+// baseline keeps gating it.
 func BenchmarkGradOn2p16Logistic(b *testing.B) {
 	_, l, h, theta := bench2p16(b)
 	grad := make([]float64, l.Domain().Dim())
@@ -44,10 +46,11 @@ func BenchmarkGradOn2p16Logistic(b *testing.B) {
 		if workers == 0 {
 			name = "workers=numcpu"
 		}
-		e := xeval.New(workers)
+		sw := NewSweep(xeval.New(workers), l, h)
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				GradOn(e, l, grad, theta, h)
+				sw.Grad(grad, theta)
 			}
 		})
 	}
@@ -66,17 +69,18 @@ func BenchmarkEvalOn2p16Logistic(b *testing.B) {
 	}
 }
 
-// BenchmarkValueGradOn2p16Logistic measures the fused value+gradient
-// sweep each solver iterate runs; compare it with the EvalOn and GradOn
-// benchmarks above summed, the two sweeps it replaces.
-func BenchmarkValueGradOn2p16Logistic(b *testing.B) {
+// BenchmarkValueGrad2p16Logistic measures the fused value+gradient sweep
+// each solver iterate runs, one Sweep.ValueGrad; compare it with the
+// EvalOn and GradOn benchmarks above summed, the two sweeps it replaces.
+func BenchmarkValueGrad2p16Logistic(b *testing.B) {
 	_, l, h, theta := bench2p16(b)
 	grad := make([]float64, l.Domain().Dim())
 	for _, workers := range []int{1, 8} {
-		e := xeval.New(workers)
+		sw := NewSweep(xeval.New(workers), l, h)
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ValueGradOn(e, l, grad, theta, h)
+				sw.ValueGrad(grad, theta)
 			}
 		})
 	}
@@ -109,10 +113,10 @@ func BenchmarkGradOnGenericFallback(b *testing.B) {
 	hidden := hideBatch{l}
 	grad := make([]float64, l.Domain().Dim())
 	for _, workers := range []int{1, 8} {
-		e := xeval.New(workers)
+		sw := NewSweep(xeval.New(workers), hidden, h)
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				GradOn(e, hidden, grad, theta, h)
+				sw.Grad(grad, theta)
 			}
 		})
 	}

@@ -66,9 +66,9 @@ func ScaleBound(l Loss) float64 {
 // count the result is bit-identical to the serial (nil-engine) path.
 // Per-chunk work dispatches through the BatchLoss fast path (batch.go)
 // when the loss provides one and falls back to per-element Value/Grad
-// calls otherwise. Solvers take each iterate's value and gradient from one
-// ValueGradOn sweep; EvalOn and GradOn remain for callers that need only
-// one of the two, and ValueGradOn returns exactly their bits.
+// calls otherwise. Solvers build one Sweep per solve and take each
+// iterate's value and gradient from one ValueGrad call (or its gradient
+// alone from Grad); ValueGrad's value carries EvalOn's exact bits.
 
 // EvalOn returns the population loss ℓ(θ; D) = Σ_x D(x)·ℓ(θ; x), evaluated
 // chunk-parallel on e (nil means serial).
@@ -89,8 +89,7 @@ func EvalOn(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram) fl
 		if nnz < (hi-lo)/4 {
 			return sparseValue(l, theta, u, w, lo)
 		}
-		bufp := chunkBuf.Get().(*[]float64)
-		out := (*bufp)[:hi-lo]
+		bufp, out := scratch(hi - lo)
 		evalRange(l, out, theta, u, lo, hi)
 		s := weightedValue(out, w)
 		chunkBuf.Put(bufp)
@@ -98,39 +97,78 @@ func EvalOn(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram) fl
 	})
 }
 
-// ValueGradOn returns the population loss ℓ(θ; D) and writes the
-// population gradient ∇ℓ(θ; D) into grad (len = Domain().Dim()), from one
-// chunk-parallel sweep on e (nil means serial). The value is
-// bit-identical to EvalOn's and the gradient to GradOn's.
+// Sweep evaluates one loss's population value ℓ(θ; D) and gradient
+// ∇ℓ(θ; D) on one histogram at a sequence of iterates θ, chunk-parallel on
+// one engine. It is built once per solve and holds its own reduction and
+// accumulator, so an iterate's sweep allocates nothing beyond what the
+// loss's kernels do. A Sweep is not safe for concurrent use.
 //
-// Each chunk writes a d+1 partial into one SumVec: slot 0 holds its value
-// partial, slots 1..d its gradient partial. SumVec reduces every slot with
-// the same pairwise tree as Sum, and each chunk takes the same branch with
-// the same arithmetic as in EvalOn and GradOn: all-zero chunks contribute
-// nothing, sparse chunks sum Value over their nonzero cells and run the
-// gradient kernel, dense chunks run the fused kernel and then the same
-// weighted sum over its values.
-func ValueGradOn(e *xeval.Engine, l Loss, grad, theta []float64, h *histogram.Histogram) float64 {
+// Each chunk writes a d+1 partial into one xeval.VecSum: slot 0 holds its
+// value partial, slots 1..d its gradient partial. The VecSum reduces every
+// slot with the same pairwise tree as xeval's Sum, so the value is
+// bit-identical to EvalOn's, and every chunk takes a fixed branch: all-zero
+// chunks contribute nothing, sparse chunks (nnz < n/4) sum Value over
+// their nonzero cells and run the gradient kernel, dense chunks run the
+// fused kernel and then the same weighted sum over its values. Grad runs
+// the gradient kernel alone on every chunk with a nonzero weight; its
+// bits equal ValueGrad's gradient.
+type Sweep struct {
+	red   *xeval.VecSum
+	acc   []float64 // slot 0: value; slots 1..d: gradient
+	theta []float64 // the iterate the chunk kernel reads during a Run
+	value bool      // whether the current Run computes the value too
+}
+
+// NewSweep builds the sweep of l over h on e (nil means serial).
+func NewSweep(e *xeval.Engine, l Loss, h *histogram.Histogram) *Sweep {
+	d := l.Domain().Dim()
 	u := h.U
-	acc := e.SumVec(make([]float64, len(grad)+1), u.Size(), func(lo, hi int, out []float64) {
+	s := &Sweep{acc: make([]float64, d+1)}
+	s.red = e.NewVecSum(u.Size(), d+1, func(lo, hi int, out []float64) {
 		w := h.P[lo:hi]
+		if !s.value {
+			if !allZero(w) {
+				gradRange(l, out[1:], s.theta, w, u, lo, hi)
+			}
+			return
+		}
 		nnz := nonzeros(w)
 		if nnz == 0 {
 			return
 		}
 		if nnz < (hi-lo)/4 {
-			out[0] = sparseValue(l, theta, u, w, lo)
-			gradRange(l, out[1:], theta, w, u, lo, hi)
+			out[0] = sparseValue(l, s.theta, u, w, lo)
+			gradRange(l, out[1:], s.theta, w, u, lo, hi)
 			return
 		}
-		bufp := chunkBuf.Get().(*[]float64)
-		vals := (*bufp)[:hi-lo]
-		valueGradRange(l, vals, out[1:], theta, w, u, lo, hi)
+		bufp, vals := scratch(hi - lo)
+		valueGradRange(l, vals, out[1:], s.theta, w, u, lo, hi)
 		out[0] = weightedValue(vals, w)
 		chunkBuf.Put(bufp)
 	})
-	copy(grad, acc[1:])
-	return acc[0]
+	return s
+}
+
+// ValueGrad returns the population loss ℓ(θ; D) and writes the population
+// gradient ∇ℓ(θ; D) into grad (len = Domain().Dim()), from one sweep.
+func (s *Sweep) ValueGrad(grad, theta []float64) float64 {
+	s.run(theta, true)
+	copy(grad, s.acc[1:])
+	return s.acc[0]
+}
+
+// Grad writes the population gradient ∇ℓ(θ; D) = Σ_x D(x)·∇ℓ_x(θ) into
+// grad, from one sweep that computes no values.
+func (s *Sweep) Grad(grad, theta []float64) {
+	s.run(theta, false)
+	copy(grad, s.acc[1:])
+}
+
+// run sweeps the kernel at theta into s.acc.
+func (s *Sweep) run(theta []float64, value bool) {
+	s.theta, s.value = theta, value
+	s.red.Run(s.acc)
+	s.theta = nil
 }
 
 // nonzeros returns the number of nonzero weights in a chunk.
@@ -148,12 +186,13 @@ func nonzeros(w []float64) int {
 // mostly-zero chunk, evaluating only those cells.
 func sparseValue(l Loss, theta []float64, u universe.Universe, w []float64, lo int) float64 {
 	var s float64
-	buf := make([]float64, u.Dim())
+	bufp, buf := scratch(u.Dim())
 	for i, wi := range w {
 		if wi != 0 {
 			s += wi * l.Value(theta, u.PointInto(lo+i, buf))
 		}
 	}
+	chunkBuf.Put(bufp)
 	return s
 }
 
@@ -167,24 +206,6 @@ func weightedValue(vals, w []float64) float64 {
 		}
 	}
 	return s
-}
-
-// GradOn writes the population gradient ∇ℓ(θ; D) = Σ_x D(x)·∇ℓ_x(θ) into
-// grad and returns it (allocating when nil), evaluated chunk-parallel on e
-// (nil means serial).
-func GradOn(e *xeval.Engine, l Loss, grad, theta []float64, h *histogram.Histogram) []float64 {
-	d := l.Domain().Dim()
-	if grad == nil {
-		grad = make([]float64, d)
-	}
-	u := h.U
-	return e.SumVec(grad, u.Size(), func(lo, hi int, out []float64) {
-		w := h.P[lo:hi]
-		if allZero(w) {
-			return
-		}
-		gradRange(l, out, theta, w, u, lo, hi)
-	})
 }
 
 // DirGradOn writes the directional gradients ⟨dir, ∇ℓ_x(θ)⟩ into

@@ -91,7 +91,10 @@ func (l *Logistic) Scalar(z, y float64) (float64, float64) {
 	if u > 30 {
 		sp, dsp = u, 1
 	} else if u < -30 {
-		sp, dsp = math.Exp(u), math.Exp(u)
+		// log(1+e^u) = e^u and its derivative e^u/(1+e^u) = e^u to
+		// double precision.
+		e := math.Exp(u)
+		sp, dsp = e, e
 	} else {
 		e := math.Exp(u)
 		sp = math.Log1p(e)

@@ -403,7 +403,7 @@ func TestLinearFormExactMinimize(t *testing.T) {
 	}
 }
 
-func TestValueGradOn(t *testing.T) {
+func TestPopulationValueAndGrad(t *testing.T) {
 	g := testGrid(t)
 	ball, _ := NewL2Ball(2, 1)
 	sq, _ := NewSquared("sq", ball, []float64{0, 0, 1}, 1, 1)
@@ -417,8 +417,9 @@ func TestValueGradOn(t *testing.T) {
 	if got := EvalOn(nil, sq, theta, h); math.Abs(got-want) > 1e-12 {
 		t.Errorf("EvalOn = %v, want %v", got, want)
 	}
-	// GradOn matches finite differences of EvalOn.
-	grad := GradOn(nil, sq, nil, theta, h)
+	// Sweep.Grad matches finite differences of EvalOn.
+	grad := make([]float64, len(theta))
+	NewSweep(nil, sq, h).Grad(grad, theta)
 	const step = 1e-6
 	for i := range theta {
 		tp := vecmath.Copy(theta)
@@ -427,7 +428,7 @@ func TestValueGradOn(t *testing.T) {
 		tm[i] -= step
 		fd := (EvalOn(nil, sq, tp, h) - EvalOn(nil, sq, tm, h)) / (2 * step)
 		if math.Abs(fd-grad[i]) > 1e-5 {
-			t.Errorf("GradOn[%d] = %v, fd %v", i, grad[i], fd)
+			t.Errorf("Sweep.Grad[%d] = %v, fd %v", i, grad[i], fd)
 		}
 	}
 }

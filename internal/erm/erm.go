@@ -160,15 +160,16 @@ func (o NoisyGD) Answer(src *sample.Source, l convex.Loss, data *dataset.Dataset
 	}
 	dom := l.Domain()
 	d := dom.Dim()
-	h := data.Histogram()
+	sw := convex.NewSweep(o.Engine, l, data.Histogram())
 	theta := dom.Center()
 	avg := vecmath.Copy(theta)
 	grad := make([]float64, d)
+	stepBuf := make([]float64, d)
 	lip := l.Lipschitz()
 	sc := l.StrongConvexity()
 	diam := dom.Diameter()
 	for t := 1; t <= iters; t++ {
-		convex.GradOn(o.Engine, l, grad, theta, h)
+		sw.Grad(grad, theta)
 		for i := range grad {
 			grad[i] += src.Gaussian(0, sigma)
 		}
@@ -178,7 +179,8 @@ func (o NoisyGD) Answer(src *sample.Source, l convex.Loss, data *dataset.Dataset
 		} else {
 			step = diam / (lip * math.Sqrt(float64(t)))
 		}
-		theta = dom.Project(vecmath.AddScaled(vecmath.Copy(theta), -step, grad))
+		copy(stepBuf, theta)
+		theta = dom.Project(vecmath.AddScaled(stepBuf, -step, grad))
 		for i := range avg {
 			avg[i] += (theta[i] - avg[i]) / float64(t+1)
 		}

@@ -118,8 +118,10 @@ func (o GLMReduction) Answer(src *sample.Source, l convex.Loss, data *dataset.Da
 		return ball.Center(), nil
 	}
 	proj := make([][]float64, u.Size())
+	labels := make([]float64, u.Size())
 	for i := 0; i < u.Size(); i++ {
 		x := u.PointInto(i, buf)
+		labels[i] = glm.Label(x)
 		p := make([]float64, m)
 		for r := 0; r < m; r++ {
 			var s float64
@@ -164,32 +166,35 @@ func (o GLMReduction) Answer(src *sample.Source, l convex.Loss, data *dataset.Da
 	if err := ensureDenseData(o.Name(), data); err != nil {
 		return nil, err
 	}
+	// The reduction is built once, before the step loop; its kernel reads
+	// the loop's current theta on every sweep.
 	h := data.Histogram()
 	theta := redBall.Center()
+	red := o.Engine.NewVecSum(u.Size(), m, func(clo, chi int, out []float64) {
+		for i := clo; i < chi; i++ {
+			p := h.P[i]
+			if p == 0 {
+				continue
+			}
+			_, dv := glm.Scalar(vecmath.Dot(theta, proj[i]), labels[i])
+			pv := p * dv
+			for r := 0; r < m; r++ {
+				out[r] += pv * proj[i][r]
+			}
+		}
+	})
 	avg := vecmath.Copy(theta)
 	grad := make([]float64, m)
+	stepBuf := make([]float64, m)
 	diam := redBall.Diameter()
 	for t := 1; t <= iters; t++ {
-		o.Engine.SumVec(grad, u.Size(), func(clo, chi int, out []float64) {
-			buf := make([]float64, u.Dim())
-			for i := clo; i < chi; i++ {
-				p := h.P[i]
-				if p == 0 {
-					continue
-				}
-				z := vecmath.Dot(theta, proj[i])
-				_, dv := glm.Scalar(z, glm.Label(u.PointInto(i, buf)))
-				pv := p * dv
-				for r := 0; r < m; r++ {
-					out[r] += pv * proj[i][r]
-				}
-			}
-		})
+		red.Run(grad)
 		for i := range grad {
 			grad[i] += src.Gaussian(0, sigma)
 		}
 		step := diam / (redLip * math.Sqrt(float64(t)))
-		theta = redBall.Project(vecmath.AddScaled(vecmath.Copy(theta), -step, grad))
+		copy(stepBuf, theta)
+		theta = redBall.Project(vecmath.AddScaled(stepBuf, -step, grad))
 		for i := range avg {
 			avg[i] += (theta[i] - avg[i]) / float64(t+1)
 		}

@@ -9,11 +9,14 @@
 // the solver switches to the 1/(σt) step schedule with suffix averaging,
 // which converges markedly faster.
 //
-// Every solver sweeps the universe once per iterate: convex.ValueGradOn
-// returns the iterate's value (for the best-iterate check) and its
-// gradient (for the next step) together, bit-identical to separate
-// EvalOn and GradOn sweeps. A Minimize solve therefore costs Iters+2
-// sweeps (the start point, one per iterate, the averaged iterate).
+// Cost model. Every solver sweeps the universe once per iterate: one
+// convex.Sweep, built once per solve, returns the iterate's value (for
+// the best-iterate check) and its gradient (for the next step) together,
+// the value bit-identical to an EvalOn sweep. A Minimize solve therefore
+// costs Iters+2 sweeps (the start point, one per iterate, the averaged
+// iterate). The sweep object and the step buffer are reused across
+// iterates, so an iterate allocates at most once: the fresh slice
+// Domain.Project returns.
 package optimize
 
 import (
@@ -102,9 +105,11 @@ func Minimize(l convex.Loss, h *histogram.Histogram, opts Options) (Result, erro
 	sigma := l.StrongConvexity()
 	diam := dom.Diameter()
 
+	sw := convex.NewSweep(opts.Engine, l, h)
 	grad := make([]float64, d)
+	stepBuf := make([]float64, d)
 	best := vecmath.Copy(theta)
-	bestVal := convex.ValueGradOn(opts.Engine, l, grad, theta, h)
+	bestVal := sw.ValueGrad(grad, theta)
 	avg := vecmath.Copy(theta)
 	var avgCount float64 = 1
 
@@ -119,7 +124,8 @@ func Minimize(l convex.Loss, h *histogram.Histogram, opts Options) (Result, erro
 			// Classic D/(L√t) schedule for Lipschitz convex objectives.
 			step = diam / (lip * math.Sqrt(float64(t)))
 		}
-		next := dom.Project(vecmath.AddScaled(vecmath.Copy(theta), -step, grad))
+		copy(stepBuf, theta)
+		next := dom.Project(vecmath.AddScaled(stepBuf, -step, grad))
 		moved := vecmath.Dist2(next, theta)
 		theta = next
 
@@ -130,7 +136,7 @@ func Minimize(l convex.Loss, h *histogram.Histogram, opts Options) (Result, erro
 			avg[i] += (theta[i] - avg[i]) / avgCount
 		}
 
-		if v := convex.ValueGradOn(opts.Engine, l, grad, theta, h); v < bestVal {
+		if v := sw.ValueGrad(grad, theta); v < bestVal {
 			bestVal = v
 			copy(best, theta)
 		}

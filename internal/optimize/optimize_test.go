@@ -53,7 +53,8 @@ func TestMinimizeStronglyConvexFast(t *testing.T) {
 	}
 	// Strongly convex objective: verify first-order optimality via small
 	// gradient at an interior optimum, or projection stationarity.
-	grad := convex.GradOn(nil, rg, nil, res.Theta, h)
+	grad := make([]float64, len(res.Theta))
+	convex.NewSweep(nil, rg, h).Grad(grad, res.Theta)
 	moved := vecmath.Dist2(ball.Project(vecmath.AddScaled(vecmath.Copy(res.Theta), -0.1, grad)), res.Theta)
 	if moved > 1e-3 {
 		t.Errorf("stationarity violated: projected step moves %v", moved)
@@ -239,7 +240,7 @@ func TestMinimizeFrankWolfeGap(t *testing.T) {
 			t.Fatalf("%s: %v", l.Name(), err)
 		}
 		grad := make([]float64, len(res.Theta))
-		convex.GradOn(nil, l, grad, res.Theta, h)
+		convex.NewSweep(nil, l, h).Grad(grad, res.Theta)
 		s := l.Domain().(convex.LinearMinimizer).MinimizeLinear(grad)
 		gap := vecmath.Dot(grad, vecmath.Sub(res.Theta, s))
 		if gap > 1e-4 {

@@ -14,8 +14,10 @@ import (
 )
 
 // twoSweepMinimize is Minimize as it was before the fused sweep: every
-// iteration runs GradOn at θ_t and then EvalOn at θ_{t+1}, two universe
-// sweeps per iterate. The one-sweep solver must return its bits exactly.
+// iteration runs a gradient sweep at θ_t and then EvalOn at θ_{t+1}, two
+// universe sweeps per iterate. The one-sweep solver must return its bits
+// exactly. Its gradient sweep is Sweep.Grad, which convex's tests pin to
+// the one-shot gradient sweep's bits.
 func twoSweepMinimize(l convex.Loss, h *histogram.Histogram, opts Options) Result {
 	opts = opts.withDefaults()
 	if es, ok := l.(convex.ExactSolvable); ok {
@@ -32,6 +34,7 @@ func twoSweepMinimize(l convex.Loss, h *histogram.Histogram, opts Options) Resul
 	sigma := l.StrongConvexity()
 	diam := dom.Diameter()
 
+	sw := convex.NewSweep(opts.Engine, l, h)
 	grad := make([]float64, dom.Dim())
 	best := vecmath.Copy(theta)
 	bestVal := convex.EvalOn(opts.Engine, l, theta, h)
@@ -41,7 +44,7 @@ func twoSweepMinimize(l convex.Loss, h *histogram.Histogram, opts Options) Resul
 	iters := 0
 	for t := 1; t <= opts.MaxIters; t++ {
 		iters = t
-		convex.GradOn(opts.Engine, l, grad, theta, h)
+		sw.Grad(grad, theta)
 		var step float64
 		if sigma > 0 {
 			step = 1 / (sigma * float64(t))

@@ -155,7 +155,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		if !rep.up() {
 			continue
 		}
-		status, body, err := rt.do(r, rep, nil)
+		status, _, body, err := rt.do(r, rep, nil)
 		if err != nil || status != http.StatusOK {
 			continue
 		}
@@ -185,9 +185,9 @@ func (rt *Router) handleTranscript(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rep := rt.owner(id)
 	if rep.up() {
-		status, body, err := rt.do(r, rep, nil)
+		status, hdr, body, err := rt.do(r, rep, nil)
 		if err == nil {
-			copyResponse(w, status, body)
+			copyResponse(w, status, hdr, body)
 			return
 		}
 	}
@@ -221,23 +221,24 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, rep *replica, bo
 		rt.unavailable(w, rep)
 		return
 	}
-	status, respBody, err := rt.do(r, rep, body)
+	status, hdr, respBody, err := rt.do(r, rep, body)
 	if err != nil {
 		rt.unavailable(w, rep)
 		return
 	}
-	copyResponse(w, status, respBody)
+	copyResponse(w, status, hdr, respBody)
 }
 
 // do executes one forwarded request against rep and classifies the
-// outcome into the router metrics. A transport error marks rep down.
-func (rt *Router) do(r *http.Request, rep *replica, body []byte) (int, []byte, error) {
+// outcome into the router metrics. It returns the replica's status,
+// headers and body. A transport error marks rep down.
+func (rt *Router) do(r *http.Request, rep *replica, body []byte) (int, http.Header, []byte, error) {
 	u := *rep.base
 	u.Path = r.URL.Path
 	u.RawQuery = r.URL.RawQuery
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, u.String(), bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
@@ -251,17 +252,17 @@ func (rt *Router) do(r *http.Request, rep *replica, body []byte) (int, []byte, e
 	if err != nil {
 		rt.markDown(rep)
 		rt.met.request(rep.name, "error", time.Since(start).Seconds())
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
 	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyRespBytes))
 	if err != nil {
 		rt.markDown(rep)
 		rt.met.request(rep.name, "error", time.Since(start).Seconds())
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	rt.met.request(rep.name, strconv.Itoa(resp.StatusCode/100)+"xx", time.Since(start).Seconds())
-	return resp.StatusCode, respBody, nil
+	return resp.StatusCode, resp.Header, respBody, nil
 }
 
 // unavailable is the typed replica-down reply: 503, Retry-After, and a
@@ -275,7 +276,12 @@ func (rt *Router) unavailable(w http.ResponseWriter, rep *replica) {
 	})
 }
 
-func copyResponse(w http.ResponseWriter, status int, body []byte) {
+// copyResponse relays a replica's reply: its status, its body, and its
+// Retry-After when it has one (a replica's own 503s carry it).
+func copyResponse(w http.ResponseWriter, status int, hdr http.Header, body []byte) {
+	if ra := hdr.Get("Retry-After"); ra != "" {
+		w.Header().Set("Retry-After", ra)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)

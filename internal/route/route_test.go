@@ -553,3 +553,45 @@ func TestRouterStoreTranscriptIncludesLogTail(t *testing.T) {
 		t.Fatalf("store-served transcript %+v, owner last served %+v", stored, live)
 	}
 }
+
+// TestRouterRelaysReplicaRetryAfter: a replica's own 503 (here, its
+// session cap) reaches the client through the router with the replica's
+// Retry-After and body, and the replica stays up: it answered, so it is
+// not the router's replica-down 503.
+func TestRouterRelaysReplicaRetryAfter(t *testing.T) {
+	mgr, err := service.New(service.Config{
+		Data: testData(t), Source: sample.New(1),
+		Limits: service.Limits{MaxSessions: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mgr.Shutdown)
+	replica := httptest.NewServer(service.NewHandler(mgr))
+	t.Cleanup(replica.Close)
+	rt, err := New([]Replica{{Name: "r1", URL: replica.URL}}, Options{RetryAfter: 7 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	if rec, code := doReq(t, h, "POST", "/v1/sessions", map[string]any{}, nil); code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", code, rec.Body.String())
+	}
+	rec, code := doReq(t, h, "POST", "/v1/sessions", map[string]any{}, nil)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("create past the replica's cap: status %d: %s", code, rec.Body.String())
+	}
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("relayed Retry-After = %q, want the replica's %q", got, "1")
+	}
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := body["replica"]; ok || !strings.Contains(fmt.Sprint(body["error"]), "session") {
+		t.Errorf("body %v: want the replica's own error, not the router's replica-down reply", body)
+	}
+	if !rt.replicas[0].up() {
+		t.Error("a replica that answered 503 was marked down")
+	}
+}

@@ -34,7 +34,8 @@ import (
 //
 // Every response is JSON. Failures carry {"error": ...} with a status code
 // mapped from the service's typed errors: 404 unknown session, 409 closed,
-// 429 budget exhausted, 503 at the session limit or during shutdown, 501
+// 429 budget exhausted, 503 (with Retry-After) at the session limit,
+// during shutdown or when a page-in gives up under eviction pressure, 501
 // snapshot without a state directory, 500 checkpoint write failure, 400
 // for malformed requests and unknown losses.
 //
@@ -263,9 +264,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// retryAfterSeconds is the Retry-After every 503 carries: the session
+// cap, a shutdown and a page-in under eviction pressure are all
+// transient refusals, and a fleet router relays the header to the client.
+const retryAfterSeconds = "1"
+
 // writeError maps a service error to its HTTP status.
 func writeError(w http.ResponseWriter, err error) {
-	writeJSON(w, statusFor(err), map[string]string{"error": err.Error()})
+	status := statusFor(err)
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", retryAfterSeconds)
+	}
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // statusFor maps typed service errors to HTTP status codes.

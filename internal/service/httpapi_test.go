@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/dataset"
@@ -311,5 +312,47 @@ func TestHTTPWorkersValidation(t *testing.T) {
 	}
 	if len(qr.Answer) != 1 {
 		t.Errorf("answer = %v, want a scalar", qr.Answer)
+	}
+}
+
+// TestHTTPUnavailableCarriesRetryAfter: every 503 a replica sends — at
+// the session cap and after shutdown — tells the client when to retry,
+// and other failures carry no Retry-After. The replica is served by
+// httptest, as a router's tests reach it.
+func TestHTTPUnavailableCarriesRetryAfter(t *testing.T) {
+	m, _ := startServer(t)
+	srv := httptest.NewServer(NewHandler(m))
+	t.Cleanup(srv.Close)
+	post := func() *http.Response {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	for i := 0; i < 4; i++ { // MaxSessions = 4
+		if resp := post(); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %d: status %d", i+1, resp.StatusCode)
+		}
+	}
+	if resp := post(); resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != retryAfterSeconds {
+		t.Errorf("create past limit: status %d, Retry-After %q; want 503 with %q",
+			resp.StatusCode, resp.Header.Get("Retry-After"), retryAfterSeconds)
+	}
+	resp, err := http.Get(srv.URL + "/v1/sessions/s-424242")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || resp.Header.Get("Retry-After") != "" {
+		t.Errorf("unknown session: status %d, Retry-After %q; want 404 with none",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	m.Shutdown()
+	if resp := post(); resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != retryAfterSeconds {
+		t.Errorf("create after shutdown: status %d, Retry-After %q; want 503 with %q",
+			resp.StatusCode, resp.Header.Get("Retry-After"), retryAfterSeconds)
 	}
 }

@@ -6,11 +6,18 @@ import (
 	"repro/internal/universe"
 )
 
-// pointBuf pools the row-major point matrices MaterializePoints hands out.
-// Capacity grows to the largest chunk×dim the process sweeps and is then
-// reused across chunks and sweeps, so steady-state kernels allocate
-// nothing.
-var pointBuf = sync.Pool{New: func() any { return new([]float64) }}
+// pointBlock is one pooled row-major point matrix with its release
+// function, which is built once per block and reused for every chunk the
+// block serves, so handing a block out allocates nothing.
+type pointBlock struct {
+	rows    []float64
+	release func()
+}
+
+// pointBuf pools the point blocks MaterializePoints hands out. Capacity
+// grows to the largest chunk×dim the process sweeps and is then reused
+// across chunks and sweeps, so steady-state kernels allocate nothing.
+var pointBuf sync.Pool
 
 // MaterializePoints returns the row-major materialization of universe
 // elements [lo, hi): element lo+k occupies rows[k*dim:(k+1)*dim] with
@@ -27,17 +34,21 @@ var pointBuf = sync.Pool{New: func() any { return new([]float64) }}
 func MaterializePoints(u universe.Universe, lo, hi int) (rows []float64, release func()) {
 	dim := u.Dim()
 	n := (hi - lo) * dim
-	bp := pointBuf.Get().(*[]float64)
-	if cap(*bp) < n {
-		*bp = make([]float64, n)
+	b, _ := pointBuf.Get().(*pointBlock)
+	if b == nil {
+		b = new(pointBlock)
+		b.release = func() { pointBuf.Put(b) }
 	}
-	rows = (*bp)[:n]
-	if b, ok := u.(universe.Block); ok {
-		b.PointsInto(lo, hi, rows)
+	if cap(b.rows) < n {
+		b.rows = make([]float64, n)
+	}
+	rows = b.rows[:n]
+	if bl, ok := u.(universe.Block); ok {
+		bl.PointsInto(lo, hi, rows)
 	} else {
 		for i := lo; i < hi; i++ {
 			u.PointInto(i, rows[(i-lo)*dim:(i-lo+1)*dim])
 		}
 	}
-	return rows, func() { pointBuf.Put(bp) }
+	return rows, b.release
 }

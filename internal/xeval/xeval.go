@@ -2,12 +2,13 @@
 // map/reduce layer over universe index ranges [0, |X|).
 //
 // Every hot path in the reproduction — population losses and gradients
-// (convex.EvalOn/GradOn, and convex.ValueGradOn, which takes both from one
-// sweep), the public argmin solves (optimize, one ValueGradOn sweep per
-// iterate), the MW histogram materialization (mw), and the Claim-3.5
-// dual certificate (core) — is an expectation or per-element map over the
-// dense universe. This package gives all of them one execution substrate
-// with two properties the rest of the system relies on:
+// (convex.EvalOn, and convex.Sweep, which takes an iterate's value and
+// gradient from one sweep), the public argmin solves (optimize, one
+// Sweep.ValueGrad per iterate), the MW histogram materialization (mw),
+// and the Claim-3.5 dual certificate (core) — is an expectation or
+// per-element map over the dense universe. This package gives all of them
+// one execution substrate with two properties the rest of the system
+// relies on:
 //
 //  1. Determinism. Chunk boundaries depend only on the range length n
 //     (fixed chunk size, never the worker count), and reductions combine
@@ -22,6 +23,13 @@
 //
 // A nil *Engine is valid everywhere and means "serial": the same chunking
 // and the same pairwise reduction run inline on the caller's goroutine.
+//
+// Cost model: a solver that sweeps one kernel every iterate builds one
+// VecSum per solve, which holds the partial buffers and the chunk
+// callback, and each Run allocates nothing on a serial or single-chunk
+// sweep. MaterializePoints hands kernels pooled point matrices, so a
+// steady-state sweep's only garbage is the goroutine handoff of a
+// multi-chunk parallel run.
 package xeval
 
 import (
@@ -193,19 +201,26 @@ func (e *Engine) Max(n int, f func(lo, hi int) float64) (m float64, ok bool) {
 	return m, true
 }
 
-// SumVec accumulates per-chunk partial vectors of length dim into dst
-// (which it zeroes first) and returns dst. Each chunk receives its own
-// zeroed out buffer; partials combine with the same pairwise tree as Sum,
-// coordinate by coordinate, so the result is bit-deterministic.
-func (e *Engine) SumVec(dst []float64, n int, f func(lo, hi int, out []float64)) []float64 {
-	for i := range dst {
-		dst[i] = 0
-	}
+// VecSum is a reusable vector reduction over a fixed range length n,
+// partial length dim and chunk kernel f. Each Run accumulates f's
+// per-chunk partial vectors, each chunk into its own zeroed buffer, and
+// combines them with the same pairwise tree as Sum, coordinate by
+// coordinate, so the result is bit-deterministic. The partial buffers and
+// the chunk callback are allocated once, at construction, so a solver
+// that sweeps the same kernel every iterate allocates nothing per sweep;
+// a one-shot reduction is NewVecSum(n, len(dst), f).Run(dst). A VecSum is
+// not safe for concurrent Runs.
+type VecSum struct {
+	e      *Engine
+	chunks int
+	parts  [][]float64
+	chunk  func(c int)
+}
+
+// NewVecSum builds the reduction of f's per-chunk partial vectors of
+// length dim over [0, n) on e.
+func (e *Engine) NewVecSum(n, dim int, f func(lo, hi int, out []float64)) *VecSum {
 	chunks := Chunks(n)
-	if chunks == 0 {
-		return dst
-	}
-	dim := len(dst)
 	// Kernels accumulate into out once per element, so partials that
 	// share a cache line make concurrent workers contend for it on every
 	// write: a gap of one line (8 float64s) between partials keeps them
@@ -216,12 +231,26 @@ func (e *Engine) SumVec(dst []float64, n int, f func(lo, hi int, out []float64))
 	for c := range parts {
 		parts[c] = backing[c*stride : c*stride+dim : c*stride+dim]
 	}
-	e.run(chunks, func(c int) {
+	return &VecSum{e: e, chunks: chunks, parts: parts, chunk: func(c int) {
 		lo, hi := chunkBounds(c, n)
 		f(lo, hi, parts[c])
-	})
-	acc := pairwiseSumVec(parts)
-	copy(dst, acc)
+	}}
+}
+
+// Run sweeps the kernel over every chunk, writes the pairwise-tree sum of
+// the partials into dst (len dim, zeroed first) and returns dst. Every
+// chunk's partial starts the sweep at zero, whatever the previous Run
+// left in it: a chunk whose kernel writes nothing contributes zeros.
+func (s *VecSum) Run(dst []float64) []float64 {
+	clear(dst)
+	if s.chunks == 0 {
+		return dst
+	}
+	for _, p := range s.parts {
+		clear(p)
+	}
+	s.e.run(s.chunks, s.chunk)
+	copy(dst, pairwiseSumVec(s.parts))
 	return dst
 }
 

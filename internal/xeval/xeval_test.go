@@ -32,8 +32,9 @@ func TestChunksBoundaries(t *testing.T) {
 }
 
 // TestSumDeterministicAcrossWorkers asserts the core engine contract:
-// Sum/SumVec/Max are bit-identical for every worker count, including the
-// nil (serial) engine.
+// Sum/VecSum/Max are bit-identical for every worker count, including the
+// nil (serial) engine. One VecSum per engine serves every repetition, so
+// partials a previous Run left behind would show here.
 func TestSumDeterministicAcrossWorkers(t *testing.T) {
 	const n = 3*ChunkSize + 311
 	vals := make([]float64, n)
@@ -69,10 +70,11 @@ func TestSumDeterministicAcrossWorkers(t *testing.T) {
 	if !ok {
 		t.Fatal("Max reported empty range")
 	}
-	wantVec := nilEngine.SumVec(make([]float64, 7), n, vec)
+	wantVec := nilEngine.NewVecSum(n, 7, vec).Run(make([]float64, 7))
 
 	for _, w := range []int{1, 2, 3, 4, 8, 16, 33} {
 		e := New(w)
+		vs := e.NewVecSum(n, 7, vec)
 		// Several repetitions: scheduling varies, results must not.
 		for rep := 0; rep < 3; rep++ {
 			if got := e.Sum(n, sum); got != wantSum {
@@ -81,10 +83,10 @@ func TestSumDeterministicAcrossWorkers(t *testing.T) {
 			if got, _ := e.Max(n, max); got != wantMax {
 				t.Errorf("workers=%d Max = %v, want %v", w, got, wantMax)
 			}
-			got := e.SumVec(make([]float64, 7), n, vec)
+			got := vs.Run(make([]float64, 7))
 			for i := range got {
 				if got[i] != wantVec[i] {
-					t.Errorf("workers=%d SumVec[%d] = %v, want bit-identical %v", w, i, got[i], wantVec[i])
+					t.Errorf("workers=%d VecSum[%d] = %v, want bit-identical %v", w, i, got[i], wantVec[i])
 				}
 			}
 		}
@@ -97,9 +99,9 @@ func TestSumDeterministicAcrossWorkers(t *testing.T) {
 func TestSumVecPartialsApart(t *testing.T) {
 	const n, dim = 5*ChunkSize + 1, 5
 	addrs := make([]uintptr, Chunks(n))
-	New(1).SumVec(make([]float64, dim), n, func(lo, hi int, out []float64) {
+	New(1).NewVecSum(n, dim, func(lo, hi int, out []float64) {
 		addrs[lo/ChunkSize] = uintptr(unsafe.Pointer(&out[0]))
-	})
+	}).Run(make([]float64, dim))
 	for c := 1; c < len(addrs); c++ {
 		if gap := addrs[c] - (addrs[c-1] + dim*8); addrs[c] < addrs[c-1] || gap < 64 {
 			t.Errorf("partials %d and %d are %d bytes apart, want at least 64", c-1, c, int(gap))
@@ -137,9 +139,9 @@ func TestEmptyAndTinyRanges(t *testing.T) {
 	if got := e.Sum(1, func(lo, hi int) float64 { return float64(hi - lo) }); got != 1 {
 		t.Errorf("Sum over one element = %v", got)
 	}
-	dst := e.SumVec(make([]float64, 2), 0, nil)
+	dst := e.NewVecSum(0, 2, nil).Run([]float64{1, 2})
 	if dst[0] != 0 || dst[1] != 0 {
-		t.Errorf("empty SumVec = %v", dst)
+		t.Errorf("empty VecSum = %v", dst)
 	}
 }
 

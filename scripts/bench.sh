@@ -24,9 +24,10 @@
 # runs only the mech + convex + vecmath + persist + optimize
 # micro-benchmarks at a time-based -benchtime (default 0.2s), long enough
 # per benchmark that ns/op is stable; compare runs with
-# `go run ./scripts/benchdiff`. The optimize solver benchmark
-# (BenchmarkMinimizeMissLarge: one public argmin solve shaped like the
-# miss_large workload's) is reported but not gated: it is not in
+# `go run ./scripts/benchdiff`. The optimize solver benchmarks
+# (BenchmarkMinimizeMissLarge and BenchmarkMinimizeMissSmall: one public
+# argmin solve shaped like the miss_large and miss_small workloads',
+# with allocs/op) are reported but not gated: optimize is not in
 # benchdiff's default -gate list. Regenerate (and commit) the baseline
 # when the protocol or the reference hardware changes.
 #
