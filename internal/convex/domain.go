@@ -31,17 +31,12 @@ type Domain interface {
 	Diameter() float64
 	// Center returns an interior starting point for iterative solvers.
 	Center() []float64
+	// MinimizeLinear returns a vertex of Θ minimizing ⟨dir, θ⟩: the linear
+	// minimization oracle. One call at an iterate's gradient gives the
+	// iterate's Frank–Wolfe gap, a certificate of its excess risk.
+	MinimizeLinear(dir []float64) []float64
 	// String describes the domain.
 	String() string
-}
-
-// LinearMinimizer is implemented by domains with a cheap linear
-// minimization oracle argmin_{θ∈Θ} ⟨dir, θ⟩. One call at an iterate's
-// gradient gives the iterate's Frank–Wolfe gap, a certificate of its
-// excess risk.
-type LinearMinimizer interface {
-	// MinimizeLinear returns a vertex of Θ minimizing ⟨dir, θ⟩.
-	MinimizeLinear(dir []float64) []float64
 }
 
 // L2Ball is the domain {θ ∈ R^d : ‖θ‖₂ ≤ R} — the paper's "d-bounded"

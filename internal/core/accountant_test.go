@@ -109,7 +109,7 @@ func TestAccountantHorizonOrdering(t *testing.T) {
 	t.Logf("paper-schedule horizons: %v", horizon)
 }
 
-// TestUnknownAccountantIsTyped checks the registry error surfaces through
+// TestUnknownAccountantIsTyped checks the unknown-name error surfaces through
 // core.New as mech.ErrUnknownAccountant (the HTTP layer maps it to 400).
 func TestUnknownAccountantIsTyped(t *testing.T) {
 	g := testGrid(t)

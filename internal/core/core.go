@@ -44,7 +44,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -94,8 +93,8 @@ type Config struct {
 	// worker count (xeval's reductions are deterministic), so this knob
 	// never touches the privacy analysis.
 	Workers int
-	// Accountant names the privacy-accounting strategy from the
-	// internal/mech registry ("basic", "advanced", "zcdp"; empty selects
+	// Accountant names the privacy-accounting strategy, one of
+	// mech.AccountantNames ("basic", "advanced", "zcdp"; empty selects
 	// "advanced", the DRV10 strong composition the paper's Theorem 3.9
 	// uses). The accountant owns the whole interaction budget: the
 	// sparse-vector slice is reserved through it, the oracle-call horizon
@@ -104,9 +103,6 @@ type Config struct {
 	// oracle declares (Gaussian oracles report zCDP ρ). Unknown names are
 	// rejected with a mech.ErrUnknownAccountant-wrapped error (HTTP 400).
 	Accountant string
-	// AccountantParams optionally carries accountant-specific JSON
-	// parameters (e.g. {"delta_prime": …} for "advanced").
-	AccountantParams json.RawMessage
 	// Engine selects the evaluation engine: "dense" enumerates the whole
 	// universe (the default, always correct, rejected with a typed
 	// universe-too-large error past 2^22 elements), "factored" exploits
@@ -291,7 +287,7 @@ func New(cfg Config, data *dataset.Dataset, src *sample.Source) (*Server, error)
 	// The accountant owns the whole (ε, δ) interaction budget; the sparse
 	// vector's (ε/2, δ/2) slice (Theorem 3.9) is reserved through it and
 	// composed linearly with the oracle calls.
-	acct, err := mech.NewAccountant(cfg.Accountant, mech.Params{Eps: cfg.Eps, Delta: cfg.Delta}, cfg.AccountantParams)
+	acct, err := mech.NewAccountant(cfg.Accountant, mech.Params{Eps: cfg.Eps, Delta: cfg.Delta})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -62,8 +61,6 @@ type LinearPMWConfig struct {
 	// advantage here; the NumericSV schedule fixes the released values for
 	// every accountant.
 	Accountant string
-	// AccountantParams optionally carries accountant-specific JSON params.
-	AccountantParams json.RawMessage
 }
 
 func (c LinearPMWConfig) validate() error {
@@ -122,7 +119,7 @@ func NewLinearPMW(cfg LinearPMWConfig, data *dataset.Dataset, src *sample.Source
 	// The threshold half of NumericSV does its own internal accounting
 	// ((ε/2, δ/2) slice, Theorem 3.1); the T numeric releases are recorded
 	// individually as pure-DP spends.
-	acct, err := mech.NewAccountant(cfg.Accountant, mech.Params{Eps: cfg.Eps, Delta: cfg.Delta}, cfg.AccountantParams)
+	acct, err := mech.NewAccountant(cfg.Accountant, mech.Params{Eps: cfg.Eps, Delta: cfg.Delta})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

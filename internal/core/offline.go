@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/convex"
@@ -43,8 +42,6 @@ type OfflineConfig struct {
 	// composition (OfflineResult.Accounted) is tighter under "zcdp" when
 	// the oracle is Gaussian-based.
 	Accountant string
-	// AccountantParams optionally carries accountant-specific JSON params.
-	AccountantParams json.RawMessage
 }
 
 func (c OfflineConfig) validate() error {
@@ -110,7 +107,7 @@ func AnswerOffline(cfg OfflineConfig, data *dataset.Dataset, src *sample.Source,
 	// fixes the per-call budgets, the accountant records what each
 	// mechanism actually certifies (exponential selections are pure-DP,
 	// Gaussian oracles declare ρ) and reports the composed total.
-	acct, err := mech.NewAccountant(cfg.Accountant, mech.Params{Eps: cfg.Eps, Delta: cfg.Delta}, cfg.AccountantParams)
+	acct, err := mech.NewAccountant(cfg.Accountant, mech.Params{Eps: cfg.Eps, Delta: cfg.Delta})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -1,18 +1,14 @@
 package mech
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
-// This file is the pluggable privacy-accounting layer: an Accountant
-// interface with a named registry (mirroring the convex loss registry) and
-// three certified implementations —
+// This file is the privacy-accounting layer: an Accountant interface and
+// three certified composition calculi behind a closed set of names —
 //
 //	"basic"    — basic composition: (ε, δ) parameters add up;
 //	"advanced" — DRV10 strong composition (paper Theorem 3.10) with the
@@ -22,6 +18,11 @@ import (
 //	             mechanisms spend ρ, ρ adds under composition, and the
 //	             total converts to (ε, δ)-DP once at the end. Strictly
 //	             tighter than DRV10 for Gaussian-based oracles.
+//
+// The three share one body, acctBase: the budget, the lock and the ledger
+// (an AccountantState), with Reserve, Export and Restore written once.
+// Each calculus adds only its schedule (PerCallBudget, MaxCalls) and its
+// composition (Spend, Total) over its own fields of the ledger.
 //
 // Every accountant tracks spends in O(1) memory (streaming sums / maxima,
 // never a per-spend slice) and is safe for concurrent use: long-lived
@@ -74,7 +75,7 @@ func PureCost(eps float64) Cost { return Cost{Eps: eps, Rho: eps * eps / 2} }
 // under one composition calculus. Implementations are safe for concurrent
 // use and store O(1) state regardless of how many spends are recorded.
 type Accountant interface {
-	// Name returns the registered accountant name.
+	// Name returns the accountant's name, one of AccountantNames.
 	Name() string
 	// Budget returns the configured total (ε, δ) budget.
 	Budget() Params
@@ -113,14 +114,16 @@ type Accountant interface {
 	Restore(st AccountantState) error
 }
 
-// AccountantState is the serializable ledger of any registered accountant:
-// the shared reservation/count state plus one field set per calculus
-// (unused fields stay zero and are omitted from JSON). A single concrete
-// struct — rather than per-implementation opaque blobs — keeps snapshots
-// self-describing and diffable in audit tooling.
+// AccountantState is the serializable ledger of every accountant: the
+// shared reservation/count state plus one field set per calculus (a
+// calculus never sets another's fields, and unused fields stay zero and
+// are omitted from JSON). A single concrete struct — rather than
+// per-calculus opaque blobs — keeps snapshots self-describing and diffable
+// in audit tooling. It is also each accountant's live ledger, so Export
+// and Restore copy it whole.
 type AccountantState struct {
-	// Name is the registered accountant the state belongs to; Restore
-	// rejects a mismatch.
+	// Name is the accountant the state belongs to; Restore rejects a
+	// mismatch.
 	Name string `json:"name"`
 	// Reserved is the slice permanently set aside via Reserve.
 	Reserved Params `json:"reserved"`
@@ -130,8 +133,8 @@ type AccountantState struct {
 	SumEps   float64 `json:"sum_eps,omitempty"`
 	SumDelta float64 `json:"sum_delta,omitempty"`
 	// MaxEps, MaxDelta are "advanced"'s per-component spend maxima;
-	// DeltaPrime its composition slack (construction-time, recorded so
-	// Restore can detect configuration drift).
+	// DeltaPrime its composition slack δ′ = δ/4 (fixed at construction,
+	// recorded so Restore can detect configuration drift).
 	MaxEps     float64 `json:"max_eps,omitempty"`
 	MaxDelta   float64 `json:"max_delta,omitempty"`
 	DeltaPrime float64 `json:"delta_prime,omitempty"`
@@ -142,8 +145,8 @@ type AccountantState struct {
 	ApproxDelta float64 `json:"approx_delta,omitempty"`
 }
 
-// validateState rejects snapshots with the wrong name or malformed shared
-// fields; the numeric ledger fields are checked componentwise.
+// validate rejects snapshots with the wrong name, malformed fields, or
+// fields of another calculus.
 func (st AccountantState) validate(wantName string) error {
 	if st.Name != wantName {
 		return fmt.Errorf("mech: restoring %q state into %q accountant", st.Name, wantName)
@@ -159,6 +162,20 @@ func (st AccountantState) validate(wantName string) error {
 			return fmt.Errorf("mech: snapshot ledger field %v is negative or not finite", v)
 		}
 	}
+	// Clear the shared fields and the named calculus's own: whatever is
+	// left belongs to another calculus.
+	switch st.Name {
+	case "basic":
+		st.SumEps, st.SumDelta = 0, 0
+	case "advanced":
+		st.MaxEps, st.MaxDelta, st.DeltaPrime = 0, 0, 0
+	case "zcdp":
+		st.Rho, st.ApproxEps, st.ApproxDelta = 0, 0, 0
+	}
+	st.Name, st.Reserved, st.Count = "", Params{}, 0
+	if st != (AccountantState{}) {
+		return fmt.Errorf("mech: %q snapshot sets another accountant's fields %+v", wantName, st)
+	}
 	return nil
 }
 
@@ -167,90 +184,61 @@ func (st AccountantState) validate(wantName string) error {
 // budget and session query caps are far smaller).
 const MaxCallsCap = 1 << 26
 
-// ErrUnknownAccountant is returned (wrapped) by NewAccountant for an
-// unregistered name. The HTTP layer maps it to 400.
+// ErrUnknownAccountant is returned (wrapped) by NewAccountant for a name
+// outside AccountantNames. The HTTP layer maps it to 400.
 var ErrUnknownAccountant = errors.New("mech: unknown accountant")
 
 // DefaultAccountant is the accountant used when no name is given: the
 // paper's own DRV10 strong-composition accounting.
 const DefaultAccountant = "advanced"
 
-// AccountantBuilder constructs an accountant over a validated budget from
-// optional JSON parameters.
-type AccountantBuilder func(budget Params, params json.RawMessage) (Accountant, error)
-
-var (
-	acctMu       sync.RWMutex
-	acctRegistry = map[string]AccountantBuilder{}
-)
-
-// RegisterAccountant adds an accountant kind to the registry. It fails on
-// duplicate or empty names; safe for concurrent use.
-func RegisterAccountant(name string, b AccountantBuilder) error {
-	if name == "" || b == nil {
-		return fmt.Errorf("mech: RegisterAccountant needs a name and a builder")
-	}
-	acctMu.Lock()
-	defer acctMu.Unlock()
-	if _, dup := acctRegistry[name]; dup {
-		return fmt.Errorf("mech: accountant %q already registered", name)
-	}
-	acctRegistry[name] = b
-	return nil
-}
-
-// AccountantNames returns the registered accountant names, sorted.
-func AccountantNames() []string {
-	acctMu.RLock()
-	defer acctMu.RUnlock()
-	out := make([]string, 0, len(acctRegistry))
-	for k := range acctRegistry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+// AccountantNames returns the accountant names, sorted.
+func AccountantNames() []string { return []string{"advanced", "basic", "zcdp"} }
 
 // NewAccountant constructs the named accountant over the given total
-// budget; the empty name selects DefaultAccountant.
-func NewAccountant(name string, budget Params, params json.RawMessage) (Accountant, error) {
+// budget; the empty name selects DefaultAccountant. "advanced" and "zcdp"
+// need δ > 0: the former's composition slack is δ′ = δ/4, matching
+// Theorem 3.9's analysis of the oracle slice, and the latter converts ρ to
+// (ε, δ)-DP through it.
+func NewAccountant(name string, budget Params) (Accountant, error) {
 	if name == "" {
 		name = DefaultAccountant
 	}
-	acctMu.RLock()
-	b, ok := acctRegistry[name]
-	acctMu.RUnlock()
-	if !ok {
+	st := AccountantState{Name: name}
+	var a Accountant
+	switch name {
+	case "basic":
+		a = &basicAccountant{acctBase{budget: budget, st: st}}
+	case "advanced":
+		st.DeltaPrime = budget.Delta / 4
+		a = &advancedAccountant{acctBase{budget: budget, st: st}}
+	case "zcdp":
+		a = &zcdpAccountant{acctBase{budget: budget, st: st}}
+	default:
 		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownAccountant, name, AccountantNames())
 	}
 	if err := budget.Validate(); err != nil {
 		return nil, err
 	}
-	a, err := b(budget, params)
-	if err != nil {
-		return nil, fmt.Errorf("mech: building accountant %q: %w", name, err)
+	if name != "basic" && budget.Delta == 0 {
+		return nil, fmt.Errorf("mech: %s accounting requires delta > 0", name)
 	}
 	return a, nil
 }
 
-// decodeAcctParams strictly decodes raw into v, treating empty params as
-// the zero value; unknown fields are rejected so API typos surface.
-func decodeAcctParams(raw json.RawMessage, v any) error {
-	if len(raw) == 0 {
-		return nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+// acctBase is the body every accountant shares: the budget and the
+// ledger behind one mutex. The ledger's Name never changes after
+// construction (Restore refuses another name).
+type acctBase struct {
+	mu     sync.Mutex
+	budget Params
+	st     AccountantState
 }
 
-// acctBase carries the state every accountant shares: the budget, the
-// reserved slice, and the spend counter, behind one mutex.
-type acctBase struct {
-	mu       sync.Mutex
-	budget   Params
-	reserved Params
-	n        int
+func (b *acctBase) Name() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.st.Name
 }
 
 func (b *acctBase) Budget() Params { return b.budget }
@@ -258,25 +246,49 @@ func (b *acctBase) Budget() Params { return b.budget }
 func (b *acctBase) Count() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.n
+	return b.st.Count
 }
 
-// reserve is Reserve's shared implementation (called under b.mu).
-func (b *acctBase) reserveLocked(p Params) error {
+func (b *acctBase) Reserve(p Params) error {
 	if p.Eps < 0 || p.Delta < 0 || math.IsNaN(p.Eps) || math.IsNaN(p.Delta) {
 		return fmt.Errorf("mech: invalid reservation %+v", p)
 	}
-	if b.reserved.Eps+p.Eps > b.budget.Eps || b.reserved.Delta+p.Delta > b.budget.Delta {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r := &b.st.Reserved
+	if r.Eps+p.Eps > b.budget.Eps || r.Delta+p.Delta > b.budget.Delta {
 		return fmt.Errorf("mech: reservation (%v, %v) exceeds budget %+v", p.Eps, p.Delta, b.budget)
 	}
-	b.reserved.Eps += p.Eps
-	b.reserved.Delta += p.Delta
+	r.Eps += p.Eps
+	r.Delta += p.Delta
 	return nil
 }
 
-// slice returns the unreserved budget (called under b.mu or before sharing).
+func (b *acctBase) Export() AccountantState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.st
+}
+
+func (b *acctBase) Restore(st AccountantState) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := st.validate(b.st.Name); err != nil {
+		return err
+	}
+	// δ′ is fixed at construction; a mismatch means the snapshot was taken
+	// under a different configuration, so Total would silently change
+	// meaning. Refuse rather than adopt either value.
+	if st.DeltaPrime != b.st.DeltaPrime {
+		return fmt.Errorf("mech: snapshot delta_prime %v != configured %v", st.DeltaPrime, b.st.DeltaPrime)
+	}
+	b.st = st
+	return nil
+}
+
+// sliceLocked returns the unreserved budget (called under b.mu).
 func (b *acctBase) sliceLocked() Params {
-	return Params{Eps: b.budget.Eps - b.reserved.Eps, Delta: b.budget.Delta - b.reserved.Delta}
+	return Params{Eps: b.budget.Eps - b.st.Reserved.Eps, Delta: b.budget.Delta - b.st.Reserved.Delta}
 }
 
 // remainingOf clamps budget − total at zero componentwise.
@@ -331,19 +343,9 @@ func maxCallsBySchedule(perCall func(T int) (float64, float64, error), eps0, del
 // basic
 
 // basicAccountant composes by parameter addition, the only rule valid for
-// arbitrary heterogeneous approximate-DP spends.
-type basicAccountant struct {
-	acctBase
-	sumEps, sumDelta float64
-}
-
-func (a *basicAccountant) Name() string { return "basic" }
-
-func (a *basicAccountant) Reserve(p Params) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.reserveLocked(p)
-}
+// arbitrary heterogeneous approximate-DP spends. Its ledger fields are
+// SumEps and SumDelta.
+type basicAccountant struct{ acctBase }
 
 func (a *basicAccountant) PerCallBudget(T int) (float64, float64, error) {
 	if T < 1 {
@@ -368,44 +370,19 @@ func (a *basicAccountant) Spend(c Cost) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.sumEps += c.Eps
-	a.sumDelta += c.Delta
-	a.n++
+	a.st.SumEps += c.Eps
+	a.st.SumDelta += c.Delta
+	a.st.Count++
 	return nil
 }
 
 func (a *basicAccountant) Total() Params {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return Params{Eps: a.reserved.Eps + a.sumEps, Delta: a.reserved.Delta + a.sumDelta}
+	return Params{Eps: a.st.Reserved.Eps + a.st.SumEps, Delta: a.st.Reserved.Delta + a.st.SumDelta}
 }
 
-func (a *basicAccountant) Remaining() Params { return remainingOf(a.Budget(), a.Total()) }
-
-func (a *basicAccountant) Export() AccountantState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return AccountantState{
-		Name:     "basic",
-		Reserved: a.reserved,
-		Count:    a.n,
-		SumEps:   a.sumEps,
-		SumDelta: a.sumDelta,
-	}
-}
-
-func (a *basicAccountant) Restore(st AccountantState) error {
-	if err := st.validate("basic"); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.reserved = st.Reserved
-	a.n = st.Count
-	a.sumEps = st.SumEps
-	a.sumDelta = st.SumDelta
-	return nil
-}
+func (a *basicAccountant) Remaining() Params { return remainingOf(a.budget, a.Total()) }
 
 // ---------------------------------------------------------------------------
 // advanced (DRV10, paper Theorem 3.10)
@@ -413,20 +390,9 @@ func (a *basicAccountant) Restore(st AccountantState) error {
 // advancedAccountant composes homogeneous spends under the strong
 // composition theorem; heterogeneous spends are bounded by their maxima
 // (Theorem 3.10 is stated for homogeneous compositions). Streaming state:
-// only the spend count and the per-component maxima are kept.
-type advancedAccountant struct {
-	acctBase
-	deltaPrime       float64 // composition slack δ′ used by Total
-	maxEps, maxDelta float64
-}
-
-func (a *advancedAccountant) Name() string { return "advanced" }
-
-func (a *advancedAccountant) Reserve(p Params) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.reserveLocked(p)
-}
+// only the spend count and the per-component maxima MaxEps and MaxDelta
+// are kept, beside the composition slack DeltaPrime that Total uses.
+type advancedAccountant struct{ acctBase }
 
 func (a *advancedAccountant) PerCallBudget(T int) (float64, float64, error) {
 	a.mu.Lock()
@@ -448,69 +414,34 @@ func (a *advancedAccountant) Spend(c Cost) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if c.Eps > a.maxEps {
-		a.maxEps = c.Eps
+	if c.Eps > a.st.MaxEps {
+		a.st.MaxEps = c.Eps
 	}
-	if c.Delta > a.maxDelta {
-		a.maxDelta = c.Delta
+	if c.Delta > a.st.MaxDelta {
+		a.st.MaxDelta = c.Delta
 	}
-	a.n++
+	a.st.Count++
 	return nil
 }
 
 func (a *advancedAccountant) Total() Params {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	t := a.reserved
-	if a.n == 0 {
+	t := a.st.Reserved
+	if a.st.Count == 0 {
 		return t
 	}
-	adv, err := AdvancedComposition(a.maxEps, a.maxDelta, a.n, a.deltaPrime)
+	adv, err := AdvancedComposition(a.st.MaxEps, a.st.MaxDelta, a.st.Count, a.st.DeltaPrime)
 	if err != nil {
 		// Fall back to the schedule's worst case: the whole unreserved slice.
-		s := a.sliceLocked()
-		t.Eps += s.Eps
-		t.Delta += s.Delta
-		return t
+		adv = a.sliceLocked()
 	}
 	t.Eps += adv.Eps
 	t.Delta += adv.Delta
 	return t
 }
 
-func (a *advancedAccountant) Remaining() Params { return remainingOf(a.Budget(), a.Total()) }
-
-func (a *advancedAccountant) Export() AccountantState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return AccountantState{
-		Name:       "advanced",
-		Reserved:   a.reserved,
-		Count:      a.n,
-		MaxEps:     a.maxEps,
-		MaxDelta:   a.maxDelta,
-		DeltaPrime: a.deltaPrime,
-	}
-}
-
-func (a *advancedAccountant) Restore(st AccountantState) error {
-	if err := st.validate("advanced"); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	// δ′ is fixed at construction; a mismatch means the snapshot was taken
-	// under different accountant parameters, so Total would silently change
-	// meaning. Refuse rather than adopt either value.
-	if st.DeltaPrime != a.deltaPrime {
-		return fmt.Errorf("mech: snapshot delta_prime %v != configured %v", st.DeltaPrime, a.deltaPrime)
-	}
-	a.reserved = st.Reserved
-	a.n = st.Count
-	a.maxEps = st.MaxEps
-	a.maxDelta = st.MaxDelta
-	return nil
-}
+func (a *advancedAccountant) Remaining() Params { return remainingOf(a.budget, a.Total()) }
 
 // ---------------------------------------------------------------------------
 // zcdp (Bun–Steinke 2016)
@@ -520,26 +451,16 @@ func (a *advancedAccountant) Restore(st AccountantState) error {
 // accumulated ρ to (ε, δ)-DP once, at the conversion δ — the whole
 // unreserved δ slice, since exact zCDP mechanisms consume no δ themselves.
 // Approximate-DP spends with no certificate (rho() == 0) cannot ride the ρ
-// calculus; they fall into a linear side bucket composed basically.
-type zcdpAccountant struct {
-	acctBase
-	rho                    float64 // accumulated zCDP parameter
-	approxEps, approxDelta float64 // linear bucket for uncertified spends
-}
+// calculus; they fall into a linear side bucket (ApproxEps, ApproxDelta)
+// composed basically.
+type zcdpAccountant struct{ acctBase }
 
-func (a *zcdpAccountant) Name() string { return "zcdp" }
-
-func (a *zcdpAccountant) Reserve(p Params) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.reserveLocked(p)
-}
-
-// convDelta is the δ dedicated to the single ρ→DP conversion (called under
-// a.mu): the unreserved δ slice, halved when uncertified spends also need δ.
+// convDeltaLocked is the δ dedicated to the single ρ→DP conversion (called
+// under a.mu): the unreserved δ slice, halved when uncertified spends also
+// need δ.
 func (a *zcdpAccountant) convDeltaLocked() float64 {
 	d := a.sliceLocked().Delta
-	if a.approxDelta > 0 {
+	if a.st.ApproxDelta > 0 {
 		d /= 2
 	}
 	return d
@@ -625,12 +546,12 @@ func (a *zcdpAccountant) Spend(c Cost) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if rho := c.rho(); rho > 0 {
-		a.rho += rho
+		a.st.Rho += rho
 	} else {
-		a.approxEps += c.Eps
-		a.approxDelta += c.Delta
+		a.st.ApproxEps += c.Eps
+		a.st.ApproxDelta += c.Delta
 	}
-	a.n++
+	a.st.Count++
 	return nil
 }
 
@@ -638,15 +559,14 @@ func (a *zcdpAccountant) Total() Params {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	t := Params{
-		Eps:   a.reserved.Eps + a.approxEps,
-		Delta: a.reserved.Delta + a.approxDelta,
+		Eps:   a.st.Reserved.Eps + a.st.ApproxEps,
+		Delta: a.st.Reserved.Delta + a.st.ApproxDelta,
 	}
-	if a.rho > 0 {
-		conv := a.convDeltaLocked()
-		dp, err := RhoToDP(a.rho, conv)
+	if rho := a.st.Rho; rho > 0 {
+		dp, err := RhoToDP(rho, a.convDeltaLocked())
 		if err != nil {
 			// No usable conversion δ: report the loose pure-DP-style bound.
-			dp = Params{Eps: a.rho + 2*math.Sqrt(a.rho*math.Log(1/a.budget.Delta))}
+			dp = Params{Eps: rho + 2*math.Sqrt(rho*math.Log(1/a.budget.Delta))}
 		}
 		t.Eps += dp.Eps
 		t.Delta += dp.Delta
@@ -654,73 +574,4 @@ func (a *zcdpAccountant) Total() Params {
 	return t
 }
 
-func (a *zcdpAccountant) Remaining() Params { return remainingOf(a.Budget(), a.Total()) }
-
-func (a *zcdpAccountant) Export() AccountantState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return AccountantState{
-		Name:        "zcdp",
-		Reserved:    a.reserved,
-		Count:       a.n,
-		Rho:         a.rho,
-		ApproxEps:   a.approxEps,
-		ApproxDelta: a.approxDelta,
-	}
-}
-
-func (a *zcdpAccountant) Restore(st AccountantState) error {
-	if err := st.validate("zcdp"); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.reserved = st.Reserved
-	a.n = st.Count
-	a.rho = st.Rho
-	a.approxEps = st.ApproxEps
-	a.approxDelta = st.ApproxDelta
-	return nil
-}
-
-// The built-in accountants. init registration cannot fail: the table above
-// is empty and every name is distinct.
-func init() {
-	mustRegister := func(name string, b AccountantBuilder) {
-		if err := RegisterAccountant(name, b); err != nil {
-			panic(err)
-		}
-	}
-	mustRegister("basic", func(budget Params, raw json.RawMessage) (Accountant, error) {
-		var p struct{}
-		if err := decodeAcctParams(raw, &p); err != nil {
-			return nil, err
-		}
-		return &basicAccountant{acctBase: acctBase{budget: budget}}, nil
-	})
-	mustRegister("advanced", func(budget Params, raw json.RawMessage) (Accountant, error) {
-		p := struct {
-			// DeltaPrime is the composition slack δ′ of Theorem 3.10 used
-			// when reporting totals; default δ/4, matching Theorem 3.9's
-			// analysis of the oracle slice.
-			DeltaPrime float64 `json:"delta_prime"`
-		}{DeltaPrime: budget.Delta / 4}
-		if err := decodeAcctParams(raw, &p); err != nil {
-			return nil, err
-		}
-		if p.DeltaPrime <= 0 || p.DeltaPrime >= 1 {
-			return nil, fmt.Errorf("delta_prime %v must be in (0, 1)", p.DeltaPrime)
-		}
-		return &advancedAccountant{acctBase: acctBase{budget: budget}, deltaPrime: p.DeltaPrime}, nil
-	})
-	mustRegister("zcdp", func(budget Params, raw json.RawMessage) (Accountant, error) {
-		var p struct{}
-		if err := decodeAcctParams(raw, &p); err != nil {
-			return nil, err
-		}
-		if budget.Delta == 0 {
-			return nil, fmt.Errorf("zcdp accounting requires delta > 0 (the ρ→DP conversion)")
-		}
-		return &zcdpAccountant{acctBase: acctBase{budget: budget}}, nil
-	})
-}
+func (a *zcdpAccountant) Remaining() Params { return remainingOf(a.budget, a.Total()) }

@@ -15,7 +15,7 @@ func benchCost() Cost { return Cost{Eps: 1e-4, Delta: 1e-10, Rho: 1e-9} }
 func BenchmarkAccountantSpend(b *testing.B) {
 	for _, name := range AccountantNames() {
 		b.Run(name, func(b *testing.B) {
-			a, err := NewAccountant(name, Params{Eps: 1, Delta: 1e-6}, nil)
+			a, err := NewAccountant(name, Params{Eps: 1, Delta: 1e-6})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -35,7 +35,7 @@ func BenchmarkAccountantTotal(b *testing.B) {
 	for _, name := range AccountantNames() {
 		for _, spends := range []int{16, 4096} {
 			b.Run(fmt.Sprintf("%s/spends=%d", name, spends), func(b *testing.B) {
-				a, err := NewAccountant(name, Params{Eps: 1, Delta: 1e-6}, nil)
+				a, err := NewAccountant(name, Params{Eps: 1, Delta: 1e-6})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -58,7 +58,7 @@ func BenchmarkAccountantTotal(b *testing.B) {
 func BenchmarkAccountantMaxCalls(b *testing.B) {
 	for _, name := range AccountantNames() {
 		b.Run(name, func(b *testing.B) {
-			a, err := NewAccountant(name, Params{Eps: 1, Delta: 1e-6}, nil)
+			a, err := NewAccountant(name, Params{Eps: 1, Delta: 1e-6})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,11 +1,12 @@
 package mech
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
 
-// TestAccountantExportRestore drives each registered accountant through a
+// TestAccountantExportRestore drives each accountant through a
 // mixed spend history, snapshots it, restores into a fresh instance, and
 // checks every observable — totals, remaining budget, count, MaxCalls — is
 // bit-identical, then that both copies keep agreeing after further spends.
@@ -21,7 +22,7 @@ func TestAccountantExportRestore(t *testing.T) {
 	}
 	for _, name := range AccountantNames() {
 		t.Run(name, func(t *testing.T) {
-			a, err := NewAccountant(name, budget, nil)
+			a, err := NewAccountant(name, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +43,7 @@ func TestAccountantExportRestore(t *testing.T) {
 			if err := json.Unmarshal(raw, &st); err != nil {
 				t.Fatal(err)
 			}
-			b, err := NewAccountant(name, budget, nil)
+			b, err := NewAccountant(name, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,26 +83,80 @@ func TestAccountantExportRestore(t *testing.T) {
 }
 
 // TestAccountantRestoreRejections checks name mismatches, malformed
-// ledgers, and configuration drift are refused.
+// ledgers, another calculus's fields, and configuration drift are refused.
 func TestAccountantRestoreRejections(t *testing.T) {
 	budget := Params{Eps: 1, Delta: 1e-6}
-	adv, _ := NewAccountant("advanced", budget, nil)
+	dp := budget.Delta / 4 // "advanced"'s configured δ′
+	adv, _ := NewAccountant("advanced", budget)
 	if err := adv.Restore(AccountantState{Name: "zcdp"}); err == nil {
 		t.Error("name mismatch accepted")
 	}
-	if err := adv.Restore(AccountantState{Name: "advanced", Count: -1, DeltaPrime: budget.Delta / 4}); err == nil {
+	if err := adv.Restore(AccountantState{Name: "advanced", Count: -1, DeltaPrime: dp}); err == nil {
 		t.Error("negative count accepted")
 	}
-	if err := adv.Restore(AccountantState{Name: "advanced", SumEps: -1, DeltaPrime: budget.Delta / 4}); err == nil {
+	if err := adv.Restore(AccountantState{Name: "advanced", MaxEps: -1, DeltaPrime: dp}); err == nil {
 		t.Error("negative ledger field accepted")
 	}
-	// delta_prime drift: snapshot from an accountant configured differently.
-	other, _ := NewAccountant("advanced", budget, json.RawMessage(`{"delta_prime": 1e-9}`))
-	if err := adv.Restore(other.Export()); err == nil {
+	// delta_prime drift: a snapshot taken under a different δ′.
+	if err := adv.Restore(AccountantState{Name: "advanced", Count: 1, MaxEps: 0.1, DeltaPrime: 1e-9}); err == nil {
 		t.Error("delta_prime drift accepted")
 	}
-	basic, _ := NewAccountant("basic", budget, nil)
+	// Each calculus refuses a state that sets another's fields.
+	for _, st := range []AccountantState{
+		{Name: "basic", Count: 1, SumEps: 0.1, Rho: 1e-3},
+		{Name: "advanced", Count: 1, MaxEps: 0.1, DeltaPrime: dp, SumEps: 0.1},
+		{Name: "zcdp", Count: 1, Rho: 1e-3, MaxEps: 0.1},
+	} {
+		a, _ := NewAccountant(st.Name, budget)
+		if err := a.Restore(st); err == nil {
+			t.Errorf("%s: foreign ledger field accepted: %+v", st.Name, st)
+		}
+		if got := a.Export(); got.Count != 0 {
+			t.Errorf("%s: rejected restore changed the ledger: %+v", st.Name, got)
+		}
+	}
+	basic, _ := NewAccountant("basic", budget)
 	if err := basic.Restore(basic.Export()); err != nil {
 		t.Errorf("identity restore rejected: %v", err)
+	}
+}
+
+// TestAccountantRestoreExportIdentity checks Restore then Export returns
+// the snapshot unchanged, to the JSON byte, for every accountant after a
+// reservation and mixed spends.
+func TestAccountantRestoreExportIdentity(t *testing.T) {
+	budget := Params{Eps: 1, Delta: 1e-6}
+	for _, name := range AccountantNames() {
+		a, err := NewAccountant(name, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Reserve(Params{Eps: 0.5, Delta: 5e-7}); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []Cost{{Eps: 0.05, Delta: 1e-8, Rho: 1.0 / 1800}, PureCost(0.02), ApproxCost(0.03, 1e-9)} {
+			if err := a.Spend(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := json.Marshal(a.Export())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st AccountantState
+		if err := json.Unmarshal(want, &st); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := NewAccountant(name, budget)
+		if err := b.Restore(st); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := json.Marshal(b.Export())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: Restore then Export = %s, want %s", name, got, want)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package mech
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -11,7 +10,7 @@ import (
 
 func mustAcct(t *testing.T, name string, budget Params) Accountant {
 	t.Helper()
-	a, err := NewAccountant(name, budget, nil)
+	a, err := NewAccountant(name, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,20 +35,16 @@ func TestAccountantRegistry(t *testing.T) {
 			t.Fatalf("names = %v, want %v", names, want)
 		}
 	}
-	if _, err := NewAccountant("nonsense", Params{Eps: 1, Delta: 1e-6}, nil); !errors.Is(err, ErrUnknownAccountant) {
+	if _, err := NewAccountant("nonsense", Params{Eps: 1, Delta: 1e-6}); !errors.Is(err, ErrUnknownAccountant) {
 		t.Errorf("unknown name error = %v, want ErrUnknownAccountant", err)
 	}
 	// The empty name selects the default.
-	a, err := NewAccountant("", Params{Eps: 1, Delta: 1e-6}, nil)
+	a, err := NewAccountant("", Params{Eps: 1, Delta: 1e-6})
 	if err != nil || a.Name() != DefaultAccountant {
 		t.Errorf("default accountant = %v, %v", a, err)
 	}
-	// Unknown JSON parameters are rejected, not silently ignored.
-	if _, err := NewAccountant("advanced", Params{Eps: 1, Delta: 1e-6}, json.RawMessage(`{"nope": 1}`)); err == nil {
-		t.Error("unknown accountant param accepted")
-	}
 	// The zcdp accountant needs a δ to convert through.
-	if _, err := NewAccountant("zcdp", Params{Eps: 1, Delta: 0}, nil); err == nil {
+	if _, err := NewAccountant("zcdp", Params{Eps: 1, Delta: 0}); err == nil {
 		t.Error("zcdp with delta = 0 accepted")
 	}
 }
@@ -308,9 +303,9 @@ func TestAccountantConcurrency(t *testing.T) {
 	}
 }
 
-// ExampleNewAccountant shows the registry round trip.
+// ExampleNewAccountant builds an accountant by name and records a spend.
 func ExampleNewAccountant() {
-	a, _ := NewAccountant("zcdp", Params{Eps: 1, Delta: 1e-6}, nil)
+	a, _ := NewAccountant("zcdp", Params{Eps: 1, Delta: 1e-6})
 	_ = a.Spend(canonicalGaussian(0.3, 1e-7))
 	fmt.Printf("%s spends=%d\n", a.Name(), a.Count())
 	// Output: zcdp spends=1

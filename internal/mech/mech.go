@@ -133,8 +133,3 @@ func SplitBudget(eps, delta float64, T int) (eps0, delta0 float64, err error) {
 	tf := float64(T)
 	return eps / math.Sqrt(8*tf*math.Log(2/delta)), delta / (2 * tf), nil
 }
-
-// The sequence-of-spends ledger that used to live here (a struct appending
-// every Params to a slice) has been replaced by the pluggable Accountant
-// interface in accountant.go: streaming O(1) implementations of basic,
-// DRV10-advanced, and zCDP composition behind a named registry.

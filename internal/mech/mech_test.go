@@ -246,11 +246,11 @@ func TestSplitBudgetValidation(t *testing.T) {
 
 func TestAccountantTotals(t *testing.T) {
 	budget := Params{Eps: 1, Delta: 1e-6}
-	basic, err := NewAccountant("basic", budget, nil)
+	basic, err := NewAccountant("basic", budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv, err := NewAccountant("advanced", budget, nil)
+	adv, err := NewAccountant("advanced", budget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // mechanisms — the noise our gradient-descent oracles add. The paper
 // predates zCDP and uses DRV10 strong composition; we provide both so the
 // composition experiment can show the gap, and so deployments of the
-// oracles can account more tightly (the registry's "zcdp" accountant).
+// oracles can account more tightly (the "zcdp" accountant).
 //
 //   - a Gaussian mechanism with L2 sensitivity Δ and noise σ satisfies
 //     ρ-zCDP with ρ = Δ²/(2σ²);

@@ -64,7 +64,7 @@ func TestZCDPTighterThanDRV10ForLongGaussianChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No reservation: the whole δ = 1e-6 goes to the one ρ→DP conversion.
-	a, err := NewAccountant("zcdp", Params{Eps: 100, Delta: 1e-6}, nil)
+	a, err := NewAccountant("zcdp", Params{Eps: 100, Delta: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestZCDPAdditivity(t *testing.T) {
 		rb := math.Abs(math.Mod(rawB, 10))
 		var acct [3]Accountant
 		for i := range acct {
-			a, err := NewAccountant("zcdp", Params{Eps: 1, Delta: 1e-6}, nil)
+			a, err := NewAccountant("zcdp", Params{Eps: 1, Delta: 1e-6})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -241,7 +241,7 @@ func TestMinimizeFrankWolfeGap(t *testing.T) {
 		}
 		grad := make([]float64, len(res.Theta))
 		convex.NewSweep(nil, l, h).Grad(grad, res.Theta)
-		s := l.Domain().(convex.LinearMinimizer).MinimizeLinear(grad)
+		s := l.Domain().MinimizeLinear(grad)
 		gap := vecmath.Dot(grad, vecmath.Sub(res.Theta, s))
 		if gap > 1e-4 {
 			t.Errorf("%s: Frank–Wolfe gap %v at Minimize's θ = %v, want ≤ 1e-4", l.Name(), gap, res.Theta)

@@ -7,7 +7,8 @@ import (
 	"testing"
 )
 
-// TestHTTPAccountantDiscovery checks the registry is exposed over HTTP.
+// TestHTTPAccountantDiscovery checks the accountant names are exposed over
+// HTTP.
 func TestHTTPAccountantDiscovery(t *testing.T) {
 	_, base := startServer(t)
 	var got struct {
@@ -22,7 +23,7 @@ func TestHTTPAccountantDiscovery(t *testing.T) {
 	}
 }
 
-// TestHTTPUnknownAccountant checks an unregistered accountant name is a
+// TestHTTPUnknownAccountant checks an unknown accountant name is a
 // client error, not a server fault.
 func TestHTTPUnknownAccountant(t *testing.T) {
 	_, base := startServer(t)
@@ -39,7 +40,7 @@ func TestHTTPUnknownAccountant(t *testing.T) {
 }
 
 // TestHTTPAccountantLifecycle is the end-to-end accounting path for every
-// registered accountant: create a session naming it, answer queries until
+// accountant: create a session naming it, answer queries until
 // the budget rejects with 429, and require the status endpoint's remaining
 // budget to decrease monotonically along the way. It also verifies the
 // acceptance ordering: at identical creation parameters, the zcdp session
@@ -113,21 +114,20 @@ func TestHTTPAccountantLifecycle(t *testing.T) {
 	t.Logf("updates_max by accountant: %v", updatesMax)
 }
 
-// TestAccountantParamsNotInheritedAcrossStrategies checks a session that
-// names its own accountant does not inherit the manager default's
-// accountant parameters (another strategy's knobs would be rejected as
-// unknown fields).
-func TestAccountantParamsNotInheritedAcrossStrategies(t *testing.T) {
-	def := DefaultSessionParams()
-	def.Accountant = "advanced"
-	def.AccountantParams = []byte(`{"delta_prime": 1e-8}`)
-	p := SessionParams{Accountant: "zcdp"}.merged(def)
-	if len(p.AccountantParams) != 0 {
-		t.Errorf("zcdp session inherited advanced params %s", p.AccountantParams)
+// TestHTTPAccountantParamsRejected checks accountants take no parameters:
+// a create that sends accountant_params is a 400 from the strict decoder
+// and opens no session.
+func TestHTTPAccountantParamsRejected(t *testing.T) {
+	m, base := startServer(t)
+	var errResp struct {
+		Error string `json:"error"`
 	}
-	q := SessionParams{}.merged(def)
-	if q.Accountant != "advanced" || len(q.AccountantParams) == 0 {
-		t.Errorf("default session lost accountant params: %+v", q)
+	body := map[string]any{"accountant": "advanced", "accountant_params": map[string]any{"delta_prime": 1e-8}}
+	if st := doJSON(t, "POST", base+"/v1/sessions", body, &errResp); st != http.StatusBadRequest || errResp.Error == "" {
+		t.Fatalf("create with accountant_params: status %d, %+v", st, errResp)
+	}
+	if n := m.OpenSessions(); n != 0 {
+		t.Fatalf("rejected create opened %d sessions", n)
 	}
 }
 

@@ -405,12 +405,14 @@ func TestDurableClosedSessionSurvives(t *testing.T) {
 }
 
 // TestRecoverRejectsDrift checks the manifest and state files pin the
-// serving configuration: a different dataset or oracle refuses to start.
+// serving configuration: a different dataset or oracle refuses to start,
+// and so does an "advanced" ledger whose δ′ is not the configured δ/4.
 func TestRecoverRejectsDrift(t *testing.T) {
 	defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 5, TBudget: 6}
 	dir := t.TempDir()
 	m1 := durableManager(t, dir, 1, 9, defaults)
-	if _, err := m1.CreateSession(SessionParams{}); err != nil {
+	s1, err := m1.CreateSession(SessionParams{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	m1.Shutdown()
@@ -442,6 +444,24 @@ func TestRecoverRejectsDrift(t *testing.T) {
 		Store:    st,
 	}); err == nil || !strings.Contains(err.Error(), "oracle") {
 		t.Fatalf("oracle drift: %v", err)
+	}
+
+	// A ledger stored with another δ′ → refused, naming the session.
+	rec, err := st.LoadSession(s1.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Core.Accountant.DeltaPrime = 1e-8
+	if err := st.SaveSession(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{
+		Data:     durableData(t, 1),
+		Source:   sample.New(9),
+		Defaults: defaults,
+		Store:    st,
+	}); err == nil || !strings.Contains(err.Error(), s1.ID()) || !strings.Contains(err.Error(), "delta_prime") {
+		t.Fatalf("delta_prime drift: %v", err)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 //	GET    /metrics                      — observability registry (Prometheus text; ?format=json),
 //	                                       present only when the manager has a metrics registry
 //	GET    /v1/losses                    — registered loss kinds
-//	GET    /v1/accountants               — registered privacy accountants
+//	GET    /v1/accountants               — privacy accountant names and the default
 //	GET    /v1/defaults                  — merged default session parameters
 //	POST   /v1/sessions                  — create a session (body: SessionParams, all fields optional)
 //	GET    /v1/sessions                  — list session statuses
@@ -303,7 +303,7 @@ func statusFor(err error) int {
 	case errors.Is(err, core.ErrInvalidWorkers), errors.Is(err, mech.ErrUnknownAccountant),
 		errors.Is(err, core.ErrUnknownEngine), errors.Is(err, core.ErrNeedsFactored),
 		errors.Is(err, core.ErrNeedsSupport):
-		// Malformed session request (e.g. "workers": -1, an unregistered
+		// Malformed session request (e.g. "workers": -1, an unknown
 		// accountant name, or an engine the universe or loss cannot
 		// satisfy): a client error, listed explicitly so the mapping is
 		// load-bearing, not accidental.

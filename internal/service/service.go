@@ -35,7 +35,7 @@
 // transcript-equivalent to sequential Query calls.
 //
 // How spends compose is per-session: SessionParams.Accountant names a
-// strategy from the internal/mech registry ("advanced" DRV10 by default;
+// strategy from mech.AccountantNames ("advanced" DRV10 by default;
 // "zcdp" composes Gaussian-noise oracle calls in ρ and sustains a larger
 // update horizon from the same budget). Status reports the mode, the
 // composed spend so far, and the remaining budget.
@@ -130,16 +130,13 @@ type SessionParams struct {
 	// privacy dial: xeval results are bit-identical for every worker
 	// count.
 	Workers int `json:"workers,omitempty"`
-	// Accountant names the session's privacy-accounting strategy from the
-	// internal/mech registry ("basic", "advanced", "zcdp"; empty = the
+	// Accountant names the session's privacy-accounting strategy, one of
+	// mech.AccountantNames ("basic", "advanced", "zcdp"; empty = the
 	// manager's default, itself defaulting to "advanced"). Unlike Workers
 	// this is a semantic dial: "zcdp" composes Gaussian-noise oracle calls
 	// more tightly and sustains a larger update horizon at the same
 	// (ε, δ, α). Unknown names are rejected with HTTP 400.
 	Accountant string `json:"accountant,omitempty"`
-	// AccountantParams optionally carries accountant-specific JSON
-	// parameters (e.g. {"delta_prime": …} for "advanced").
-	AccountantParams json.RawMessage `json:"accountant_params,omitempty"`
 	// Engine selects the session's evaluation engine ("dense", "factored",
 	// "auto"; empty = the manager's default, itself defaulting to dense —
 	// see core.Config.Engine). "factored" answers junta-supported losses
@@ -179,12 +176,6 @@ func (p SessionParams) merged(def SessionParams) SessionParams {
 	}
 	if p.Accountant == "" {
 		p.Accountant = def.Accountant
-		// Default accountant params belong to the default accountant; a
-		// session naming its own accountant must not inherit another
-		// strategy's parameters.
-		if len(p.AccountantParams) == 0 {
-			p.AccountantParams = def.AccountantParams
-		}
 	}
 	return p
 }
@@ -357,12 +348,11 @@ func (m *Manager) coreConfig(p SessionParams) core.Config {
 		Eps: p.Eps, Delta: p.Delta,
 		Alpha: p.Alpha, Beta: p.Beta,
 		K: p.K, S: p.S,
-		Oracle:           m.cfg.Oracle,
-		TBudget:          p.TBudget,
-		Workers:          p.Workers,
-		Accountant:       p.Accountant,
-		AccountantParams: p.AccountantParams,
-		Engine:           p.Engine,
+		Oracle:     m.cfg.Oracle,
+		TBudget:    p.TBudget,
+		Workers:    p.Workers,
+		Accountant: p.Accountant,
+		Engine:     p.Engine,
 	}
 }
 
@@ -599,7 +589,7 @@ func eventsEqual(a, b transcript.Event) bool {
 // Recovery checks a restored ledger against it, and an auditor holding
 // only a stored transcript reads the session's budget bounds from it.
 func ReplayLedger(p SessionParams, t *transcript.Transcript) (mech.Accountant, error) {
-	acct, err := mech.NewAccountant(p.Accountant, mech.Params{Eps: p.Eps, Delta: p.Delta}, p.AccountantParams)
+	acct, err := mech.NewAccountant(p.Accountant, mech.Params{Eps: p.Eps, Delta: p.Delta})
 	if err != nil {
 		return nil, err
 	}

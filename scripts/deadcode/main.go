@@ -57,9 +57,8 @@ var allow = map[string]string{
 	"internal/core.Server.SupportHypothesis": "factored hypothesis the cross-engine tests compare",
 	"internal/core.Server.FactoredFootprint": "memory footprint the factored-engine tests bound",
 
-	// Harnesses and roadmap items.
-	"internal/fault/drill.Run":        "the seeded crash-schedule drill the service tests run",
-	"internal/convex.LinearMinimizer": "the Frank–Wolfe gap certificate of ROADMAP items 3 and 4 reads it",
+	// Harnesses.
+	"internal/fault/drill.Run": "the seeded crash-schedule drill the service tests run",
 }
 
 func main() {
