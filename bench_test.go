@@ -1,6 +1,7 @@
 // Package repro's top-level benchmarks regenerate every table and figure of
-// the paper (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-// for paper-vs-measured results). Each benchmark runs its experiment
+// the paper (`go run ./cmd/pmwcm list` prints the experiment index, and
+// README's "Batch experiments: `pmwcm run`" shows how to run one with its
+// paper claim beside the measured table). Each benchmark runs its experiment
 // end-to-end per iteration and reports, alongside ns/op, the headline
 // metric of the experiment as a custom unit so `go test -bench=.` output
 // doubles as a results table.

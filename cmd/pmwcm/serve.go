@@ -88,7 +88,7 @@ func serveCmd(args []string) error {
 	tBudget := fs.Int("tbudget", 12, "default MW update horizon (0 = paper worst case)")
 	scale := fs.Float64("s", 2, "default loss-family scale bound S")
 
-	oracleName := fs.String("oracle", "noisygd", "single-query oracle (noisygd, netexp, outputperturb, glmreduce, laplace-linear, nonprivate)")
+	oracleName := fs.String("oracle", "noisygd", "single-query oracle (noisygd, netexp, outputperturb, glmreduce, laplace-linear)")
 	engine := fs.String("engine", "", "default evaluation engine per session (dense, factored, auto; empty = dense)")
 	accountant := fs.String("accountant", "", "default privacy accountant per session ("+strings.Join(mech.AccountantNames(), ", ")+"; empty = "+mech.DefaultAccountant+")")
 	workers := fs.Int("workers", runtime.NumCPU(), "xeval workers per universe-sized computation (intra-query parallelism)")

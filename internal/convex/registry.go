@@ -6,82 +6,75 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/universe"
 )
 
-// This file is the loss registry: a name → builder table that lets callers
-// outside the process (the serving subsystem, config files, test harnesses)
-// name a CM query by kind plus JSON-encoded parameters instead of holding a
-// Loss value. Builders receive the (public) universe so they can certify
-// feature and target bounds exactly, by enumeration — the same bounds the
-// hand-constructed experiment losses use, but computed rather than assumed.
+// This file is the loss-kind table: the closed, certified list of CM-query
+// families the server answers (paper §2.2 fixes the loss family in advance),
+// each named by kind plus JSON-encoded parameters so callers outside the
+// process (the serving subsystem, config files, test harnesses) need not
+// hold a Loss value. Builders receive the (public) universe so they can
+// certify feature and target bounds exactly, by enumeration — the same
+// bounds the hand-constructed experiment losses use, but computed rather
+// than assumed.
 //
 // Labeled-record convention (see losses.go): GLM-style kinds read a record
 // as (features..., label) and optimize over Θ = the unit L2 ball in feature
 // space; linear-query kinds are 1-dimensional with Θ = [0, 1].
 
-// Spec names a registered loss family with JSON-encoded parameters. The
-// zero Params builds the family's default instance.
+// Spec names a loss kind with JSON-encoded parameters. The zero Params
+// builds the kind's default instance.
 type Spec struct {
 	Kind   string          `json:"kind"`
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
-// Registration describes a loss kind completely: how to decode its
-// parameters and how to build the loss. CanonicalKey decodes raw params
-// over the default-initialized struct Defaults returns, so JSON key
-// reordering and elided default fields collapse to one canonical form.
-// Builders receive the (public) universe and may enumerate it to certify
-// bounds.
-type Registration struct {
-	// Defaults returns a pointer to the kind's parameter struct, preloaded
-	// with the kind's default values over u (defaults may depend on the
-	// universe, e.g. a label-coordinate target).
-	Defaults func(u universe.Universe) any
-	// Build constructs the loss from params, the value Defaults returned
-	// with the spec's raw JSON strictly decoded over it. raw is the
-	// original JSON, passed through for compact display names only.
-	Build func(u universe.Universe, params any, raw json.RawMessage) (Loss, error)
+// kindRow is one row of the kind table. params strictly decodes raw JSON
+// over the kind's default-initialized parameter struct and returns a
+// pointer to it, so JSON key reordering and elided default fields collapse
+// to one canonical form; build does the same decode and builds the loss
+// under the given instance name.
+type kindRow struct {
+	params func(u universe.Universe, raw json.RawMessage) (any, error)
+	build  func(u universe.Universe, raw json.RawMessage, name string) (Loss, error)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Registration{}
-)
-
-// RegisterKind adds a loss kind. It fails on duplicate or empty kinds;
-// safe for concurrent use.
-func RegisterKind(kind string, r Registration) error {
-	if kind == "" || r.Defaults == nil || r.Build == nil {
-		return fmt.Errorf("convex: RegisterKind needs a kind, a defaults factory, and a builder")
+// kindOf makes the row of a kind whose parameters are a P. defaults
+// returns P's default values over u (they may depend on the universe, e.g.
+// a label-coordinate target); nil means P's zero value.
+func kindOf[P any](defaults func(universe.Universe) P, build func(u universe.Universe, p *P, name string) (Loss, error)) kindRow {
+	decode := func(u universe.Universe, raw json.RawMessage) (*P, error) {
+		p := new(P)
+		if defaults != nil {
+			*p = defaults(u)
+		}
+		return p, decodeParams(raw, p)
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[kind]; dup {
-		return fmt.Errorf("convex: loss kind %q already registered", kind)
+	return kindRow{
+		params: func(u universe.Universe, raw json.RawMessage) (any, error) { return decode(u, raw) },
+		build: func(u universe.Universe, raw json.RawMessage, name string) (Loss, error) {
+			p, err := decode(u, raw)
+			if err != nil {
+				return nil, err
+			}
+			return build(u, p, name)
+		},
 	}
-	registry[kind] = r
-	return nil
 }
 
-// Kinds returns the registered kind names, sorted.
+// Kinds returns the kind names, sorted.
 func Kinds() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for k := range registry {
+	out := make([]string, 0, len(kindTable))
+	for k := range kindTable {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
 }
 
-func lookup(kind string) (Registration, error) {
-	regMu.RLock()
-	r, ok := registry[kind]
-	regMu.RUnlock()
+func lookup(kind string) (kindRow, error) {
+	r, ok := kindTable[kind]
 	if !ok {
 		return r, fmt.Errorf("convex: unknown loss kind %q (have %v)", kind, Kinds())
 	}
@@ -94,11 +87,7 @@ func Build(u universe.Universe, spec Spec) (Loss, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := r.Defaults(u)
-	if err := decodeParams(spec.Params, p); err != nil {
-		return nil, fmt.Errorf("convex: building %q: %w", spec.Kind, err)
-	}
-	l, err := r.Build(u, p, spec.Params)
+	l, err := r.build(u, spec.Params, shortName(spec.Kind, spec.Params))
 	if err != nil {
 		return nil, fmt.Errorf("convex: building %q: %w", spec.Kind, err)
 	}
@@ -119,8 +108,8 @@ func CanonicalKey(u universe.Universe, spec Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	p := r.Defaults(u)
-	if err := decodeParams(spec.Params, p); err != nil {
+	p, err := r.params(u, spec.Params)
+	if err != nil {
 		return "", fmt.Errorf("convex: canonicalizing %q: %w", spec.Kind, err)
 	}
 	key, err := json.Marshal([2]any{spec.Kind, p})
@@ -319,240 +308,198 @@ type positiveParams struct {
 	Coord int `json:"coord"`
 }
 
-// The built-in kinds. init registration cannot fail: the table above is
-// empty and every kind is distinct.
-func init() {
-	mustRegister := func(kind string, r Registration) {
-		if err := RegisterKind(kind, r); err != nil {
-			panic(err)
-		}
-	}
-
+// kindTable is the closed set of kinds. It is never written after package
+// initialization, so lookups need no lock.
+var kindTable = map[string]kindRow{
 	// squared: least-squares regression of the attribute ⟨target, x⟩ from
 	// the features. Default target is the label coordinate.
-	mustRegister("squared", Registration{
-		Defaults: func(u universe.Universe) any {
-			t := make([]float64, u.Dim())
-			if u.Dim() > 0 {
-				t[u.Dim()-1] = 1
-			}
-			return &squaredParams{Target: t}
-		},
-		Build: func(u universe.Universe, params any, raw json.RawMessage) (Loss, error) {
-			p := params.(*squaredParams)
-			ball, fb, err := featBall(u)
-			if err != nil {
-				return nil, err
-			}
-			if p.Target == nil {
-				// An explicit {"target": null} nulls out the pre-filled
-				// default slice; re-apply the label-coordinate default.
-				p.Target = make([]float64, u.Dim())
-				p.Target[u.Dim()-1] = 1
-			}
-			if len(p.Target) != u.Dim() {
-				return nil, fmt.Errorf("target has dim %d, universe dim is %d", len(p.Target), u.Dim())
-			}
-			tb := dotBound(u, p.Target)
-			if tb == 0 {
-				tb = 1 // degenerate target; any positive bound is valid
-			}
-			return NewSquared(shortName("squared", raw), ball, p.Target, fb, tb)
-		},
-	})
+	"squared": kindOf(func(u universe.Universe) squaredParams {
+		t := make([]float64, u.Dim())
+		if u.Dim() > 0 {
+			t[u.Dim()-1] = 1
+		}
+		return squaredParams{Target: t}
+	}, func(u universe.Universe, p *squaredParams, name string) (Loss, error) {
+		ball, fb, err := featBall(u)
+		if err != nil {
+			return nil, err
+		}
+		if p.Target == nil {
+			// An explicit {"target": null} nulls out the pre-filled
+			// default slice; re-apply the label-coordinate default.
+			p.Target = make([]float64, u.Dim())
+			p.Target[u.Dim()-1] = 1
+		}
+		if len(p.Target) != u.Dim() {
+			return nil, fmt.Errorf("target has dim %d, universe dim is %d", len(p.Target), u.Dim())
+		}
+		tb := dotBound(u, p.Target)
+		if tb == 0 {
+			tb = 1 // degenerate target; any positive bound is valid
+		}
+		return NewSquared(name, ball, p.Target, fb, tb)
+	}),
 
 	// logistic: margin classification of the label sign.
-	mustRegister("logistic", Registration{
-		Defaults: func(universe.Universe) any { return &logisticParams{Temp: 0.5} },
-		Build: func(u universe.Universe, params any, raw json.RawMessage) (Loss, error) {
-			p := params.(*logisticParams)
+	"logistic": kindOf(func(universe.Universe) logisticParams { return logisticParams{Temp: 0.5} },
+		func(u universe.Universe, p *logisticParams, name string) (Loss, error) {
 			ball, fb, err := featBall(u)
 			if err != nil {
 				return nil, err
 			}
-			return NewLogistic(shortName("logistic", raw), ball, p.Margin, p.Temp, fb)
-		},
-	})
+			return NewLogistic(name, ball, p.Margin, p.Temp, fb)
+		}),
 
 	// hinge: smoothed SVM on the label sign.
-	mustRegister("hinge", Registration{
-		Defaults: func(universe.Universe) any { return &hingeParams{Width: 1} },
-		Build: func(u universe.Universe, params any, raw json.RawMessage) (Loss, error) {
-			p := params.(*hingeParams)
+	"hinge": kindOf(func(universe.Universe) hingeParams { return hingeParams{Width: 1} },
+		func(u universe.Universe, p *hingeParams, name string) (Loss, error) {
 			ball, fb, err := featBall(u)
 			if err != nil {
 				return nil, err
 			}
-			return NewSmoothedHinge(shortName("hinge", raw), ball, p.Width, fb)
-		},
-	})
+			return NewSmoothedHinge(name, ball, p.Width, fb)
+		}),
 
 	// huber: robust regression of the label.
-	mustRegister("huber", Registration{
-		Defaults: func(universe.Universe) any { return &huberParams{Delta: 0.5} },
-		Build: func(u universe.Universe, params any, raw json.RawMessage) (Loss, error) {
-			p := params.(*huberParams)
+	"huber": kindOf(func(universe.Universe) huberParams { return huberParams{Delta: 0.5} },
+		func(u universe.Universe, p *huberParams, name string) (Loss, error) {
 			ball, fb, err := featBall(u)
 			if err != nil {
 				return nil, err
 			}
-			return NewHuber(shortName("huber", raw), ball, p.Delta, fb)
-		},
-	})
+			return NewHuber(name, ball, p.Delta, fb)
+		}),
 
 	// pinball: smoothed quantile regression of the label.
-	mustRegister("pinball", Registration{
-		Defaults: func(universe.Universe) any { return &pinballParams{Tau: 0.5, Smooth: 0.1} },
-		Build: func(u universe.Universe, params any, raw json.RawMessage) (Loss, error) {
-			p := params.(*pinballParams)
+	"pinball": kindOf(func(universe.Universe) pinballParams { return pinballParams{Tau: 0.5, Smooth: 0.1} },
+		func(u universe.Universe, p *pinballParams, name string) (Loss, error) {
 			ball, fb, err := featBall(u)
 			if err != nil {
 				return nil, err
 			}
-			return NewPinball(shortName("pinball", raw), ball, p.Tau, p.Smooth, fb)
-		},
-	})
+			return NewPinball(name, ball, p.Tau, p.Smooth, fb)
+		}),
 
 	// linear: the affine loss with direction v over the full record (exact
 	// minimizer known in closed form — useful as a ground-truth probe).
-	mustRegister("linear", Registration{
-		Defaults: func(universe.Universe) any { return &linearParams{} },
-		Build: func(u universe.Universe, params any, raw json.RawMessage) (Loss, error) {
-			p := params.(*linearParams)
-			ball, _, err := featBall(u)
-			if err != nil {
-				return nil, err
-			}
-			if len(p.V) != u.Dim() {
-				return nil, fmt.Errorf("v has dim %d, universe dim is %d", len(p.V), u.Dim())
-			}
-			fullBound := featureBound(u, u.Dim())
-			if fullBound == 0 {
-				return nil, fmt.Errorf("universe points are identically zero")
-			}
-			return NewLinearForm(shortName("linear", raw), ball, p.V, fullBound)
-		},
-	})
+	"linear": kindOf(nil, func(u universe.Universe, p *linearParams, name string) (Loss, error) {
+		ball, _, err := featBall(u)
+		if err != nil {
+			return nil, err
+		}
+		if len(p.V) != u.Dim() {
+			return nil, fmt.Errorf("v has dim %d, universe dim is %d", len(p.V), u.Dim())
+		}
+		fullBound := featureBound(u, u.Dim())
+		if fullBound == 0 {
+			return nil, fmt.Errorf("universe points are identically zero")
+		}
+		return NewLinearForm(name, ball, p.V, fullBound)
+	}),
 
 	// halfspace: the counting query q(x) = 1{⟨w, x⟩ ≥ threshold}.
-	mustRegister("halfspace", Registration{
-		Defaults: func(universe.Universe) any { return &halfspaceParams{} },
-		Build: func(u universe.Universe, params any, raw json.RawMessage) (Loss, error) {
-			p := params.(*halfspaceParams)
-			if len(p.W) != u.Dim() {
-				return nil, fmt.Errorf("w has dim %d, universe dim is %d", len(p.W), u.Dim())
+	"halfspace": kindOf(nil, func(u universe.Universe, p *halfspaceParams, name string) (Loss, error) {
+		if len(p.W) != u.Dim() {
+			return nil, fmt.Errorf("w has dim %d, universe dim is %d", len(p.W), u.Dim())
+		}
+		w := append([]float64(nil), p.W...)
+		t := p.Threshold
+		q, err := NewLinearQuery(name, func(x []float64) float64 {
+			var s float64
+			for j := range w {
+				s += w[j] * x[j]
 			}
-			w := append([]float64(nil), p.W...)
-			t := p.Threshold
-			q, err := NewLinearQuery(shortName("halfspace", raw), func(x []float64) float64 {
-				var s float64
-				for j := range w {
-					s += w[j] * x[j]
-				}
-				if s >= t {
-					return 1
-				}
-				return 0
-			})
-			if err != nil {
-				return nil, err
+			if s >= t {
+				return 1
 			}
-			// Zero-weight coordinates contribute nothing to ⟨w, x⟩, so the
-			// predicate's support is exactly the nonzero entries of w.
-			supp := make([]int, 0, len(w))
-			for j, wj := range w {
-				if wj != 0 {
-					supp = append(supp, j)
-				}
+			return 0
+		})
+		if err != nil {
+			return nil, err
+		}
+		// Zero-weight coordinates contribute nothing to ⟨w, x⟩, so the
+		// predicate's support is exactly the nonzero entries of w.
+		supp := make([]int, 0, len(w))
+		for j, wj := range w {
+			if wj != 0 {
+				supp = append(supp, j)
 			}
-			return q.WithSupport(supp), nil
-		},
-	})
+		}
+		return q.WithSupport(supp), nil
+	}),
 
 	// marginal: conjunction over sign-encoded coordinates; signs[i] gives
 	// the required sign (+1/−1) of coordinate coords[i] (default all +1).
-	mustRegister("marginal", Registration{
-		Defaults: func(universe.Universe) any { return &marginalParams{} },
-		Build: func(u universe.Universe, params any, raw json.RawMessage) (Loss, error) {
-			p := params.(*marginalParams)
-			if err := checkCoords(p.Coords, u.Dim()); err != nil {
-				return nil, err
+	"marginal": kindOf(nil, func(u universe.Universe, p *marginalParams, name string) (Loss, error) {
+		if err := checkCoords(p.Coords, u.Dim()); err != nil {
+			return nil, err
+		}
+		signs := p.Signs
+		if signs == nil {
+			signs = make([]int, len(p.Coords))
+			for i := range signs {
+				signs[i] = 1
 			}
-			signs := p.Signs
-			if signs == nil {
-				signs = make([]int, len(p.Coords))
-				for i := range signs {
-					signs[i] = 1
+		}
+		signs = append([]int(nil), signs...)
+		if len(signs) != len(p.Coords) {
+			return nil, fmt.Errorf("signs has %d entries, coords %d", len(signs), len(p.Coords))
+		}
+		coords := append([]int(nil), p.Coords...)
+		q, err := NewLinearQuery(name, func(x []float64) float64 {
+			for i, c := range coords {
+				if (x[c] > 0) != (signs[i] > 0) {
+					return 0
 				}
 			}
-			signs = append([]int(nil), signs...)
-			if len(signs) != len(p.Coords) {
-				return nil, fmt.Errorf("signs has %d entries, coords %d", len(signs), len(p.Coords))
-			}
-			coords := append([]int(nil), p.Coords...)
-			q, err := NewLinearQuery(shortName("marginal", raw), func(x []float64) float64 {
-				for i, c := range coords {
-					if (x[c] > 0) != (signs[i] > 0) {
-						return 0
-					}
-				}
-				return 1
-			})
-			if err != nil {
-				return nil, err
-			}
-			return q.WithSupport(coords), nil
-		},
-	})
+			return 1
+		})
+		if err != nil {
+			return nil, err
+		}
+		return q.WithSupport(coords), nil
+	}),
 
 	// parity: q(x) = 1 iff an even number of the named coordinates is
 	// negative.
-	mustRegister("parity", Registration{
-		Defaults: func(universe.Universe) any { return &parityParams{} },
-		Build: func(u universe.Universe, params any, raw json.RawMessage) (Loss, error) {
-			p := params.(*parityParams)
-			if err := checkCoords(p.Coords, u.Dim()); err != nil {
-				return nil, err
-			}
-			coords := append([]int(nil), p.Coords...)
-			q, err := NewLinearQuery(shortName("parity", raw), func(x []float64) float64 {
-				neg := false
-				for _, c := range coords {
-					if x[c] < 0 {
-						neg = !neg
-					}
+	"parity": kindOf(nil, func(u universe.Universe, p *parityParams, name string) (Loss, error) {
+		if err := checkCoords(p.Coords, u.Dim()); err != nil {
+			return nil, err
+		}
+		coords := append([]int(nil), p.Coords...)
+		q, err := NewLinearQuery(name, func(x []float64) float64 {
+			neg := false
+			for _, c := range coords {
+				if x[c] < 0 {
+					neg = !neg
 				}
-				if neg {
-					return 0
-				}
-				return 1
-			})
-			if err != nil {
-				return nil, err
 			}
-			return q.WithSupport(coords), nil
-		},
-	})
+			if neg {
+				return 0
+			}
+			return 1
+		})
+		if err != nil {
+			return nil, err
+		}
+		return q.WithSupport(coords), nil
+	}),
 
 	// positive: the one-coordinate counting query q(x) = 1{x[coord] > 0}.
-	mustRegister("positive", Registration{
-		Defaults: func(universe.Universe) any { return &positiveParams{} },
-		Build: func(u universe.Universe, params any, raw json.RawMessage) (Loss, error) {
-			p := params.(*positiveParams)
-			if p.Coord < 0 || p.Coord >= u.Dim() {
-				return nil, fmt.Errorf("coord %d outside universe dim %d", p.Coord, u.Dim())
+	"positive": kindOf(nil, func(u universe.Universe, p *positiveParams, name string) (Loss, error) {
+		if p.Coord < 0 || p.Coord >= u.Dim() {
+			return nil, fmt.Errorf("coord %d outside universe dim %d", p.Coord, u.Dim())
+		}
+		c := p.Coord
+		q, err := NewLinearQuery(name, func(x []float64) float64 {
+			if x[c] > 0 {
+				return 1
 			}
-			c := p.Coord
-			q, err := NewLinearQuery(shortName("positive", raw), func(x []float64) float64 {
-				if x[c] > 0 {
-					return 1
-				}
-				return 0
-			})
-			if err != nil {
-				return nil, err
-			}
-			return q.WithSupport([]int{c}), nil
-		},
-	})
+			return 0
+		})
+		if err != nil {
+			return nil, err
+		}
+		return q.WithSupport([]int{c}), nil
+	}),
 }

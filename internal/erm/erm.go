@@ -13,9 +13,11 @@
 //   - GLMReduction   — random-projection reduction for unconstrained
 //     generalized linear models in the spirit of Jain–Thakurta (paper
 //     Theorem 4.3): optimization happens in a low-dimensional projected
-//     space, so error does not grow with the ambient dimension d;
-//   - NonPrivate     — the exact minimizer, as an accuracy ceiling for
-//     experiments (not DP; refuses to report a privacy guarantee).
+//     space, so error does not grow with the ambient dimension d.
+//
+// The package's tests add NonPrivate, the exact minimizer with no noise,
+// as their accuracy ceiling; it is not DP, so nothing outside the tests
+// can serve it.
 //
 // Every oracle satisfies the same contract: Answer(src, ℓ, D, ε, δ) is
 // (ε, δ)-DP with respect to replacing one row of D, and returns a point of
@@ -49,8 +51,8 @@ func ensureDenseData(name string, data *dataset.Dataset) error {
 	return nil
 }
 
-// solverIters bounds the internal exact solves of OutputPerturbation and
-// NonPrivate.
+// solverIters bounds OutputPerturbation's internal exact solve (and the
+// tests' NonPrivate ceiling's).
 const solverIters = 800
 
 // Oracle answers one CM query under (ε, δ)-differential privacy.
@@ -336,34 +338,4 @@ func (o NetExpMech) Answer(src *sample.Source, l convex.Loss, data *dataset.Data
 		return nil, err
 	}
 	return vecmath.Copy(net[idx]), nil
-}
-
-// NonPrivate returns the exact empirical minimizer with no noise. It is the
-// accuracy ceiling in experiments and is NOT differentially private; it
-// ignores ε and δ.
-type NonPrivate struct {
-	// Engine parallelizes the internal solve (see NoisyGD.Engine).
-	Engine *xeval.Engine
-}
-
-// Name implements Oracle.
-func (o NonPrivate) Name() string { return "nonprivate" }
-
-// AnswerCost implements CostReporter with the *nominal* budget it is
-// offered: NonPrivate is not differentially private (it is the experiment
-// ceiling), so its ledger entries are bookkeeping, not a guarantee.
-func (o NonPrivate) AnswerCost(eps, delta float64) mech.Cost {
-	return mech.ApproxCost(eps, delta)
-}
-
-// Answer implements Oracle (ε and δ are ignored).
-func (o NonPrivate) Answer(_ *sample.Source, l convex.Loss, data *dataset.Dataset, _, _ float64) ([]float64, error) {
-	if err := ensureDenseData(o.Name(), data); err != nil {
-		return nil, err
-	}
-	res, err := optimize.Minimize(l, data.Histogram(), optimize.Options{MaxIters: solverIters, Engine: o.Engine})
-	if err != nil {
-		return nil, err
-	}
-	return res.Theta, nil
 }

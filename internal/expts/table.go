@@ -1,8 +1,8 @@
 // Package expts is the experiment harness that regenerates the paper's
 // Table 1 and figure-level claims empirically. Each experiment is a named,
 // seeded, self-contained procedure that produces a formatted table plus a
-// note stating the paper's expectation, so EXPERIMENTS.md can record
-// paper-vs-measured side by side. See DESIGN.md §4 for the experiment
+// note stating the paper's expectation, so its output shows
+// paper-vs-measured side by side. `pmwcm list` prints the experiment
 // index.
 package expts
 

@@ -1,10 +1,11 @@
 package obs
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sync/atomic"
 	"time"
 )
 
@@ -32,17 +33,17 @@ type MiddlewareOptions struct {
 // request an id (echoing a well-formed incoming X-Request-ID, otherwise
 // generating one), and logs at Info/Warn/Error for 2xx-3xx/4xx/5xx.
 //
-// Request ids come from an atomic counter under a start-time-derived
-// prefix — never from the mechanism's (or any) RNG, preserving the
-// invariant that observability cannot perturb released answers. The
+// Generated request ids are 16 bytes from crypto/rand, hex-encoded: they
+// never draw from the mechanism's seeded noise streams, preserving the
+// invariant that observability cannot perturb released answers, and,
+// echoed to every client, they say nothing about other requests. The
 // route label is the mux pattern (Go 1.22+ ServeMux records it on the
 // request during dispatch), so label cardinality is bounded by the route
 // table, not by raw URLs.
 func Middleware(reg *Registry, next http.Handler, opts MiddlewareOptions) http.Handler {
-	ids := newRequestIDs()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		id := ids.assign(r)
+		id := requestID(r)
 		r.Header.Set(RequestIDHeader, id)
 		w.Header().Set(RequestIDHeader, id)
 		sw := &statusWriter{ResponseWriter: w}
@@ -95,25 +96,17 @@ func Middleware(reg *Registry, next http.Handler, opts MiddlewareOptions) http.H
 	})
 }
 
-// requestIDs issues process-unique request ids without randomness: a
-// prefix derived from the middleware's construction time plus an atomic
-// sequence number.
-type requestIDs struct {
-	prefix string
-	seq    atomic.Uint64
-}
-
-func newRequestIDs() *requestIDs {
-	return &requestIDs{prefix: fmt.Sprintf("%08x", uint32(time.Now().UnixNano()))}
-}
-
-// assign returns the request's effective id: the incoming header when it
-// is well-formed, else a freshly generated one.
-func (g *requestIDs) assign(r *http.Request) string {
+// requestID returns the request's effective id: the incoming header when
+// it is well-formed, else 32 hex digits of fresh crypto/rand bytes.
+func requestID(r *http.Request) string {
 	if id := r.Header.Get(RequestIDHeader); validRequestID(id) {
 		return id
 	}
-	return fmt.Sprintf("%s-%06d", g.prefix, g.seq.Add(1))
+	var b [16]byte
+	// Go 1.24's Read never returns an error; an older one's would leave b
+	// zero, which reveals nothing and only blurs log joins.
+	_, _ = rand.Read(b[:])
+	return hex.EncodeToString(b[:])
 }
 
 // validRequestID accepts short printable tokens (letters, digits, and

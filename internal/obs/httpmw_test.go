@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,27 @@ func TestMiddlewareRequestIDs(t *testing.T) {
 			t.Errorf("generated id %q repeated", got)
 		}
 		seen[got] = true
+	}
+}
+
+// TestMiddlewareGeneratedRequestIDsAreRandom pins the generated id format:
+// 32 lowercase hex digits, distinct across requests, with no shared prefix
+// or counter that would tell one client how many requests others made.
+func TestMiddlewareGeneratedRequestIDsAreRandom(t *testing.T) {
+	h := Middleware(NewRegistry(), testMux(), MiddlewareOptions{})
+	format := regexp.MustCompile(`^[0-9a-f]{32}$`)
+	seen := map[string]bool{}
+	for i := 0; i < 1000; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/ping", nil))
+		id := rec.Header().Get(RequestIDHeader)
+		if !format.MatchString(id) || !validRequestID(id) {
+			t.Fatalf("generated id %q is not 32 hex digits", id)
+		}
+		if seen[id] {
+			t.Fatalf("generated id %q repeated after %d requests", id, i)
+		}
+		seen[id] = true
 	}
 }
 

@@ -4,10 +4,9 @@
 // Paper Figure 3 repeatedly computes θ̂t = argmin_θ ℓ(θ; D̂t) where D̂t is
 // the *public* hypothesis histogram. This step has no privacy cost, so a
 // plain projected-subgradient method suffices. How its accuracy tolerance
-// enters Claim 3.6's α/4 progress bound is not yet written down: the
-// argument is open under ROADMAP item 3. For σ-strongly convex objectives
-// the solver switches to the 1/(σt) step schedule with suffix averaging,
-// which converges markedly faster.
+// enters Claim 3.6's α/4 progress bound is not yet written down. For
+// σ-strongly convex objectives the solver switches to the 1/(σt) step
+// schedule with suffix averaging, which converges markedly faster.
 //
 // Cost model. Every solver sweeps the universe once per iterate: one
 // convex.Sweep, built once per solve, returns the iterate's value (for

@@ -918,9 +918,7 @@ func OracleByName(name string, workers int) (erm.Oracle, error) {
 		return erm.GLMReduction{Engine: eng}, nil
 	case "laplace-linear":
 		return erm.LaplaceLinear{}, nil
-	case "nonprivate":
-		return erm.NonPrivate{Engine: eng}, nil
 	default:
-		return nil, fmt.Errorf("service: unknown oracle %q (have noisygd, netexp, outputperturb, glmreduce, laplace-linear, nonprivate)", name)
+		return nil, fmt.Errorf("service: unknown oracle %q (have noisygd, netexp, outputperturb, glmreduce, laplace-linear)", name)
 	}
 }
