@@ -100,6 +100,38 @@ func refGradOn(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram)
 	}).Run(make([]float64, d))
 }
 
+// refEvalOn is the population loss as EvalOn computed it when each chunk
+// took a branch on the histogram's support: an all-zero chunk gives 0, a
+// chunk with nnz < n/4 sums w·Value over its nonzero cells, and any other
+// chunk runs the value kernel and sums w·value through weightedValue. It
+// pins EvalOn's and the Sweep's value bits to those branches'.
+func refEvalOn(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram) float64 {
+	return e.Sum(h.U.Size(), func(lo, hi int) float64 {
+		w := h.P[lo:hi]
+		nnz := 0
+		for _, wi := range w {
+			if wi != 0 {
+				nnz++
+			}
+		}
+		switch {
+		case nnz == 0:
+			return 0
+		case nnz < (hi-lo)/4:
+			var s float64
+			for i, wi := range w {
+				if wi != 0 {
+					s += wi * l.Value(theta, h.U.Point(lo+i))
+				}
+			}
+			return s
+		}
+		vals := make([]float64, hi-lo)
+		evalRange(l, vals, theta, h.U, lo, hi)
+		return weightedValue(vals, w)
+	})
+}
+
 // sweepGrad returns the population gradient from a fresh Sweep's Grad.
 func sweepGrad(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram) []float64 {
 	grad := make([]float64, l.Domain().Dim())
@@ -253,102 +285,116 @@ func TestEngineOnHypercube(t *testing.T) {
 	}
 }
 
-// TestBatchKernelsMatchGenericFallback pins the BatchLoss fast paths to
-// the generic per-element kernels directly (not just through the summed
-// expectations): per-chunk eval and certificate outputs must agree
-// pointwise, and weighted gradient sums must agree for arbitrary weights.
-func TestBatchKernelsMatchGenericFallback(t *testing.T) {
+// TestKernelsMatchValueGrad pins every registry kind's range kernels, and
+// both decorators', to the per-element Value and Grad: EvalBatch must equal
+// Value bit for bit, which is what lets every chunk of EvalOn and the Sweep
+// take the kernel whatever its support. The gradient kernels agree with
+// Grad within 1e-12 (they reassociate: GradBatch forms (w·dv)·x_j and
+// DirGradBatch dv·⟨dir, x⟩), and the fused kernel reproduces EvalBatch and
+// GradBatch bit for bit.
+func TestKernelsMatchValueGrad(t *testing.T) {
 	g := testUniverse(t)
 	src := sample.New(3)
 	for _, sp := range registrySpecs(t) {
-		l, err := Build(g, sp)
+		base, err := Build(g, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bl, ok := l.(BatchLoss)
-		if !ok {
-			t.Fatalf("%s: registry loss %T does not implement BatchLoss", sp.Kind, l)
+		losses := []Loss{base}
+		if reg, err := NewRegularized(base, 0.25); err == nil {
+			losses = append(losses, reg)
 		}
-		theta := probe(src, l)
-		dir := probe(src, l)
-		lo, hi := 5, 1200
-		n := hi - lo
-
-		fastV := make([]float64, n)
-		bl.EvalBatch(fastV, theta, g, lo, hi)
-		buf := make([]float64, g.Dim())
-		for i := lo; i < hi; i++ {
-			want := l.Value(theta, g.PointInto(i, buf))
-			if math.Abs(fastV[i-lo]-want) > 1e-12 {
-				t.Errorf("%s: EvalBatch[%d] = %v, Value = %v", sp.Kind, i, fastV[i-lo], want)
-				break
-			}
+		if sc, err := NewScaled(base, 0.5); err == nil {
+			losses = append(losses, sc)
 		}
-
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = src.Float64()
-			if i%5 == 0 {
-				w[i] = 0
-			}
-		}
-		d := l.Domain().Dim()
-		fastG := make([]float64, d)
-		bl.GradBatch(fastG, theta, w, g, lo, hi)
-		slowG := make([]float64, d)
-		gbuf := make([]float64, d)
-		for i := lo; i < hi; i++ {
-			if w[i-lo] == 0 {
-				continue
-			}
-			l.Grad(gbuf, theta, g.PointInto(i, buf))
-			for j := 0; j < d; j++ {
-				slowG[j] += w[i-lo] * gbuf[j]
-			}
-		}
-		for j := 0; j < d; j++ {
-			if math.Abs(fastG[j]-slowG[j]) > 1e-12 {
-				t.Errorf("%s: GradBatch[%d] = %v, generic = %v", sp.Kind, j, fastG[j], slowG[j])
-			}
-		}
-
-		// The fused kernel must reproduce EvalBatch's values at every
-		// nonzero weight and GradBatch's sum, bit for bit.
-		fusedV := make([]float64, n)
-		fusedG := make([]float64, d)
-		bl.ValueGradBatch(fusedV, fusedG, theta, w, g, lo, hi)
-		for i, wi := range w {
-			if wi != 0 && math.Float64bits(fusedV[i]) != math.Float64bits(fastV[i]) {
-				t.Errorf("%s: ValueGradBatch value[%d] = %v, EvalBatch = %v", sp.Kind, lo+i, fusedV[i], fastV[i])
-				break
-			}
-		}
-		for j := 0; j < d; j++ {
-			if math.Float64bits(fusedG[j]) != math.Float64bits(fastG[j]) {
-				t.Errorf("%s: ValueGradBatch grad[%d] = %v, GradBatch = %v", sp.Kind, j, fusedG[j], fastG[j])
-			}
-		}
-
-		fastU := make([]float64, n)
-		bl.DirGradBatch(fastU, dir, theta, g, lo, hi)
-		for i := lo; i < hi; i++ {
-			l.Grad(gbuf, theta, g.PointInto(i, buf))
-			var want float64
-			for j := 0; j < d; j++ {
-				want += dir[j] * gbuf[j]
-			}
-			if math.Abs(fastU[i-lo]-want) > 1e-12 {
-				t.Errorf("%s: DirGradBatch[%d] = %v, generic = %v", sp.Kind, i, fastU[i-lo], want)
-				break
-			}
+		for _, l := range losses {
+			kernelsMatchValueGrad(t, src, g, l)
 		}
 	}
 }
 
-// TestSweepBitIdentical pins the Sweep object to the sweeps it replaces in
-// the solvers and the oracles: ValueGrad's value must carry EvalOn's bits,
-// and both its gradient and Grad's must carry the one-shot gradient
-// sweep's (refGradOn), with no tolerance. It covers every registry kind,
+// kernelsMatchValueGrad checks l's four kernels over one range of g
+// against per-element Value and Grad calls.
+func kernelsMatchValueGrad(t *testing.T, src *sample.Source, g universe.Universe, l Loss) {
+	t.Helper()
+	bl := l.(BatchLoss)
+	name := l.Name()
+	theta := probe(src, l)
+	dir := probe(src, l)
+	lo, hi := 5, 1200
+	n := hi - lo
+
+	fastV := make([]float64, n)
+	bl.EvalBatch(fastV, theta, g, lo, hi)
+	buf := make([]float64, g.Dim())
+	for i := lo; i < hi; i++ {
+		want := l.Value(theta, g.PointInto(i, buf))
+		if math.Float64bits(fastV[i-lo]) != math.Float64bits(want) {
+			t.Errorf("%s: EvalBatch[%d] = %v, Value = %v", name, i, fastV[i-lo], want)
+			break
+		}
+	}
+
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = src.Float64()
+		if i%5 == 0 {
+			w[i] = 0
+		}
+	}
+	d := l.Domain().Dim()
+	fastG := make([]float64, d)
+	bl.GradBatch(fastG, theta, w, g, lo, hi)
+	slowG := make([]float64, d)
+	gbuf := make([]float64, d)
+	for i := lo; i < hi; i++ {
+		if w[i-lo] == 0 {
+			continue
+		}
+		l.Grad(gbuf, theta, g.PointInto(i, buf))
+		for j := 0; j < d; j++ {
+			slowG[j] += w[i-lo] * gbuf[j]
+		}
+	}
+	for j := 0; j < d; j++ {
+		if math.Abs(fastG[j]-slowG[j]) > 1e-12 {
+			t.Errorf("%s: GradBatch[%d] = %v, Grad = %v", name, j, fastG[j], slowG[j])
+		}
+	}
+
+	// The fused kernel must reproduce EvalBatch's values at every nonzero
+	// weight and GradBatch's sum, bit for bit.
+	fusedV := make([]float64, n)
+	fusedG := make([]float64, d)
+	bl.ValueGradBatch(fusedV, fusedG, theta, w, g, lo, hi)
+	for i, wi := range w {
+		if wi != 0 && math.Float64bits(fusedV[i]) != math.Float64bits(fastV[i]) {
+			t.Errorf("%s: ValueGradBatch value[%d] = %v, EvalBatch = %v", name, lo+i, fusedV[i], fastV[i])
+			break
+		}
+	}
+	sameBits(t, name+" ValueGradBatch vs GradBatch", fusedG, fastG)
+
+	fastU := make([]float64, n)
+	bl.DirGradBatch(fastU, dir, theta, g, lo, hi)
+	for i := lo; i < hi; i++ {
+		l.Grad(gbuf, theta, g.PointInto(i, buf))
+		var want float64
+		for j := 0; j < d; j++ {
+			want += dir[j] * gbuf[j]
+		}
+		if math.Abs(fastU[i-lo]-want) > 1e-12 {
+			t.Errorf("%s: DirGradBatch[%d] = %v, Grad = %v", name, i, fastU[i-lo], want)
+			break
+		}
+	}
+}
+
+// TestSweepBitIdentical pins the Sweep object and EvalOn to the sweeps
+// they replace in the solvers and the oracles: EvalOn and ValueGrad's
+// value must carry refEvalOn's bits, and both ValueGrad's gradient and
+// Grad's must carry the one-shot gradient sweep's (refGradOn), with no
+// tolerance. It covers every registry kind,
 // both decorators and the generic fallback, on 1, 2 and 8 workers, over
 // three histograms: one chunk of each kind (dense, sparse, all zero),
 // dense everywhere, and sparse everywhere. One Sweep serves a sequence of
@@ -398,7 +444,10 @@ func TestSweepBitIdentical(t *testing.T) {
 					sw := NewSweep(e, l, h)
 					name := fmt.Sprintf("%T %s %s workers=%d", l, l.Name(), hname, workers)
 					for k, theta := range thetas {
-						wantV := EvalOn(e, l, theta, h)
+						wantV := refEvalOn(e, l, theta, h)
+						if v := EvalOn(e, l, theta, h); math.Float64bits(v) != math.Float64bits(wantV) {
+							t.Errorf("%s iterate %d: EvalOn = %v, refEvalOn = %v", name, k, v, wantV)
+						}
 						wantG := refGradOn(e, l, theta, h)
 						gotG := make([]float64, len(wantG))
 						if k%2 == 1 {
@@ -407,7 +456,7 @@ func TestSweepBitIdentical(t *testing.T) {
 						}
 						gotV := sw.ValueGrad(gotG, theta)
 						if math.Float64bits(gotV) != math.Float64bits(wantV) {
-							t.Errorf("%s iterate %d: ValueGrad value = %v, EvalOn = %v", name, k, gotV, wantV)
+							t.Errorf("%s iterate %d: ValueGrad value = %v, refEvalOn = %v", name, k, gotV, wantV)
 						}
 						sameBits(t, name+" ValueGrad", gotG, wantG)
 					}
