@@ -8,35 +8,6 @@ import (
 	"repro/internal/xeval"
 )
 
-// BatchLoss is the optional batched fast path of a loss: kernels that
-// evaluate values, weighted gradient sums, both of those at once, and
-// directional gradients over a universe index range [lo, hi) in one call,
-// writing into caller-owned buffers. The xeval-based expectation paths in
-// loss.go dispatch to these kernels when present; every loss family in
-// this package implements them.
-//
-// Contract shared by all four methods: indexing of out/w is relative to
-// lo (out[0] corresponds to universe element lo), buffers are caller-owned
-// and may be sub-slices of full-universe vectors, and implementations must
-// be safe for concurrent calls on disjoint ranges.
-type BatchLoss interface {
-	Loss
-	// EvalBatch writes ℓ(θ; x_i) into out[i−lo] for every i in [lo, hi).
-	EvalBatch(out, theta []float64, u universe.Universe, lo, hi int)
-	// GradBatch accumulates Σ_{i∈[lo,hi)} w[i−lo]·∇ℓ(θ; x_i) into grad
-	// (which it does not zero).
-	GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int)
-	// ValueGradBatch is EvalBatch and GradBatch in one pass: it writes
-	// ℓ(θ; x_i) into out[i−lo] for every i in [lo, hi) with w[i−lo] ≠ 0
-	// (other entries of out are unspecified) and accumulates
-	// Σ w[i−lo]·∇ℓ(θ; x_i) into grad. Both results are bit-identical to
-	// the two separate kernels'.
-	ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int)
-	// DirGradBatch writes ⟨dir, ∇ℓ(θ; x_i)⟩ into out[i−lo] for every i in
-	// [lo, hi) — the per-element dual-certificate kernel.
-	DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int)
-}
-
 // chunkBuf pools scratch vectors for the expectation kernels, so a solver
 // sweeping thousands of iterates allocates no per-chunk buffers after
 // warmup. Entries hold at least ChunkSize floats; scratch grows the rare
@@ -63,93 +34,12 @@ func scratch(n int) (*[]float64, []float64) {
 // the chunk. The materialized rows are bit-identical to what PointInto
 // returns and are visited in the same order, so results are unchanged.
 
-// evalRange dispatches to the loss's EvalBatch kernel or the generic
-// per-element fallback.
-func evalRange(l Loss, out, theta []float64, u universe.Universe, lo, hi int) {
-	if bl, ok := l.(BatchLoss); ok {
-		bl.EvalBatch(out, theta, u, lo, hi)
-		return
-	}
-	dim := u.Dim()
-	pts, release := xeval.MaterializePoints(u, lo, hi)
-	for k := 0; k < hi-lo; k++ {
-		out[k] = l.Value(theta, pts[k*dim:(k+1)*dim:(k+1)*dim])
-	}
-	release()
-}
-
-// gradRange dispatches to the loss's GradBatch kernel or the generic
-// per-element fallback.
-func gradRange(l Loss, grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	if bl, ok := l.(BatchLoss); ok {
-		bl.GradBatch(grad, theta, w, u, lo, hi)
-		return
-	}
-	g := make([]float64, len(grad))
-	dim := u.Dim()
-	pts, release := xeval.MaterializePoints(u, lo, hi)
-	for k := 0; k < hi-lo; k++ {
-		wi := w[k]
-		if wi == 0 {
-			continue
-		}
-		l.Grad(g, theta, pts[k*dim:(k+1)*dim:(k+1)*dim])
-		for j := range grad {
-			grad[j] += wi * g[j]
-		}
-	}
-	release()
-}
-
-// valueGradRange dispatches to the loss's ValueGradBatch kernel or the
-// generic per-element fallback, which makes the same Value and Grad calls
-// as evalRange and gradRange but only at nonzero weights.
-func valueGradRange(l Loss, out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	if bl, ok := l.(BatchLoss); ok {
-		bl.ValueGradBatch(out, grad, theta, w, u, lo, hi)
-		return
-	}
-	g := make([]float64, len(grad))
-	dim := u.Dim()
-	pts, release := xeval.MaterializePoints(u, lo, hi)
-	for k := 0; k < hi-lo; k++ {
-		wi := w[k]
-		if wi == 0 {
-			continue
-		}
-		x := pts[k*dim : (k+1)*dim : (k+1)*dim]
-		out[k] = l.Value(theta, x)
-		l.Grad(g, theta, x)
-		for j := range grad {
-			grad[j] += wi * g[j]
-		}
-	}
-	release()
-}
-
-// dirGradRange dispatches to the loss's DirGradBatch kernel or the generic
-// per-element fallback.
-func dirGradRange(l Loss, out, dir, theta []float64, u universe.Universe, lo, hi int) {
-	if bl, ok := l.(BatchLoss); ok {
-		bl.DirGradBatch(out, dir, theta, u, lo, hi)
-		return
-	}
-	g := make([]float64, len(dir))
-	dim := u.Dim()
-	pts, release := xeval.MaterializePoints(u, lo, hi)
-	for k := 0; k < hi-lo; k++ {
-		l.Grad(g, theta, pts[k*dim:(k+1)*dim:(k+1)*dim])
-		out[k] = vecmath.Dot(dir, g)
-	}
-	release()
-}
-
 // GLM family kernels live on the shared body in glm.go.
 
 // ---------------------------------------------------------------------------
 // LinearForm kernels: ∇ℓ_x is the θ-independent vector weight(x)·feat(x).
 
-// EvalBatch implements BatchLoss: weight(x)·⟨θ, feat(x)⟩ per element.
+// EvalBatch implements Loss: weight(x)·⟨θ, feat(x)⟩ per element.
 func (l *LinearForm) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
 	d := l.dom.Dim()
 	dim := u.Dim()
@@ -165,7 +55,7 @@ func (l *LinearForm) EvalBatch(out, theta []float64, u universe.Universe, lo, hi
 	release()
 }
 
-// GradBatch implements BatchLoss: Σ w·weight(x)·feat(x), independent of θ.
+// GradBatch implements Loss: Σ w·weight(x)·feat(x), independent of θ.
 func (l *LinearForm) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	d := l.dom.Dim()
 	dim := u.Dim()
@@ -184,7 +74,7 @@ func (l *LinearForm) GradBatch(grad, theta, w []float64, u universe.Universe, lo
 	release()
 }
 
-// ValueGradBatch implements BatchLoss: EvalBatch and GradBatch at the
+// ValueGradBatch implements Loss: EvalBatch and GradBatch at the
 // nonzero weights, sharing one weight(x) per element.
 func (l *LinearForm) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	d := l.dom.Dim()
@@ -210,7 +100,7 @@ func (l *LinearForm) ValueGradBatch(out, grad, theta, w []float64, u universe.Un
 	release()
 }
 
-// DirGradBatch implements BatchLoss: weight(x)·⟨dir, feat(x)⟩ per element.
+// DirGradBatch implements Loss: weight(x)·⟨dir, feat(x)⟩ per element.
 func (l *LinearForm) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
 	d := l.dom.Dim()
 	dim := u.Dim()
@@ -229,7 +119,7 @@ func (l *LinearForm) DirGradBatch(out, dir, theta []float64, u universe.Universe
 // ---------------------------------------------------------------------------
 // LinearQuery kernels: 1-dimensional with ∇ℓ_x = θ − q(x).
 
-// EvalBatch implements BatchLoss: (θ − q(x))²/2 per element.
+// EvalBatch implements Loss: (θ − q(x))²/2 per element.
 func (l *LinearQuery) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
 	dim := u.Dim()
 	pts, release := xeval.MaterializePoints(u, lo, hi)
@@ -240,7 +130,7 @@ func (l *LinearQuery) EvalBatch(out, theta []float64, u universe.Universe, lo, h
 	release()
 }
 
-// GradBatch implements BatchLoss: Σ w·(θ − q(x)).
+// GradBatch implements Loss: Σ w·(θ − q(x)).
 func (l *LinearQuery) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	dim := u.Dim()
 	pts, release := xeval.MaterializePoints(u, lo, hi)
@@ -254,7 +144,7 @@ func (l *LinearQuery) GradBatch(grad, theta, w []float64, u universe.Universe, l
 	release()
 }
 
-// ValueGradBatch implements BatchLoss: (θ − q(x))²/2 and Σ w·(θ − q(x))
+// ValueGradBatch implements Loss: (θ − q(x))²/2 and Σ w·(θ − q(x))
 // at the nonzero weights, from one residual per element.
 func (l *LinearQuery) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	dim := u.Dim()
@@ -271,7 +161,7 @@ func (l *LinearQuery) ValueGradBatch(out, grad, theta, w []float64, u universe.U
 	release()
 }
 
-// DirGradBatch implements BatchLoss: dir·(θ − q(x)) per element.
+// DirGradBatch implements Loss: dir·(θ − q(x)) per element.
 func (l *LinearQuery) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
 	dim := u.Dim()
 	pts, release := xeval.MaterializePoints(u, lo, hi)
@@ -282,21 +172,20 @@ func (l *LinearQuery) DirGradBatch(out, dir, theta []float64, u universe.Univers
 }
 
 // ---------------------------------------------------------------------------
-// Decorator kernels. Regularized and Scaled delegate to the inner loss's
-// kernels (or the generic fallback when the inner loss has none) and apply
-// their transformation on top, so registry-built decorated losses keep the
-// fast path.
+// Decorator kernels. Regularized and Scaled run the inner loss's kernels
+// and apply their transformation on top, in the same order of operations
+// as their Value and Grad, so EvalBatch stays bit-identical to Value.
 
-// EvalBatch implements BatchLoss: the inner values plus (σ/2)·‖θ‖².
+// EvalBatch implements Loss: the inner values plus (σ/2)·‖θ‖².
 func (l *Regularized) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
-	evalRange(l.inner, out, theta, u, lo, hi)
+	l.inner.EvalBatch(out, theta, u, lo, hi)
 	n := vecmath.Norm2(theta)
 	vecmath.AddConst(out[:hi-lo], l.sigma/2*n*n)
 }
 
-// GradBatch implements BatchLoss: the inner weighted sum plus σ·θ·Σw.
+// GradBatch implements Loss: the inner weighted sum plus σ·θ·Σw.
 func (l *Regularized) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	gradRange(l.inner, grad, theta, w, u, lo, hi)
+	l.inner.GradBatch(grad, theta, w, u, lo, hi)
 	l.addRidgeGrad(grad, theta, w[:hi-lo])
 }
 
@@ -310,62 +199,49 @@ func (l *Regularized) addRidgeGrad(grad, theta, w []float64) {
 	vecmath.AddScaled(grad, l.sigma*wsum, theta)
 }
 
-// ValueGradBatch implements BatchLoss: EvalBatch's ridge term on the
+// ValueGradBatch implements Loss: EvalBatch's ridge term on the
 // values and GradBatch's on the gradient, over one inner pass.
 func (l *Regularized) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
-	valueGradRange(l.inner, out, grad, theta, w, u, lo, hi)
+	l.inner.ValueGradBatch(out, grad, theta, w, u, lo, hi)
 	n := vecmath.Norm2(theta)
 	vecmath.AddConst(out[:hi-lo], l.sigma/2*n*n)
 	l.addRidgeGrad(grad, theta, w[:hi-lo])
 }
 
-// DirGradBatch implements BatchLoss: the inner values plus σ·⟨dir, θ⟩.
+// DirGradBatch implements Loss: the inner values plus σ·⟨dir, θ⟩.
 func (l *Regularized) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
-	dirGradRange(l.inner, out, dir, theta, u, lo, hi)
+	l.inner.DirGradBatch(out, dir, theta, u, lo, hi)
 	vecmath.AddConst(out[:hi-lo], l.sigma*vecmath.Dot(dir, theta))
 }
 
-// EvalBatch implements BatchLoss: the inner values times c.
+// EvalBatch implements Loss: the inner values times c.
 func (l *Scaled) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
-	evalRange(l.inner, out, theta, u, lo, hi)
+	l.inner.EvalBatch(out, theta, u, lo, hi)
 	vecmath.ScaleInPlace(out[:hi-lo], l.c)
 }
 
-// GradBatch implements BatchLoss: c times the inner weighted sum.
+// GradBatch implements Loss: c times the inner weighted sum.
 func (l *Scaled) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	tp, tmp := scratch(len(grad))
 	clear(tmp)
-	gradRange(l.inner, tmp, theta, w, u, lo, hi)
+	l.inner.GradBatch(tmp, theta, w, u, lo, hi)
 	vecmath.AddScaled(grad, l.c, tmp)
 	chunkBuf.Put(tp)
 }
 
-// ValueGradBatch implements BatchLoss: the inner values times c, and c
+// ValueGradBatch implements Loss: the inner values times c, and c
 // times the inner weighted sum, over one inner pass.
 func (l *Scaled) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	tp, tmp := scratch(len(grad))
 	clear(tmp)
-	valueGradRange(l.inner, out, tmp, theta, w, u, lo, hi)
+	l.inner.ValueGradBatch(out, tmp, theta, w, u, lo, hi)
 	vecmath.ScaleInPlace(out[:hi-lo], l.c)
 	vecmath.AddScaled(grad, l.c, tmp)
 	chunkBuf.Put(tp)
 }
 
-// DirGradBatch implements BatchLoss: the inner values times c.
+// DirGradBatch implements Loss: the inner values times c.
 func (l *Scaled) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
-	dirGradRange(l.inner, out, dir, theta, u, lo, hi)
+	l.inner.DirGradBatch(out, dir, theta, u, lo, hi)
 	vecmath.ScaleInPlace(out[:hi-lo], l.c)
 }
-
-// Compile-time checks: every loss family ships its batched fast path.
-var (
-	_ BatchLoss = (*Squared)(nil)
-	_ BatchLoss = (*Logistic)(nil)
-	_ BatchLoss = (*SmoothedHinge)(nil)
-	_ BatchLoss = (*Huber)(nil)
-	_ BatchLoss = (*Pinball)(nil)
-	_ BatchLoss = (*LinearForm)(nil)
-	_ BatchLoss = (*LinearQuery)(nil)
-	_ BatchLoss = (*Regularized)(nil)
-	_ BatchLoss = (*Scaled)(nil)
-)

@@ -53,14 +53,14 @@ func testUniverse(t *testing.T) *universe.LabeledGrid {
 }
 
 // skewedHistogram builds a non-uniform histogram with some exact zeros, so
-// the zero-chunk skip paths run.
+// the kernels' per-cell zero skips run.
 func skewedHistogram(g universe.Universe) *histogram.Histogram {
 	p := make([]float64, g.Size())
 	var sum float64
 	for i := range p {
 		switch {
 		case i%7 == 0:
-			p[i] = 0 // exercise the allZero skip
+			p[i] = 0 // exercise the kernels' per-cell zero skip
 		default:
 			p[i] = 1 / float64(1+i%13)
 			sum += p[i]
@@ -93,10 +93,12 @@ func refGradOn(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram)
 	d := l.Domain().Dim()
 	return e.NewVecSum(h.U.Size(), d, func(lo, hi int, out []float64) {
 		w := h.P[lo:hi]
-		if allZero(w) {
-			return
+		for _, wi := range w {
+			if wi != 0 {
+				l.GradBatch(out, theta, w, h.U, lo, hi)
+				return
+			}
 		}
-		gradRange(l, out, theta, w, h.U, lo, hi)
 	}).Run(make([]float64, d))
 }
 
@@ -127,7 +129,7 @@ func refEvalOn(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram)
 			return s
 		}
 		vals := make([]float64, hi-lo)
-		evalRange(l, vals, theta, h.U, lo, hi)
+		l.EvalBatch(vals, theta, h.U, lo, hi)
 		return weightedValue(vals, w)
 	})
 }
@@ -317,7 +319,6 @@ func TestKernelsMatchValueGrad(t *testing.T) {
 // against per-element Value and Grad calls.
 func kernelsMatchValueGrad(t *testing.T, src *sample.Source, g universe.Universe, l Loss) {
 	t.Helper()
-	bl := l.(BatchLoss)
 	name := l.Name()
 	theta := probe(src, l)
 	dir := probe(src, l)
@@ -325,7 +326,7 @@ func kernelsMatchValueGrad(t *testing.T, src *sample.Source, g universe.Universe
 	n := hi - lo
 
 	fastV := make([]float64, n)
-	bl.EvalBatch(fastV, theta, g, lo, hi)
+	l.EvalBatch(fastV, theta, g, lo, hi)
 	buf := make([]float64, g.Dim())
 	for i := lo; i < hi; i++ {
 		want := l.Value(theta, g.PointInto(i, buf))
@@ -344,7 +345,7 @@ func kernelsMatchValueGrad(t *testing.T, src *sample.Source, g universe.Universe
 	}
 	d := l.Domain().Dim()
 	fastG := make([]float64, d)
-	bl.GradBatch(fastG, theta, w, g, lo, hi)
+	l.GradBatch(fastG, theta, w, g, lo, hi)
 	slowG := make([]float64, d)
 	gbuf := make([]float64, d)
 	for i := lo; i < hi; i++ {
@@ -366,7 +367,7 @@ func kernelsMatchValueGrad(t *testing.T, src *sample.Source, g universe.Universe
 	// weight and GradBatch's sum, bit for bit.
 	fusedV := make([]float64, n)
 	fusedG := make([]float64, d)
-	bl.ValueGradBatch(fusedV, fusedG, theta, w, g, lo, hi)
+	l.ValueGradBatch(fusedV, fusedG, theta, w, g, lo, hi)
 	for i, wi := range w {
 		if wi != 0 && math.Float64bits(fusedV[i]) != math.Float64bits(fastV[i]) {
 			t.Errorf("%s: ValueGradBatch value[%d] = %v, EvalBatch = %v", name, lo+i, fusedV[i], fastV[i])
@@ -376,7 +377,7 @@ func kernelsMatchValueGrad(t *testing.T, src *sample.Source, g universe.Universe
 	sameBits(t, name+" ValueGradBatch vs GradBatch", fusedG, fastG)
 
 	fastU := make([]float64, n)
-	bl.DirGradBatch(fastU, dir, theta, g, lo, hi)
+	l.DirGradBatch(fastU, dir, theta, g, lo, hi)
 	for i := lo; i < hi; i++ {
 		l.Grad(gbuf, theta, g.PointInto(i, buf))
 		var want float64
@@ -394,10 +395,9 @@ func kernelsMatchValueGrad(t *testing.T, src *sample.Source, g universe.Universe
 // they replace in the solvers and the oracles: EvalOn and ValueGrad's
 // value must carry refEvalOn's bits, and both ValueGrad's gradient and
 // Grad's must carry the one-shot gradient sweep's (refGradOn), with no
-// tolerance. It covers every registry kind,
-// both decorators and the generic fallback, on 1, 2 and 8 workers, over
-// three histograms: one chunk of each kind (dense, sparse, all zero),
-// dense everywhere, and sparse everywhere. One Sweep serves a sequence of
+// tolerance. It covers every registry kind and both decorators on 1, 2
+// and 8 workers, over three histograms: one chunk of each support shape
+// (dense, sparse, all zero), dense everywhere, and sparse everywhere. One Sweep serves a sequence of
 // iterates with Grad and ValueGrad interleaved, so partials a previous
 // sweep left behind would show here.
 func TestSweepBitIdentical(t *testing.T) {
@@ -429,7 +429,7 @@ func TestSweepBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sp.Kind, err)
 		}
-		losses := []Loss{l, hideBatch{l}}
+		losses := []Loss{l}
 		if reg, err := NewRegularized(l, 0.25); err == nil {
 			losses = append(losses, reg)
 		}
@@ -507,10 +507,9 @@ func TestEvalOnConcurrentSameLoss(t *testing.T) {
 	}
 }
 
-// TestEvalOnSparseHistogram covers the sparse-chunk fast path: a
-// histogram supported on a handful of cells of a multi-chunk universe
-// must produce the same population loss as the dense batched path, for
-// every worker count.
+// TestEvalOnSparseHistogram covers an empirical-style support: a
+// histogram on a handful of cells of a multi-chunk universe must produce
+// the naive sequential population loss, for every worker count.
 func TestEvalOnSparseHistogram(t *testing.T) {
 	g := testUniverse(t)
 	p := make([]float64, g.Size())

@@ -104,24 +104,3 @@ func BenchmarkDirGradOn2p16Logistic(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkGradOnGenericFallback measures the engine without the
-// BatchLoss fast path (loss wrapped to hide the kernel methods), isolating
-// the speedup attributable to batching alone.
-func BenchmarkGradOnGenericFallback(b *testing.B) {
-	_, l, h, theta := bench2p16(b)
-	hidden := hideBatch{l}
-	grad := make([]float64, l.Domain().Dim())
-	for _, workers := range []int{1, 8} {
-		sw := NewSweep(xeval.New(workers), hidden, h)
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sw.Grad(grad, theta)
-			}
-		})
-	}
-}
-
-// hideBatch strips the BatchLoss methods off a loss, forcing the generic
-// per-element fallback.
-type hideBatch struct{ Loss }

@@ -73,7 +73,7 @@ func (g *glm) Grad(grad, theta, x []float64) {
 	}
 }
 
-// EvalBatch implements BatchLoss.
+// EvalBatch implements Loss.
 func (g *glm) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
 	d := g.dom.Dim()
 	dim := u.Dim()
@@ -85,7 +85,7 @@ func (g *glm) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
 	release()
 }
 
-// GradBatch implements BatchLoss.
+// GradBatch implements Loss.
 func (g *glm) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int) {
 	d := g.dom.Dim()
 	dim := u.Dim()
@@ -105,7 +105,7 @@ func (g *glm) GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi in
 	release()
 }
 
-// ValueGradBatch implements BatchLoss: one profile call per nonzero
+// ValueGradBatch implements Loss: one profile call per nonzero
 // weight yields both the value and the derivative, so a family with a
 // costly profile (logistic's exp/log1p) pays for it once.
 func (g *glm) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int) {
@@ -128,7 +128,7 @@ func (g *glm) ValueGradBatch(out, grad, theta, w []float64, u universe.Universe,
 	release()
 }
 
-// DirGradBatch implements BatchLoss.
+// DirGradBatch implements Loss.
 func (g *glm) DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int) {
 	d := g.dom.Dim()
 	dim := u.Dim()

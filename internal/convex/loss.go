@@ -9,6 +9,24 @@ import (
 // Loss is a convex loss function ℓ(θ; x) defining a CM query (paper §2.2).
 // The record x is the vector encoding of a universe element. Implementations
 // must be deterministic and safe for concurrent use.
+//
+// Besides the per-record Value and Grad, every loss has four range kernels
+// over a universe index range [lo, hi), and EvalOn, DirGradOn and the Sweep
+// run them on every chunk. Indexing of out and w is relative to lo (out[0]
+// is universe element lo), buffers are caller-owned and may be sub-slices
+// of full-universe vectors, and calls on disjoint ranges must be safe
+// concurrently. The kernels guarantee:
+//
+//   - EvalBatch equals Value bit for bit, element by element, so a sum of
+//     weighted values does not depend on which of the two computed it;
+//   - GradBatch and DirGradBatch agree with Grad up to rounding (they may
+//     reassociate, e.g. forming (w·dv)·x_j or dv·⟨dir, x⟩);
+//   - ValueGradBatch's values and gradient equal EvalBatch's and
+//     GradBatch's bit for bit.
+//
+// A wrapper that overrides Value or Grad must override the four kernels
+// too: a struct embedding a Loss inherits the inner loss's kernels, and
+// sweeps would then evaluate the inner loss, not the wrapper.
 type Loss interface {
 	// Name identifies the loss instance (used in experiment reports).
 	Name() string
@@ -24,6 +42,19 @@ type Loss interface {
 	// StrongConvexity returns σ ≥ 0 such that ℓ is σ-strongly convex in θ
 	// (0 when merely convex).
 	StrongConvexity() float64
+	// EvalBatch writes ℓ(θ; x_i) into out[i−lo] for every i in [lo, hi).
+	EvalBatch(out, theta []float64, u universe.Universe, lo, hi int)
+	// GradBatch accumulates Σ_{i∈[lo,hi)} w[i−lo]·∇ℓ(θ; x_i) into grad
+	// (which it does not zero).
+	GradBatch(grad, theta, w []float64, u universe.Universe, lo, hi int)
+	// ValueGradBatch is EvalBatch and GradBatch in one pass: it writes
+	// ℓ(θ; x_i) into out[i−lo] for every i in [lo, hi) with w[i−lo] ≠ 0
+	// (other entries of out are unspecified) and accumulates
+	// Σ w[i−lo]·∇ℓ(θ; x_i) into grad.
+	ValueGradBatch(out, grad, theta, w []float64, u universe.Universe, lo, hi int)
+	// DirGradBatch writes ⟨dir, ∇ℓ(θ; x_i)⟩ into out[i−lo] for every i in
+	// [lo, hi): the per-element dual-certificate kernel.
+	DirGradBatch(out, dir, theta []float64, u universe.Universe, lo, hi int)
 }
 
 // GLM is implemented by losses of generalized-linear-model form (paper
@@ -63,35 +94,21 @@ func ScaleBound(l Loss) float64 {
 
 // All universe expectations below run on the xeval engine: fixed chunk
 // boundaries over [0, |X|) with pairwise reduction, so for any worker
-// count the result is bit-identical to the serial (nil-engine) path.
-// Per-chunk work dispatches through the BatchLoss fast path (batch.go)
-// when the loss provides one and falls back to per-element Value/Grad
-// calls otherwise. Solvers build one Sweep per solve and take each
-// iterate's value and gradient from one ValueGrad call (or its gradient
-// alone from Grad); ValueGrad's value carries EvalOn's exact bits.
+// count the result is bit-identical to the serial (nil-engine) path. Every
+// chunk runs exactly one of the loss's range kernels, whatever its
+// weights. Solvers build one Sweep per solve and take each iterate's value
+// and gradient from one ValueGrad call (or its gradient alone from Grad);
+// ValueGrad's value carries EvalOn's exact bits.
 
 // EvalOn returns the population loss ℓ(θ; D) = Σ_x D(x)·ℓ(θ; x), evaluated
-// chunk-parallel on e (nil means serial).
-//
-// Chunks adapt to the histogram's support: mostly-zero chunks (empirical
-// histograms of n ≪ |X| records) evaluate only their nonzero cells, dense
-// chunks (MW hypothesis histograms) take the batched kernel. Both paths
-// accumulate identical values in identical index order, and the choice
-// depends only on the weights, so results stay worker-count deterministic.
+// chunk-parallel on e (nil means serial). Each chunk runs EvalBatch and
+// sums w·value over its nonzero weights in index order.
 func EvalOn(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram) float64 {
 	u := h.U
 	return e.Sum(u.Size(), func(lo, hi int) float64 {
-		w := h.P[lo:hi]
-		nnz := nonzeros(w)
-		if nnz == 0 {
-			return 0
-		}
-		if nnz < (hi-lo)/4 {
-			return sparseValue(l, theta, u, w, lo)
-		}
-		bufp, out := scratch(hi - lo)
-		evalRange(l, out, theta, u, lo, hi)
-		s := weightedValue(out, w)
+		bufp, vals := scratch(hi - lo)
+		l.EvalBatch(vals, theta, u, lo, hi)
+		s := weightedValue(vals, h.P[lo:hi])
 		chunkBuf.Put(bufp)
 		return s
 	})
@@ -106,12 +123,9 @@ func EvalOn(e *xeval.Engine, l Loss, theta []float64, h *histogram.Histogram) fl
 // Each chunk writes a d+1 partial into one xeval.VecSum: slot 0 holds its
 // value partial, slots 1..d its gradient partial. The VecSum reduces every
 // slot with the same pairwise tree as xeval's Sum, so the value is
-// bit-identical to EvalOn's, and every chunk takes a fixed branch: all-zero
-// chunks contribute nothing, sparse chunks (nnz < n/4) sum Value over
-// their nonzero cells and run the gradient kernel, dense chunks run the
-// fused kernel and then the same weighted sum over its values. Grad runs
-// the gradient kernel alone on every chunk with a nonzero weight; its
-// bits equal ValueGrad's gradient.
+// bit-identical to EvalOn's. ValueGrad runs the fused kernel on every chunk
+// and then EvalOn's weighted sum over its values; Grad runs the gradient
+// kernel alone, and its bits equal ValueGrad's gradient.
 type Sweep struct {
 	red   *xeval.VecSum
 	acc   []float64 // slot 0: value; slots 1..d: gradient
@@ -127,22 +141,11 @@ func NewSweep(e *xeval.Engine, l Loss, h *histogram.Histogram) *Sweep {
 	s.red = e.NewVecSum(u.Size(), d+1, func(lo, hi int, out []float64) {
 		w := h.P[lo:hi]
 		if !s.value {
-			if !allZero(w) {
-				gradRange(l, out[1:], s.theta, w, u, lo, hi)
-			}
-			return
-		}
-		nnz := nonzeros(w)
-		if nnz == 0 {
-			return
-		}
-		if nnz < (hi-lo)/4 {
-			out[0] = sparseValue(l, s.theta, u, w, lo)
-			gradRange(l, out[1:], s.theta, w, u, lo, hi)
+			l.GradBatch(out[1:], s.theta, w, u, lo, hi)
 			return
 		}
 		bufp, vals := scratch(hi - lo)
-		valueGradRange(l, vals, out[1:], s.theta, w, u, lo, hi)
+		l.ValueGradBatch(vals, out[1:], s.theta, w, u, lo, hi)
 		out[0] = weightedValue(vals, w)
 		chunkBuf.Put(bufp)
 	})
@@ -171,31 +174,6 @@ func (s *Sweep) run(theta []float64, value bool) {
 	s.theta = nil
 }
 
-// nonzeros returns the number of nonzero weights in a chunk.
-func nonzeros(w []float64) int {
-	nnz := 0
-	for _, wi := range w {
-		if wi != 0 {
-			nnz++
-		}
-	}
-	return nnz
-}
-
-// sparseValue returns Σ w[i]·ℓ(θ; x_{lo+i}) over the nonzero weights of a
-// mostly-zero chunk, evaluating only those cells.
-func sparseValue(l Loss, theta []float64, u universe.Universe, w []float64, lo int) float64 {
-	var s float64
-	bufp, buf := scratch(u.Dim())
-	for i, wi := range w {
-		if wi != 0 {
-			s += wi * l.Value(theta, u.PointInto(lo+i, buf))
-		}
-	}
-	chunkBuf.Put(bufp)
-	return s
-}
-
 // weightedValue returns Σ w[i]·vals[i] over the nonzero weights, in index
 // order; vals need only be defined where w is nonzero.
 func weightedValue(vals, w []float64) float64 {
@@ -213,18 +191,6 @@ func weightedValue(vals, w []float64) float64 {
 // dual-certificate vector of paper Claim 3.5 (before clamping to [−S, S]).
 func DirGradOn(e *xeval.Engine, l Loss, out, dir, theta []float64, u universe.Universe) {
 	e.ForEach(u.Size(), func(lo, hi int) {
-		dirGradRange(l, out[lo:hi], dir, theta, u, lo, hi)
+		l.DirGradBatch(out[lo:hi], dir, theta, u, lo, hi)
 	})
-}
-
-// allZero reports whether every entry of w is zero — the common case for
-// chunks of an empirical histogram over a large universe, which lets the
-// expectation kernels skip whole chunks.
-func allZero(w []float64) bool {
-	for _, v := range w {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }

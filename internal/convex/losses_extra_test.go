@@ -186,7 +186,4 @@ func (l *Poisson) Scalar(z, y float64) (float64, float64) {
 	return l.c * (base + slope*(z-zc)), l.c * slope
 }
 
-var (
-	_ GLM       = (*Poisson)(nil)
-	_ BatchLoss = (*Poisson)(nil)
-)
+var _ GLM = (*Poisson)(nil)

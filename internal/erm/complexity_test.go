@@ -63,10 +63,6 @@ func TestMinNShapes(t *testing.T) {
 	if (OutputPerturbation{}).MinN(l4, alpha, eps) != (NoisyGD{}.MinN(l4, alpha, eps)) {
 		t.Error("σ=0 fallback wrong")
 	}
-	// Objective perturbation matches output perturbation.
-	if (ObjectivePerturbation{}).MinN(strong, alpha, eps) != (OutputPerturbation{}.MinN(strong, alpha, eps)) {
-		t.Error("objective ≠ output shape")
-	}
 
 	// Linear oracle: 1/(√α·ε). Use a small α so integer ceiling effects
 	// do not mask the ratio.
@@ -87,8 +83,8 @@ func TestMinNShapes(t *testing.T) {
 func TestMinNEpsilonScalingAndFloors(t *testing.T) {
 	l := lossInDim(t, 4, 0.5)
 	oracles := []SampleComplexity{
-		NoisyGD{}, OutputPerturbation{}, ObjectivePerturbation{},
-		GLMReduction{}, LaplaceLinear{}, NetExpMech{},
+		NoisyGD{}, OutputPerturbation{}, GLMReduction{}, LaplaceLinear{},
+		NetExpMech{},
 	}
 	for _, o := range oracles {
 		a := o.MinN(l, 0.1, 0.5)

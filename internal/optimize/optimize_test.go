@@ -123,15 +123,9 @@ func TestMinimizeLinearFormMatchesClosedForm(t *testing.T) {
 }
 
 // hideExact wraps a loss, deliberately dropping its ExactSolvable
-// implementation so tests can exercise the generic solver path.
-type hideExact struct{ inner convex.Loss }
-
-func (w hideExact) Name() string                  { return w.inner.Name() }
-func (w hideExact) Domain() convex.Domain         { return w.inner.Domain() }
-func (w hideExact) Value(th, x []float64) float64 { return w.inner.Value(th, x) }
-func (w hideExact) Grad(g, th, x []float64)       { w.inner.Grad(g, th, x) }
-func (w hideExact) Lipschitz() float64            { return w.inner.Lipschitz() }
-func (w hideExact) StrongConvexity() float64      { return w.inner.StrongConvexity() }
+// implementation so tests can exercise the generic solver path. It embeds
+// the loss, so its range kernels are the loss's own.
+type hideExact struct{ convex.Loss }
 
 func TestMinimizeInitValidation(t *testing.T) {
 	g := grid(t)

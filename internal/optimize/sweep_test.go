@@ -75,10 +75,6 @@ func twoSweepMinimize(l convex.Loss, h *histogram.Histogram, opts Options) Resul
 	return Result{Theta: best, Value: bestVal, Iters: iters, Converged: converged}
 }
 
-// noExact hides a batched loss's ExactSolvable method but keeps its
-// kernels, so closed-form kinds run the iterative loop on the fast path.
-type noExact struct{ convex.BatchLoss }
-
 // sweepUniverse spans three xeval chunks.
 func sweepUniverse(t testing.TB) *universe.LabeledGrid {
 	t.Helper()
@@ -92,7 +88,7 @@ func sweepUniverse(t testing.TB) *universe.LabeledGrid {
 
 // mixedHistogram puts a dense chunk (non-uniform, with some exact zeros),
 // a sparse chunk (nnz < ChunkSize/4) and an all-zero chunk side by side,
-// so every per-chunk branch of the expectation sweeps runs.
+// so the sweeps' one kernel path runs over three support shapes.
 func mixedHistogram(g universe.Universe) *histogram.Histogram {
 	p := make([]float64, g.Size())
 	var sum float64
@@ -121,9 +117,9 @@ var solverParams = map[string]string{
 	"positive":  `{"coord":1}`,
 }
 
-// solverLosses returns every registry kind built over g, plus a noExact
-// wrapper of each closed-form kind and a hideExact wrapper of every kind
-// (the generic per-element fallback).
+// solverLosses returns every registry kind built over g, plus a hideExact
+// wrapper of each closed-form kind, so those kinds run the iterative loop
+// too.
 func solverLosses(t *testing.T, g universe.Universe) []convex.Loss {
 	t.Helper()
 	var out []convex.Loss
@@ -136,9 +132,9 @@ func solverLosses(t *testing.T, g universe.Universe) []convex.Loss {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		out = append(out, l, hideExact{l})
+		out = append(out, l)
 		if _, ok := l.(convex.ExactSolvable); ok {
-			out = append(out, noExact{l.(convex.BatchLoss)})
+			out = append(out, hideExact{l})
 		}
 	}
 	return out
@@ -171,8 +167,8 @@ var exits = []struct {
 
 // TestOneSweepSolversMatchTwoSweep pins Minimize to the two-sweep loop
 // it replaced: same Theta, Value, Iters and Converged bits for every
-// registry kind, on the batched kernels and the generic fallback, through
-// both loop exits. The exits are checked as covered across the losses
+// registry kind, with and without the closed-form shortcut, through both
+// loop exits. The exits are checked as covered across the losses
 // rather than per loss.
 func TestOneSweepSolversMatchTwoSweep(t *testing.T) {
 	g := sweepUniverse(t)
