@@ -267,6 +267,9 @@ func (o NetExpMech) AnswerCost(eps, _ float64) mech.Cost {
 
 // Answer implements Oracle.
 func (o NetExpMech) Answer(src *sample.Source, l convex.Loss, data *dataset.Dataset, eps, delta float64) ([]float64, error) {
+	if err := ensureDenseData(o.Name(), data); err != nil {
+		return nil, err
+	}
 	m := o.Candidates
 	if m <= 0 {
 		m = 64
@@ -285,20 +288,21 @@ func (o NetExpMech) Answer(src *sample.Source, l convex.Loss, data *dataset.Data
 	}
 
 	// Public score-range bound over (candidate, universe record) pairs:
-	// one chunk-parallel sweep per candidate collecting per-chunk minima
-	// and maxima (min/max reductions are order-independent, so the result
-	// is worker-count deterministic).
+	// one chunk-parallel EvalBatch sweep per candidate collecting per-chunk
+	// minima and maxima (min/max reductions are order-independent, so the
+	// result is worker-count deterministic).
 	u := data.U
 	lo, hi := math.Inf(1), math.Inf(-1)
 	chunks := xeval.Chunks(u.Size())
 	chunkLo := make([]float64, chunks)
 	chunkHi := make([]float64, chunks)
+	vals := make([]float64, u.Size())
 	for _, th := range net {
 		o.Engine.ForEach(u.Size(), func(clo, chi int) {
-			buf := make([]float64, u.Dim())
+			out := vals[clo:chi]
+			l.EvalBatch(out, th, u, clo, chi)
 			cLo, cHi := math.Inf(1), math.Inf(-1)
-			for i := clo; i < chi; i++ {
-				v := l.Value(th, u.PointInto(i, buf))
+			for _, v := range out {
 				if v < cLo {
 					cLo = v
 				}
@@ -325,9 +329,6 @@ func (o NetExpMech) Answer(src *sample.Source, l convex.Loss, data *dataset.Data
 	}
 	sens := rangeB / float64(data.N())
 
-	if err := ensureDenseData(o.Name(), data); err != nil {
-		return nil, err
-	}
 	h := data.Histogram()
 	scores := make([]float64, len(net))
 	for i, th := range net {

@@ -1,9 +1,11 @@
 package erm
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/convex"
 	"repro/internal/dataset"
@@ -274,6 +276,50 @@ func TestOraclesDeterministicPerSeed(t *testing.T) {
 				t.Errorf("%s: nondeterministic at equal seeds", o.Name())
 				break
 			}
+		}
+	}
+}
+
+// TestEnumeratingOraclesFailFastPastDenseLimit runs every served oracle
+// that sweeps the universe on a 2^30-point product hypercube, with a loss
+// it accepts. Each must return universe.ErrTooLarge before it enumerates a
+// point, not after a sweep of 2^30 points. The test enforces its own
+// deadline, so a regression fails here instead of hanging go test.
+func TestEnumeratingOraclesFailFastPastDenseLimit(t *testing.T) {
+	u, err := universe.NewProductHypercube(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := dataset.New(u, []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		oracle Oracle
+		kind   string
+	}{
+		{NoisyGD{}, "positive"},
+		{NetExpMech{}, "positive"},
+		{OutputPerturbation{}, "positive"},
+		{GLMReduction{}, "logistic"},
+	}
+	for _, c := range cases {
+		l, err := convex.Build(u, convex.Spec{Kind: c.kind})
+		if err != nil {
+			t.Fatalf("%s: %v", c.kind, err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.oracle.Answer(sample.New(1), l, data, 1, 1e-6)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, universe.ErrTooLarge) {
+				t.Errorf("%s with %s: err = %v, want universe.ErrTooLarge", c.oracle.Name(), c.kind, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s with %s: Answer still running after 5s on |X| = 2^30", c.oracle.Name(), c.kind)
 		}
 	}
 }

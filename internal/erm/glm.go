@@ -63,6 +63,9 @@ func (o GLMReduction) AnswerCost(eps, delta float64) mech.Cost {
 // (glm.Label), the label its Lipschitz certificate covers, so the
 // sensitivity 2·Lipschitz/n bounds the reduced-space gradient too.
 func (o GLMReduction) Answer(src *sample.Source, l convex.Loss, data *dataset.Dataset, eps, delta float64) ([]float64, error) {
+	if err := ensureDenseData(o.Name(), data); err != nil {
+		return nil, err
+	}
 	glm, ok := l.(convex.GLM)
 	if !ok {
 		return nil, fmt.Errorf("erm: GLMReduction requires a GLM loss, got %T", l)
@@ -163,9 +166,6 @@ func (o GLMReduction) Answer(src *sample.Source, l convex.Loss, data *dataset.Da
 		return nil, err
 	}
 
-	if err := ensureDenseData(o.Name(), data); err != nil {
-		return nil, err
-	}
 	// The reduction is built once, before the step loop; its kernel reads
 	// the loop's current theta on every sweep.
 	h := data.Histogram()
