@@ -42,7 +42,7 @@ func registrySpecs(t *testing.T) []Spec {
 
 // testUniverse is large enough to span several xeval chunks so the
 // parallel path genuinely exercises chunk scheduling and reduction.
-func testUniverse(t *testing.T) *universe.LabeledGrid {
+func testUniverse(t testing.TB) *universe.LabeledGrid {
 	t.Helper()
 	// 3 features × 14 levels + 2 labels: |X| = 14³·2 = 5488 (> 2 chunks).
 	g, err := universe.NewLabeledGrid(3, 14, 1.0, 2, 1.0)
@@ -464,6 +464,94 @@ func TestSweepBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSweepMatchesReference fuzzes the histogram's support: the private
+// histogram's zero pattern is data, so EvalOn, Sweep.ValueGrad and
+// Sweep.Grad must carry refEvalOn's and refGradOn's bits for every
+// support over the 3-chunk test universe. Byte i of the input is cell i's
+// weight (zero or not; cells past the input are zero), and the three
+// floats give θ, projected onto each loss's domain. The seed corpus is
+// TestSweepBitIdentical's three support shapes.
+func FuzzSweepMatchesReference(f *testing.F) {
+	g := testUniverse(f)
+	build := func(sp Spec) Loss {
+		l, err := Build(g, sp)
+		if err != nil {
+			f.Fatalf("%s: %v", sp.Kind, err)
+		}
+		return l
+	}
+	logistic := build(Spec{Kind: "logistic"})
+	halfspace := build(Spec{Kind: "halfspace", Params: json.RawMessage(`{"w":[1,-1,0.5,0],"threshold":0.1}`)})
+	reg, err := NewRegularized(logistic, 0.25)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sc, err := NewScaled(halfspace, 0.5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	losses := []Loss{logistic, build(Spec{Kind: "squared"}), halfspace, reg, sc}
+
+	for _, shape := range supportShapes(g.Size()) {
+		f.Add(shape, 0.3, -0.2, 0.1)
+	}
+	var e *xeval.Engine
+	f.Fuzz(func(t *testing.T, cells []byte, t0, t1, t2 float64) {
+		for _, v := range []float64{t0, t1, t2} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return
+			}
+		}
+		p := make([]float64, g.Size())
+		for i := range min(len(cells), len(p)) {
+			p[i] = float64(cells[i]) / 255
+		}
+		h := &histogram.Histogram{U: g, P: p}
+		for _, l := range losses {
+			theta := make([]float64, l.Domain().Dim())
+			for j := range theta {
+				theta[j] = []float64{t0, t1, t2}[j%3]
+			}
+			theta = l.Domain().Project(theta)
+			wantV := refEvalOn(e, l, theta, h)
+			wantG := refGradOn(e, l, theta, h)
+			if v := EvalOn(e, l, theta, h); math.Float64bits(v) != math.Float64bits(wantV) {
+				t.Errorf("%s: EvalOn = %v, refEvalOn = %v", l.Name(), v, wantV)
+			}
+			sw := NewSweep(e, l, h)
+			gotG := make([]float64, len(wantG))
+			if v := sw.ValueGrad(gotG, theta); math.Float64bits(v) != math.Float64bits(wantV) {
+				t.Errorf("%s: ValueGrad value = %v, refEvalOn = %v", l.Name(), v, wantV)
+			}
+			sameBits(t, l.Name()+" ValueGrad", gotG, wantG)
+			sw.Grad(gotG, theta)
+			sameBits(t, l.Name()+" Grad", gotG, wantG)
+		}
+	})
+}
+
+// supportShapes returns TestSweepBitIdentical's three supports over n
+// cells as fuzz inputs, one byte per cell: one chunk of each shape
+// (dense, sparse, all zero), dense everywhere, and sparse everywhere.
+func supportShapes(n int) [][]byte {
+	mixed, dense, sparse := make([]byte, n), make([]byte, n), make([]byte, n)
+	for i := range n {
+		switch c := i / xeval.ChunkSize; {
+		case c == 0 && i%7 != 0:
+			mixed[i] = byte(1 + i%13)
+		case c == 1 && i%50 == 0:
+			mixed[i] = 128
+		}
+		if i%7 != 0 {
+			dense[i] = byte(1 + i%13)
+		}
+	}
+	for _, i := range []int{0, 7, 500, 2047, 2048, 2100, 4095, 4096, 4500, 5487} {
+		sparse[i] = 26
+	}
+	return [][]byte{mixed, dense, sparse}
 }
 
 // sameBits reports every coordinate where got and want differ in any bit.
