@@ -173,8 +173,8 @@ func (l *LinearQuery) DirGradBatch(out, dir, theta []float64, u universe.Univers
 
 // ---------------------------------------------------------------------------
 // Decorator kernels. Regularized and Scaled run the inner loss's kernels
-// and apply their transformation on top, in the same order of operations
-// as their Value and Grad, so EvalBatch stays bit-identical to Value.
+// and apply their transformation on top. EvalBatch applies it with the
+// same operations as Value, so it stays bit-identical to Value.
 
 // EvalBatch implements Loss: the inner values plus (σ/2)·‖θ‖².
 func (l *Regularized) EvalBatch(out, theta []float64, u universe.Universe, lo, hi int) {
