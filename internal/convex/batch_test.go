@@ -405,24 +405,7 @@ func TestSweepBitIdentical(t *testing.T) {
 	if xeval.Chunks(g.Size()) != 3 {
 		t.Fatalf("|X| = %d spans %d chunks, want 3", g.Size(), xeval.Chunks(g.Size()))
 	}
-	mixed := make([]float64, g.Size())
-	for i := range mixed {
-		switch c := i / xeval.ChunkSize; {
-		case c == 0 && i%7 != 0: // dense, with some exact zeros
-			mixed[i] = 1 / float64(1+i%13)
-		case c == 1 && i%50 == 0: // sparse: 41 of 2048 cells
-			mixed[i] = 0.5
-		}
-	}
-	sparse := make([]float64, g.Size())
-	for _, i := range []int{0, 7, 500, 2047, 2048, 2100, 4095, 4096, 4500, 5487} {
-		sparse[i] = 0.1
-	}
-	hists := map[string]*histogram.Histogram{
-		"mixed":  {U: g, P: mixed},
-		"dense":  skewedHistogram(g),
-		"sparse": {U: g, P: sparse},
-	}
+	hists := supportShapes(g)
 	src := sample.New(17)
 	for _, sp := range registrySpecs(t) {
 		l, err := Build(g, sp)
@@ -472,7 +455,7 @@ func TestSweepBitIdentical(t *testing.T) {
 // support over the 3-chunk test universe. Byte i of the input is cell i's
 // weight (zero or not; cells past the input are zero), and the three
 // floats give θ, projected onto each loss's domain. The seed corpus is
-// TestSweepBitIdentical's three support shapes.
+// supportShapes, the three supports TestSweepBitIdentical sweeps.
 func FuzzSweepMatchesReference(f *testing.F) {
 	g := testUniverse(f)
 	build := func(sp Spec) Loss {
@@ -494,8 +477,12 @@ func FuzzSweepMatchesReference(f *testing.F) {
 	}
 	losses := []Loss{logistic, build(Spec{Kind: "squared"}), halfspace, reg, sc}
 
-	for _, shape := range supportShapes(g.Size()) {
-		f.Add(shape, 0.3, -0.2, 0.1)
+	for _, h := range supportShapes(g) {
+		cells := make([]byte, len(h.P))
+		for i, w := range h.P {
+			cells[i] = byte(math.Ceil(255 * w)) // weights lie in [0, 1]
+		}
+		f.Add(cells, 0.3, -0.2, 0.1)
 	}
 	var e *xeval.Engine
 	f.Fuzz(func(t *testing.T, cells []byte, t0, t1, t2 float64) {
@@ -532,26 +519,28 @@ func FuzzSweepMatchesReference(f *testing.F) {
 	})
 }
 
-// supportShapes returns TestSweepBitIdentical's three supports over n
-// cells as fuzz inputs, one byte per cell: one chunk of each shape
-// (dense, sparse, all zero), dense everywhere, and sparse everywhere.
-func supportShapes(n int) [][]byte {
-	mixed, dense, sparse := make([]byte, n), make([]byte, n), make([]byte, n)
-	for i := range n {
+// supportShapes returns three histograms over the 3-chunk test universe
+// g, one per support shape: one chunk of each shape (dense, sparse, all
+// zero), dense everywhere, and sparse everywhere.
+func supportShapes(g universe.Universe) map[string]*histogram.Histogram {
+	mixed := make([]float64, g.Size())
+	for i := range mixed {
 		switch c := i / xeval.ChunkSize; {
-		case c == 0 && i%7 != 0:
-			mixed[i] = byte(1 + i%13)
-		case c == 1 && i%50 == 0:
-			mixed[i] = 128
-		}
-		if i%7 != 0 {
-			dense[i] = byte(1 + i%13)
+		case c == 0 && i%7 != 0: // dense, with some exact zeros
+			mixed[i] = 1 / float64(1+i%13)
+		case c == 1 && i%50 == 0: // sparse: 41 of 2048 cells
+			mixed[i] = 0.5
 		}
 	}
+	sparse := make([]float64, g.Size())
 	for _, i := range []int{0, 7, 500, 2047, 2048, 2100, 4095, 4096, 4500, 5487} {
-		sparse[i] = 26
+		sparse[i] = 0.1
 	}
-	return [][]byte{mixed, dense, sparse}
+	return map[string]*histogram.Histogram{
+		"mixed":  {U: g, P: mixed},
+		"dense":  skewedHistogram(g),
+		"sparse": {U: g, P: sparse},
+	}
 }
 
 // sameBits reports every coordinate where got and want differ in any bit.

@@ -284,7 +284,9 @@ func TestOraclesDeterministicPerSeed(t *testing.T) {
 // that sweeps the universe on a 2^30-point product hypercube, with a loss
 // it accepts. Each must return universe.ErrTooLarge before it enumerates a
 // point, not after a sweep of 2^30 points. The test enforces its own
-// deadline, so a regression fails here instead of hanging go test.
+// deadline, so a regression fails here instead of hanging go test; the
+// oracles take no context, so a timed-out Answer runs on until the test
+// binary exits.
 func TestEnumeratingOraclesFailFastPastDenseLimit(t *testing.T) {
 	u, err := universe.NewProductHypercube(30)
 	if err != nil {
