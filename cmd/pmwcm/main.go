@@ -123,7 +123,6 @@ func runCmd(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	workers := fs.Int("workers", runtime.NumCPU(), "xeval workers per universe-sized computation")
 	accountant := fs.String("accountant", "", "privacy accountant ("+strings.Join(mech.AccountantNames(), ", ")+"; empty = "+mech.DefaultAccountant+")")
-	engine := fs.String("engine", "", "core evaluation engine (dense, factored, auto; empty = dense)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -143,7 +142,7 @@ func runCmd(args []string) error {
 			selected = append(selected, e)
 		}
 	}
-	cfg := expts.RunConfig{Seed: *seed, Quick: *quick, Workers: *workers, Accountant: *accountant, Engine: *engine}
+	cfg := expts.RunConfig{Seed: *seed, Quick: *quick, Workers: *workers, Accountant: *accountant}
 	for _, e := range selected {
 		tbl, err := e.Run(cfg)
 		if err != nil {

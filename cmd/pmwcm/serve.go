@@ -89,7 +89,6 @@ func serveCmd(args []string) error {
 	scale := fs.Float64("s", 2, "default loss-family scale bound S")
 
 	oracleName := fs.String("oracle", "noisygd", "single-query oracle (noisygd, netexp, outputperturb, glmreduce, laplace-linear)")
-	engine := fs.String("engine", "", "default evaluation engine per session (dense, factored, auto; empty = dense)")
 	accountant := fs.String("accountant", "", "default privacy accountant per session ("+strings.Join(mech.AccountantNames(), ", ")+"; empty = "+mech.DefaultAccountant+")")
 	workers := fs.Int("workers", runtime.NumCPU(), "xeval workers per universe-sized computation (intra-query parallelism)")
 	maxSessions := fs.Int("maxsessions", 64, "maximum concurrently open sessions")
@@ -207,7 +206,6 @@ func serveCmd(args []string) error {
 			K: *k, TBudget: *tBudget, S: *scale,
 			Workers:    *workers,
 			Accountant: *accountant,
-			Engine:     *engine,
 		},
 		Limits:       service.Limits{MaxSessions: *maxSessions, MaxK: *maxK},
 		Store:        backend,

@@ -23,11 +23,12 @@ import (
 // Two universe shapes are supported. The default is a labeled grid fed
 // from a numeric CSV of records (featureDim feature columns plus one label
 // column), trained on random halfspace counting queries. With -hypercube D
-// the universe is the ±1/√D product hypercube instead — factorable, so
-// with -engine factored (or auto) D can exceed the dense-enumeration limit
-// (up to 52): training on width-w marginal or parity workloads then never
-// materializes the 2^D universe, and memory stays proportional to the
-// query supports, not |X|.
+// the universe is the ±1/√D product hypercube instead — factorable, so D
+// can exceed the dense-enumeration limit (up to 52): past d = 22 the server
+// runs the factored engine, training on width-w marginal or parity
+// workloads never materializes the 2^D universe, and memory stays
+// proportional to the query supports, not |X|. A halfspace workload spans
+// every coordinate, so past d = 22 it is rejected as too large.
 func synthCmd(args []string) error {
 	fs := flag.NewFlagSet("synth", flag.ContinueOnError)
 	inPath := fs.String("in", "-", "input CSV of records (features..., label); '-' = stdin")
@@ -37,11 +38,10 @@ func synthCmd(args []string) error {
 	labels := fs.Int("labels", 3, "grid levels for the label")
 	featR := fs.Float64("featradius", 1.0, "feature ball radius")
 	labelR := fs.Float64("labelradius", 1.0, "label range half-width")
-	hyper := fs.Int("hypercube", 0, "use the ±1/√D product hypercube of this dimension instead of a labeled grid (≤ 52; pair with -engine factored past d = 22)")
+	hyper := fs.Int("hypercube", 0, "use the ±1/√D product hypercube of this dimension instead of a labeled grid (≤ 52; past d = 22 it runs factored and needs a marginal or parity workload)")
 	gen := fs.Int("gen", 0, "generate this many uniform random input rows instead of reading -in (hypercube mode)")
 	wl := fs.String("workload", "halfspace", "training workload: halfspace, marginal, parity")
 	width := fs.Int("width", 2, "marginal/parity width")
-	engine := fs.String("engine", "", "evaluation engine: dense, factored, auto (empty = dense)")
 	eps := fs.Float64("eps", 1.0, "privacy budget ε")
 	delta := fs.Float64("delta", 1e-6, "privacy budget δ")
 	alpha := fs.Float64("alpha", 0.01, "excess-risk accuracy target per training query")
@@ -106,7 +106,6 @@ func synthCmd(args []string) error {
 		K: *queries, S: 1,
 		Oracle:  erm.LaplaceLinear{},
 		TBudget: *tBudget,
-		Engine:  *engine,
 	}, data, src.Split())
 	if err != nil {
 		return err

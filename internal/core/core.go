@@ -103,38 +103,21 @@ type Config struct {
 	// oracle declares (Gaussian oracles report zCDP ρ). Unknown names are
 	// rejected with a mech.ErrUnknownAccountant-wrapped error (HTTP 400).
 	Accountant string
-	// Engine selects the evaluation engine: "dense" enumerates the whole
-	// universe (the default, always correct, rejected with a typed
-	// universe-too-large error past 2^22 elements), "factored" exploits
-	// product structure to answer junta-supported losses without ever
-	// materializing X (requires a universe.Factored universe and losses
-	// with declared support), and "auto" picks dense when the universe fits
-	// and factored otherwise. Empty means "dense".
-	Engine string
 	// Trace enables per-update diagnostics (costs extra computation and
 	// reads the private data for *reporting only*; leave off outside
 	// experiments). Trace requires the dense engine: the diagnostics
-	// compare full histograms.
+	// compare full histograms, so New rejects it past universe.DenseLimit.
 	Trace bool
 }
 
 // solverIters bounds every argmin solve of Server.Answer and AnswerOffline.
 const solverIters = 400
 
-// Engine names accepted by Config.Engine.
+// Engine names reported by Server.EngineName.
 const (
 	EngineDense    = "dense"
 	EngineFactored = "factored"
-	EngineAuto     = "auto"
 )
-
-// ErrUnknownEngine is returned (wrapped) by New for an unrecognized
-// Config.Engine. The HTTP layer maps it to 400.
-var ErrUnknownEngine = errors.New("core: unknown engine (want dense, factored, or auto)")
-
-// ErrNeedsFactored is returned (wrapped) by New when the factored engine
-// is requested over a universe without product structure.
-var ErrNeedsFactored = errors.New("core: factored engine requires a product-structured universe")
 
 // ErrNeedsSupport is returned (wrapped) by Answer when the factored engine
 // receives a loss without a declared coordinate support.
@@ -166,40 +149,7 @@ func (c Config) validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("core: workers %d: %w", c.Workers, ErrInvalidWorkers)
 	}
-	switch c.Engine {
-	case "", EngineDense, EngineFactored, EngineAuto:
-	default:
-		return fmt.Errorf("%w: %q", ErrUnknownEngine, c.Engine)
-	}
 	return nil
-}
-
-// resolveEngine maps Config.Engine to the engine actually run over u.
-// The dense engine is the only place the universe is enumerated end to end,
-// so it carries the size guard: past universe.DenseLimit it is rejected
-// with a typed universe-too-large error instead of attempting the
-// allocation.
-func resolveEngine(name string, u universe.Universe) (string, error) {
-	factored := func() (string, error) {
-		if _, ok := u.(universe.Factored); !ok {
-			return "", fmt.Errorf("%w (universe %s)", ErrNeedsFactored, u.String())
-		}
-		return EngineFactored, nil
-	}
-	switch name {
-	case "", EngineDense:
-		if err := universe.EnsureDense(u); err != nil {
-			return "", fmt.Errorf("core: dense engine: %w", err)
-		}
-		return EngineDense, nil
-	case EngineFactored:
-		return factored()
-	default: // EngineAuto; validate() rejected everything else
-		if universe.EnsureDense(u) == nil {
-			return EngineDense, nil
-		}
-		return factored()
-	}
 }
 
 // ErrInvalidWorkers is returned (wrapped) by New for a negative
@@ -241,7 +191,6 @@ var ErrHalted = errors.New("core: server has halted")
 type Server struct {
 	cfg    Config
 	params Params
-	engine string // resolved engine name: EngineDense or EngineFactored
 	data   *dataset.Dataset
 	src    *sample.Source
 	sv     *sparse.SV
@@ -258,8 +207,24 @@ type Server struct {
 	traces   []UpdateTrace
 }
 
-// New constructs a server for the given private dataset.
+// New constructs a server for the given private dataset. The engine
+// follows from the universe: dense while universe.EnsureDense passes, and
+// past universe.DenseLimit factored when the universe is
+// universe.Factored; any other universe past the limit is rejected with a
+// wrapped universe.ErrTooLarge.
 func New(cfg Config, data *dataset.Dataset, src *sample.Source) (*Server, error) {
+	factored := false
+	if data != nil && universe.EnsureDense(data.U) != nil {
+		_, factored = data.U.(universe.Factored)
+	}
+	return newServer(cfg, data, src, factored)
+}
+
+// newServer builds a server whose hypothesis is the dense mw.State or,
+// when factored is set, the product-form mw.FactoredState. New and Restore
+// choose factored from the data and the snapshot; the engine tests force
+// it on universes within the dense limit to compare the two.
+func newServer(cfg Config, data *dataset.Dataset, src *sample.Source, factored bool) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -269,11 +234,15 @@ func New(cfg Config, data *dataset.Dataset, src *sample.Source) (*Server, error)
 	if src == nil {
 		return nil, fmt.Errorf("core: nil random source")
 	}
-	engine, err := resolveEngine(cfg.Engine, data.U)
-	if err != nil {
-		return nil, err
-	}
-	if engine == EngineFactored && cfg.Trace {
+	fu, isFactored := data.U.(universe.Factored)
+	switch {
+	case !factored:
+		if err := universe.EnsureDense(data.U); err != nil {
+			return nil, fmt.Errorf("core: dense engine: %w", err)
+		}
+	case !isFactored:
+		return nil, fmt.Errorf("core: factored engine requires a product-structured universe (universe %s)", data.U)
+	case cfg.Trace:
 		return nil, fmt.Errorf("core: Trace requires the dense engine (diagnostics compare full histograms)")
 	}
 	xsize := data.U.Size()
@@ -343,7 +312,6 @@ func New(cfg Config, data *dataset.Dataset, src *sample.Source) (*Server, error)
 	srv := &Server{
 		cfg:      cfg,
 		params:   p,
-		engine:   engine,
 		data:     data,
 		src:      src,
 		sv:       sv,
@@ -351,8 +319,7 @@ func New(cfg Config, data *dataset.Dataset, src *sample.Source) (*Server, error)
 		acct:     acct,
 		callCost: callCost,
 	}
-	if engine == EngineFactored {
-		fu := data.U.(universe.Factored) // resolveEngine checked the assertion
+	if factored {
 		fstate, err := mw.NewFactored(fu, eta, cfg.S)
 		if err != nil {
 			return nil, err
@@ -384,9 +351,14 @@ func svConfig(cfg Config, p Params) sparse.Config {
 	}
 }
 
-// EngineName returns the resolved evaluation engine in force: EngineDense
-// or EngineFactored ("auto" and "" resolve at construction).
-func (s *Server) EngineName() string { return s.engine }
+// EngineName returns the evaluation engine in force: EngineDense or
+// EngineFactored.
+func (s *Server) EngineName() string {
+	if s.fstate != nil {
+		return EngineFactored
+	}
+	return EngineDense
+}
 
 // Params returns the derived Figure-3 parameters.
 func (s *Server) Params() Params { return s.params }
@@ -409,35 +381,14 @@ func (s *Server) Answered() int { return s.answered }
 // Hypothesis returns the current public hypothesis D̂t. Per the paper's
 // §4.3 remark, this doubles as a differentially private synthetic dataset:
 // it is a post-processing of the mechanism's private interactions. Under
-// the factored engine the full histogram cannot be materialized (the
-// universe exceeds the dense limit) and Hypothesis returns nil; use
-// SupportHypothesis for marginals or SyntheticRows for a row-level release.
+// the factored engine the full histogram is never materialized (the
+// universe may exceed the dense limit) and Hypothesis returns nil; use
+// SyntheticRows for a row-level release.
 func (s *Server) Hypothesis() *histogram.Histogram {
 	if s.fstate != nil {
 		return nil
 	}
 	return s.state.Histogram().Clone()
-}
-
-// SupportHypothesis returns the hypothesis's exact marginal distribution
-// over the sub-cube spanned by the given coordinates — the factored
-// engine's public view of D̂t, computed without enumerating the universe.
-// Only available under the factored engine.
-func (s *Server) SupportHypothesis(coords []int) (*histogram.Histogram, error) {
-	if s.fstate == nil {
-		return nil, fmt.Errorf("core: SupportHypothesis requires the factored engine (use Hypothesis)")
-	}
-	return s.fstate.SupportHistogram(coords)
-}
-
-// FactoredFootprint reports the factored hypothesis's materialized junta
-// components and total table cells — the memory the representation pays
-// for, independent of |X|. Zeros under the dense engine.
-func (s *Server) FactoredFootprint() (groups, cells int) {
-	if s.fstate == nil {
-		return 0, 0
-	}
-	return s.fstate.Components()
 }
 
 // SyntheticRows samples m records from the current hypothesis — a

@@ -18,7 +18,8 @@ import (
 // Engine tests: the factored engine must agree with dense to 1e-12 on every
 // registry loss kind that declares a support, stay bit-deterministic across
 // worker counts, survive snapshot/restore, and handle d = 30 universes the
-// dense engine rejects.
+// dense engine rejects. New picks the engine from |X|; the comparisons force
+// factored on a 2^10 cube through newServer.
 
 // hypercubeData builds a deterministic dataset of n rows over the ±1/√d
 // product hypercube.
@@ -64,7 +65,7 @@ func supportedSpecs(t *testing.T, d int) []convex.Spec {
 	}
 }
 
-func engineConfig(engine string, workers int) Config {
+func engineConfig(workers int) Config {
 	return Config{
 		Eps: 1, Delta: 1e-6,
 		Alpha: 0.05, Beta: 0.05,
@@ -72,16 +73,16 @@ func engineConfig(engine string, workers int) Config {
 		Oracle:  erm.LaplaceLinear{},
 		TBudget: 10,
 		Workers: workers,
-		Engine:  engine,
 	}
 }
 
-// runEngine answers every spec on a fresh server and returns the answers
-// (nil entry when the server halted first).
-func runEngine(t *testing.T, engine string, workers int, seed int64) ([][]float64, *Server) {
+// runEngine answers every spec on a fresh server over the 2^10 cube, dense
+// or forced factored, and returns the answers (nil entry when the server
+// halted first).
+func runEngine(t *testing.T, factored bool, workers int, seed int64) ([][]float64, *Server) {
 	t.Helper()
 	f, data := hypercubeData(t, 10, 400, 11)
-	srv, err := New(engineConfig(engine, workers), data, sample.New(seed))
+	srv, err := newServer(engineConfig(workers), data, sample.New(seed), factored)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func runEngine(t *testing.T, engine string, workers int, seed int64) ([][]float6
 			continue
 		}
 		if err != nil {
-			t.Fatalf("%s (%s): %v", spec.Kind, engine, err)
+			t.Fatalf("%s (factored %v): %v", spec.Kind, factored, err)
 		}
 		answers = append(answers, ans)
 	}
@@ -108,8 +109,8 @@ func runEngine(t *testing.T, engine string, workers int, seed int64) ([][]float6
 // at 1e-12 on every supported registry kind: same dataset, same seed, same
 // query sequence.
 func TestCrossEngineEquivalence(t *testing.T) {
-	dense, dsrv := runEngine(t, EngineDense, 0, 7)
-	fact, fsrv := runEngine(t, EngineFactored, 0, 7)
+	dense, dsrv := runEngine(t, false, 0, 7)
+	fact, fsrv := runEngine(t, true, 0, 7)
 	if len(dense) != len(fact) {
 		t.Fatalf("answer counts differ: %d vs %d", len(dense), len(fact))
 	}
@@ -138,18 +139,18 @@ func TestCrossEngineEquivalence(t *testing.T) {
 // count, per engine — the factored path inherits xeval's determinism
 // contract.
 func TestEngineBitDeterminism(t *testing.T) {
-	for _, engine := range []string{EngineDense, EngineFactored} {
-		base, _ := runEngine(t, engine, 1, 13)
+	for _, factored := range []bool{false, true} {
+		base, _ := runEngine(t, factored, 1, 13)
 		for _, workers := range []int{2, 7} {
-			got, _ := runEngine(t, engine, workers, 13)
+			got, _ := runEngine(t, factored, workers, 13)
 			if len(got) != len(base) {
-				t.Fatalf("%s workers=%d: answer count %d != %d", engine, workers, len(got), len(base))
+				t.Fatalf("factored %v workers=%d: answer count %d != %d", factored, workers, len(got), len(base))
 			}
 			for i := range base {
 				for j := range base[i] {
 					if math.Float64bits(base[i][j]) != math.Float64bits(got[i][j]) {
-						t.Fatalf("%s workers=%d query %d[%d]: %v != %v",
-							engine, workers, i, j, got[i][j], base[i][j])
+						t.Fatalf("factored %v workers=%d query %d[%d]: %v != %v",
+							factored, workers, i, j, got[i][j], base[i][j])
 					}
 				}
 			}
@@ -162,9 +163,9 @@ func TestEngineBitDeterminism(t *testing.T) {
 // server to continue bit-identically to the uninterrupted one.
 func TestFactoredSnapshotRoundTrip(t *testing.T) {
 	f, data := hypercubeData(t, 10, 400, 11)
-	cfg := engineConfig(EngineFactored, 0)
+	cfg := engineConfig(0)
 	specs := supportedSpecs(t, f.Dim())
-	cont, err := New(cfg, data, sample.New(23))
+	cont, err := newServer(cfg, data, sample.New(23), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +194,11 @@ func TestFactoredSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Restore follows the snapshot's representation, although New would
+	// run this 2^10 cube dense.
+	if rest.EngineName() != EngineFactored {
+		t.Fatalf("factored snapshot restored under engine %q", rest.EngineName())
+	}
 	for _, spec := range specs[half:] {
 		l, err := convex.Build(f, spec)
 		if err != nil {
@@ -211,57 +217,63 @@ func TestFactoredSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("final snapshots diverged")
 	}
 
-	// A factored snapshot cannot be grafted onto a dense configuration.
-	if _, err := Restore(engineConfig(EngineDense, 0), data, &snap); err == nil {
-		t.Fatal("factored snapshot accepted by dense configuration")
+	// And a dense snapshot of the same configuration restores dense.
+	dsrv, err := New(cfg, data, sample.New(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drest, err := Restore(cfg, data, dsrv.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drest.EngineName() != EngineDense {
+		t.Fatalf("dense snapshot restored under engine %q", drest.EngineName())
 	}
 }
 
-// TestEngineResolution covers the Config.Engine contract: auto selection,
-// typed rejections, and the dense size guard.
+// hugeUniverse reports a size past universe.DenseLimit and hides every
+// capability of the universe it wraps, Factored included.
+type hugeUniverse struct{ universe.Universe }
+
+func (hugeUniverse) Size() int { return universe.DenseLimit + 1 }
+
+// TestEngineResolution covers the engine rule: New runs dense while the
+// universe fits the dense limit, factored past it on a product universe,
+// and rejects any other universe past it with ErrTooLarge.
 func TestEngineResolution(t *testing.T) {
 	_, small := hypercubeData(t, 10, 50, 3)
-	f30, err := universe.NewProductHypercube(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]int, 50)
-	src := sample.New(4)
-	for i := range rows {
-		rows[i] = src.Intn(f30.Size())
-	}
-	large, err := dataset.New(f30, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, large := hypercubeData(t, 30, 50, 4)
 
-	// auto: dense while the universe fits, factored past the limit.
-	srv, err := New(engineConfig(EngineAuto, 0), small, sample.New(1))
+	srv, err := New(engineConfig(0), small, sample.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if srv.EngineName() != EngineDense {
-		t.Fatalf("auto on 2^10: engine %q", srv.EngineName())
+		t.Fatalf("2^10: engine %q", srv.EngineName())
 	}
-	srv, err = New(engineConfig(EngineAuto, 0), large, sample.New(1))
+	srv, err = New(engineConfig(0), large, sample.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if srv.EngineName() != EngineFactored {
-		t.Fatalf("auto on 2^30: engine %q", srv.EngineName())
+		t.Fatalf("2^30: engine %q", srv.EngineName())
 	}
 
-	// dense at d = 30: typed universe-too-large rejection, not an OOM.
-	if _, err := New(engineConfig(EngineDense, 0), large, sample.New(1)); !errors.Is(err, universe.ErrTooLarge) {
+	// Past the limit without product structure: typed universe-too-large
+	// rejection, not an OOM.
+	huge, err := dataset.New(hugeUniverse{small.U}, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(engineConfig(0), huge, sample.New(1)); !errors.Is(err, universe.ErrTooLarge) {
+		t.Fatalf("non-product universe past the limit: %v", err)
+	}
+	// Dense forced at d = 30 (a dense snapshot restored there): the same.
+	if _, err := newServer(engineConfig(0), large, sample.New(1), false); !errors.Is(err, universe.ErrTooLarge) {
 		t.Fatalf("dense on 2^30: %v", err)
 	}
 
-	// Unknown engine name.
-	if _, err := New(engineConfig("sparse", 0), small, sample.New(1)); !errors.Is(err, ErrUnknownEngine) {
-		t.Fatalf("unknown engine: %v", err)
-	}
-
-	// Factored over a universe without product structure.
+	// Factored forced over a universe without product structure.
 	pts, err := universe.NewPoints([][]float64{{0, 0}, {1, 0}, {0, 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -270,19 +282,23 @@ func TestEngineResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(engineConfig(EngineFactored, 0), pdata, sample.New(1)); !errors.Is(err, ErrNeedsFactored) {
-		t.Fatalf("factored on explicit points: %v", err)
+	if _, err := newServer(engineConfig(0), pdata, sample.New(1), true); err == nil {
+		t.Fatal("factored accepted on explicit points")
 	}
 
-	// Trace needs the dense engine.
-	cfg := engineConfig(EngineFactored, 0)
+	// Trace needs the dense engine: rejected past the limit, and under a
+	// forced factored engine.
+	cfg := engineConfig(0)
 	cfg.Trace = true
-	if _, err := New(cfg, small, sample.New(1)); err == nil {
+	if _, err := New(cfg, large, sample.New(1)); err == nil {
+		t.Fatal("Trace accepted on 2^30")
+	}
+	if _, err := newServer(cfg, small, sample.New(1), true); err == nil {
 		t.Fatal("Trace accepted under the factored engine")
 	}
 
 	// A loss without declared support is rejected with the typed error.
-	fsrv, err := New(engineConfig(EngineFactored, 0), small, sample.New(1))
+	fsrv, err := newServer(engineConfig(0), small, sample.New(1), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +320,7 @@ func TestEngineResolution(t *testing.T) {
 // past dense materialization — and checks the release surfaces.
 func TestFactoredLargeDInteraction(t *testing.T) {
 	f, data := hypercubeData(t, 30, 500, 9)
-	srv, err := New(engineConfig(EngineFactored, 0), data, sample.New(17))
+	srv, err := New(engineConfig(0), data, sample.New(17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +345,7 @@ func TestFactoredLargeDInteraction(t *testing.T) {
 	if h := srv.Hypothesis(); h != nil {
 		t.Fatal("Hypothesis materialized a 2^30 universe")
 	}
-	marg, err := srv.SupportHypothesis([]int{0, 10, 20})
+	marg, err := srv.fstate.SupportHistogram([]int{0, 10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,9 +356,13 @@ func TestFactoredLargeDInteraction(t *testing.T) {
 	if math.Abs(mass-1) > 1e-9 {
 		t.Fatalf("support marginal mass %v", mass)
 	}
-	groups, cells := srv.FactoredFootprint()
-	if groups == 0 || cells == 0 || cells > mw30FootprintCap {
-		t.Fatalf("factored footprint: %d groups, %d cells", groups, cells)
+	// The footprint is the hypothesis's materialized junta tables.
+	comps, cells := srv.fstate.Export().Comps, 0
+	for _, c := range comps {
+		cells += len(c.LogW)
+	}
+	if len(comps) == 0 || cells == 0 || cells > mw30FootprintCap {
+		t.Fatalf("factored footprint: %d groups, %d cells", len(comps), cells)
 	}
 	synth, err := srv.SyntheticRows(sample.New(5), 200)
 	if err != nil {
@@ -362,7 +382,8 @@ func TestFactoredLargeDInteraction(t *testing.T) {
 // memory must track the query supports, not the 2^30 universe.
 const mw30FootprintCap = 1 << 12
 
-// ExampleServer_EngineName documents auto resolution.
+// ExampleServer_EngineName documents the engine rule: a 2^30 product
+// universe is past the dense limit, so New runs it factored.
 func ExampleServer_EngineName() {
 	f, _ := universe.NewProductHypercube(30)
 	src := sample.New(1)
@@ -374,7 +395,6 @@ func ExampleServer_EngineName() {
 	srv, _ := New(Config{
 		Eps: 1, Delta: 1e-6, Alpha: 0.05, Beta: 0.05,
 		K: 10, S: 1, Oracle: erm.LaplaceLinear{}, TBudget: 5,
-		Engine: EngineAuto,
 	}, data, sample.New(2))
 	fmt.Println(srv.EngineName())
 	// Output: factored

@@ -95,7 +95,7 @@ func TestGoldenFactoredEngine(t *testing.T) {
 		0x3fdfab19b18ec650,
 	}
 	const wantUpdates = 4
-	answers, srv := runEngine(t, EngineFactored, 0, 7)
+	answers, srv := runEngine(t, true, 0, 7)
 	if len(answers) != len(want) {
 		t.Fatalf("%d answers, want %d", len(answers), len(want))
 	}

@@ -78,16 +78,18 @@ func (s *Server) Snapshot() *Snapshot {
 // validation, accountant construction, horizon certification) and refuses
 // the snapshot if the re-derived parameters differ from the recorded ones,
 // so a changed budget, oracle, TBudget, or dataset universe cannot be
-// silently grafted onto old state. The restored server continues the
-// interaction bit-identically to the uninterrupted original.
+// silently grafted onto old state. The engine is the snapshot's:
+// factored when it carries MWF, dense otherwise. The restored server
+// continues the interaction bit-identically to the uninterrupted original.
 func Restore(cfg Config, data *dataset.Dataset, snap *Snapshot) (*Server, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
 	}
-	// New performs every construction-time check and derivation; the
-	// throwaway source (and the SV draw it feeds) is fully replaced by the
-	// recorded stream states below.
-	srv, err := New(cfg, data, sample.New(0))
+	// newServer performs every construction-time check and derivation,
+	// under the engine the snapshot was taken with; the throwaway source
+	// (and the SV draw it feeds) is fully replaced by the recorded stream
+	// states below.
+	srv, err := newServer(cfg, data, sample.New(0), snap.MWF != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -102,11 +104,6 @@ func Restore(cfg Config, data *dataset.Dataset, snap *Snapshot) (*Server, error)
 		return nil, err
 	}
 	if srv.fstate != nil {
-		// Factored engine: the snapshot must carry the product-form
-		// hypothesis, and its parameters must match the re-derivation.
-		if snap.MWF == nil {
-			return nil, fmt.Errorf("core: snapshot has no factored MW state but the configuration resolves to the factored engine")
-		}
 		fst, err := mw.FactoredFromExport(srv.fu, *snap.MWF)
 		if err != nil {
 			return nil, err
@@ -117,9 +114,6 @@ func Restore(cfg Config, data *dataset.Dataset, snap *Snapshot) (*Server, error)
 		}
 		srv.fstate = fst
 	} else {
-		if snap.MWF != nil {
-			return nil, fmt.Errorf("core: snapshot carries factored MW state but the configuration resolves to the dense engine")
-		}
 		st, err := mw.FromExport(data.U, snap.MW)
 		if err != nil {
 			return nil, err

@@ -53,7 +53,7 @@ func ablationEta() Experiment {
 			}
 			for _, T := range budgets {
 				ccfg := core.Config{
-					Workers: cfg.Workers, Accountant: cfg.Accountant, Engine: cfg.Engine,
+					Workers: cfg.Workers, Accountant: cfg.Accountant,
 					Eps: 1, Delta: 1e-6, Alpha: alpha, Beta: 0.05,
 					K: k, S: 1, Oracle: erm.LaplaceLinear{}, TBudget: T,
 				}
@@ -260,7 +260,7 @@ func ablationOracle() Experiment {
 			}
 			for _, bias := range biases {
 				ccfg := core.Config{
-					Workers: cfg.Workers, Accountant: cfg.Accountant, Engine: cfg.Engine,
+					Workers: cfg.Workers, Accountant: cfg.Accountant,
 					Eps: 1, Delta: 1e-6, Alpha: 0.05, Beta: 0.05,
 					K: k, S: s, Oracle: biasedOracle{bias: bias}, TBudget: 14,
 				}

@@ -71,7 +71,7 @@ func adaptiveGeneralization() Experiment {
 					}
 					// Private analyst: sees PMW answers.
 					srv, err := core.New(core.Config{
-						Workers: cfg.Workers, Accountant: cfg.Accountant, Engine: cfg.Engine,
+						Workers: cfg.Workers, Accountant: cfg.Accountant,
 						Eps: 0.5, Delta: 1e-6, Alpha: 0.2, Beta: 0.05,
 						K: dim, S: 1, Oracle: erm.LaplaceLinear{}, TBudget: 4,
 					}, data, tsrc.Split())

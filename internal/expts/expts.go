@@ -13,7 +13,9 @@ import (
 	"repro/internal/workload"
 )
 
-// RunConfig is shared by all experiments.
+// RunConfig is shared by all experiments. Every core.Server the
+// experiments build picks its engine from the universe (core.New); the
+// bundled universes are all within the dense limit, so they run dense.
 type RunConfig struct {
 	// Seed pins all randomness.
 	Seed int64
@@ -25,15 +27,10 @@ type RunConfig struct {
 	Workers int
 	// Accountant names the privacy-accounting strategy every core.Server
 	// the experiments build composes spends under ("" = "advanced", the
-	// paper's DRV10 accounting — see internal/mech's registry). Unlike
-	// Workers this changes derived horizons: "zcdp" sessions sustain more
-	// MW updates at the same budget when oracles are Gaussian-based.
+	// paper's DRV10 accounting; see mech.NewAccountant). Unlike Workers
+	// this changes derived horizons: "zcdp" sessions sustain more MW
+	// updates at the same budget when oracles are Gaussian-based.
 	Accountant string
-	// Engine selects the core evaluation engine for every server the
-	// experiments build ("" = dense; see core.Config.Engine). The bundled
-	// experiments run on small universes where dense is the right choice;
-	// the knob exists so the same harness can exercise the factored path.
-	Engine string
 }
 
 // Experiment is one reproducible experiment.

@@ -78,7 +78,7 @@ func hr10Comparison() Experiment {
 			// (a) CM generalization with the Laplace linear oracle, at the
 			// excess-risk target its theory speaks (α here is excess).
 			cmSrv, err := core.New(core.Config{
-				Workers: cfg.Workers, Accountant: cfg.Accountant, Engine: cfg.Engine,
+				Workers: cfg.Workers, Accountant: cfg.Accountant,
 				Eps: eps, Delta: delta,
 				Alpha: 0.12, Beta: 0.05, K: k, S: 1,
 				Oracle: erm.LaplaceLinear{}, TBudget: 10,

@@ -57,7 +57,7 @@ func offlineComparison() Experiment {
 
 			// Online run.
 			onlineCfg := core.Config{
-				Workers: cfg.Workers, Accountant: cfg.Accountant, Engine: cfg.Engine,
+				Workers: cfg.Workers, Accountant: cfg.Accountant,
 				Eps: eps, Delta: delta, Alpha: 0.05, Beta: 0.05,
 				K: k, S: s, Oracle: oracle, TBudget: rounds,
 			}

@@ -83,16 +83,6 @@ func (st *FactoredState) Scale() float64 { return st.s }
 // Updates returns the number of updates applied so far.
 func (st *FactoredState) Updates() int { return st.updates }
 
-// Components returns the number of materialized junta components and the
-// total number of table cells across them — the memory footprint the
-// factored representation actually pays for.
-func (st *FactoredState) Components() (groups, cells int) {
-	for _, c := range st.comps {
-		cells += len(c.logW)
-	}
-	return len(st.comps), cells
-}
-
 // checkCoords validates a support coordinate list against the universe.
 func (st *FactoredState) checkCoords(coords []int) error {
 	dim := st.f.Dim()

@@ -10,6 +10,16 @@ import (
 	"repro/internal/universe"
 )
 
+// Components returns the number of materialized junta components and the
+// total number of table cells across them — the memory footprint the
+// factored representation actually pays for.
+func (st *FactoredState) Components() (groups, cells int) {
+	for _, c := range st.comps {
+		cells += len(c.logW)
+	}
+	return len(st.comps), cells
+}
+
 // expandSupport embeds a support-indexed penalty into a full-universe
 // vector, the bridge between FactoredState.Update and State.Update.
 func expandSupport(f universe.Factored, coords []int, u []float64) []float64 {

@@ -301,11 +301,10 @@ func statusFor(err error) int {
 		// The durable write failed; the session state is intact in memory.
 		return http.StatusInternalServerError
 	case errors.Is(err, core.ErrInvalidWorkers), errors.Is(err, mech.ErrUnknownAccountant),
-		errors.Is(err, core.ErrUnknownEngine), errors.Is(err, core.ErrNeedsFactored),
 		errors.Is(err, core.ErrNeedsSupport):
 		// Malformed session request (e.g. "workers": -1, an unknown
-		// accountant name, or an engine the universe or loss cannot
-		// satisfy): a client error, listed explicitly so the mapping is
+		// accountant name, or a loss the factored engine cannot answer):
+		// a client error, listed explicitly so the mapping is
 		// load-bearing, not accidental.
 		return http.StatusBadRequest
 	default:

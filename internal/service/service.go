@@ -137,12 +137,6 @@ type SessionParams struct {
 	// more tightly and sustains a larger update horizon at the same
 	// (ε, δ, α). Unknown names are rejected with HTTP 400.
 	Accountant string `json:"accountant,omitempty"`
-	// Engine selects the session's evaluation engine ("dense", "factored",
-	// "auto"; empty = the manager's default, itself defaulting to dense —
-	// see core.Config.Engine). "factored" answers junta-supported losses
-	// without materializing the universe; unknown names are rejected with
-	// HTTP 400.
-	Engine string `json:"engine,omitempty"`
 }
 
 // merged fills zero fields from defaults.
@@ -170,9 +164,6 @@ func (p SessionParams) merged(def SessionParams) SessionParams {
 	}
 	if p.Workers == 0 {
 		p.Workers = def.Workers
-	}
-	if p.Engine == "" {
-		p.Engine = def.Engine
 	}
 	if p.Accountant == "" {
 		p.Accountant = def.Accountant
@@ -352,7 +343,6 @@ func (m *Manager) coreConfig(p SessionParams) core.Config {
 		TBudget:    p.TBudget,
 		Workers:    p.Workers,
 		Accountant: p.Accountant,
-		Engine:     p.Engine,
 	}
 }
 

@@ -1,6 +1,6 @@
 // Factored-universe capability: product structure exposed coordinate by
 // coordinate, plus the helpers the factored evaluation engine builds on
-// (digit decoding, support sub-universes, and sweep-free Nearest/MaxNorm).
+// (digit decoding, support sub-universes, and the sweep-free Nearest).
 package universe
 
 import (

@@ -293,19 +293,6 @@ func TestNearestFactoredMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMaxNormFactored(t *testing.T) {
-	prod, _ := NewProduct([][]float64{{-1, 0, 1}, {-0.5, 0.5}, {0, 2}}, "")
-	dense := MaxNorm(prod)
-	fast := maxNormFactored(prod)
-	if math.Abs(dense-fast) > 1e-15 {
-		t.Errorf("MaxNorm: dense %v, factored %v", dense, fast)
-	}
-	big, _ := NewProductHypercube(36)
-	if got := MaxNorm(big); math.Abs(got-1) > 1e-12 {
-		t.Errorf("product hypercube MaxNorm = %v, want 1", got)
-	}
-}
-
 func TestEnsureDense(t *testing.T) {
 	h, _ := NewHypercube(10)
 	if err := EnsureDense(h); err != nil {

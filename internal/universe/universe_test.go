@@ -187,58 +187,6 @@ func TestNearestRoundTrip(t *testing.T) {
 	}
 }
 
-// MaxNorm returns the largest Euclidean norm over all universe points.
-// Past the dense limit it requires a Factored universe and maximizes
-// coordinate by coordinate (the max of Σⱼ xⱼ² over a product set is the
-// sum of per-coordinate maxima). MaxNorm has no caller outside the tests
-// of this package.
-func MaxNorm(u Universe) float64 {
-	if f, ok := u.(Factored); ok && u.Size() > DenseLimit {
-		return maxNormFactored(f)
-	}
-	var m float64
-	buf := make([]float64, u.Dim())
-	for i := 0; i < u.Size(); i++ {
-		p := u.PointInto(i, buf)
-		var n2 float64
-		for _, x := range p {
-			n2 += x * x
-		}
-		if n := math.Sqrt(n2); n > m {
-			m = n
-		}
-	}
-	return m
-}
-
-// maxNormFactored maximizes Σ_j x_j² term by term: the maximum over a
-// product set is the sum of per-coordinate maxima of x_j².
-func maxNormFactored(f Factored) float64 {
-	var n2 float64
-	for j := 0; j < f.Dim(); j++ {
-		var m float64
-		for lev := 0; lev < f.Levels(j); lev++ {
-			v := f.CoordValue(j, lev)
-			if v2 := v * v; v2 > m {
-				m = v2
-			}
-		}
-		n2 += m
-	}
-	return math.Sqrt(n2)
-}
-
-func TestMaxNorm(t *testing.T) {
-	h, _ := NewHypercube(5)
-	if got := MaxNorm(h); math.Abs(got-1) > 1e-12 {
-		t.Errorf("hypercube MaxNorm = %v, want 1", got)
-	}
-	p, _ := NewPoints([][]float64{{0, 0}, {3, 4}})
-	if got := MaxNorm(p); math.Abs(got-5) > 1e-12 {
-		t.Errorf("points MaxNorm = %v, want 5", got)
-	}
-}
-
 func TestLabeledGridFeatureRadius(t *testing.T) {
 	g, err := NewLabeledGrid(3, 2, 0.5, 2, 2.0)
 	if err != nil {

@@ -50,12 +50,10 @@ var allow = map[string]string{
 	"internal/sample.Source.Exponential": "draws the random histograms of the histogram, mw and optimize tests",
 
 	// Paper bounds and factored references that tests compare against.
-	"internal/mw.RegretBound":                "Lemma 3.4's regret bound, which the core and mw tests check",
-	"internal/core.MinDatasetSize":           "Theorem 3.1's sample size, which the core tests check",
-	"internal/erm.SampleComplexity":          "the Table-1 sample-complexity shapes the erm tests check",
-	"internal/mw.FactoredState.Histogram":    "dense view the factored-vs-dense MW tests compare",
-	"internal/core.Server.SupportHypothesis": "factored hypothesis the cross-engine tests compare",
-	"internal/core.Server.FactoredFootprint": "memory footprint the factored-engine tests bound",
+	"internal/mw.RegretBound":             "Lemma 3.4's regret bound, which the core and mw tests check",
+	"internal/core.MinDatasetSize":        "Theorem 3.1's sample size, which the core tests check",
+	"internal/erm.SampleComplexity":       "the Table-1 sample-complexity shapes the erm tests check",
+	"internal/mw.FactoredState.Histogram": "dense view the factored-vs-dense MW tests compare",
 
 	// Harnesses.
 	"internal/fault/drill.Run": "the seeded crash-schedule drill the service tests run",
