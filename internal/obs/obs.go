@@ -1,7 +1,7 @@
 // Package obs is the observability core of the serving subsystem: a
 // small, dependency-free metrics layer (atomic counters, fixed-bucket
-// rolling latency histograms, and gauges that collectors sample at
-// scrape time) plus a registry that renders both Prometheus text format
+// cumulative histograms, and gauges that collectors sample at scrape
+// time) plus a registry that renders both Prometheus text format
 // and JSON, and an HTTP middleware that adds per-route metrics and
 // structured request logging (httpmw.go).
 //
@@ -24,9 +24,10 @@
 //
 // The registry renders on demand — GET /metrics (see MetricsHandler)
 // returns Prometheus text by default and a structured JSON snapshot with
-// ?format=json; the JSON form carries p50/p90/p99 readouts computed from
-// each histogram's rolling window and is what `pmwcm loadtest` scrapes
-// for its server-vs-client consistency gate.
+// ?format=json. Both forms render the same lifetime series; quantiles
+// come from the cumulative buckets (e.g. Prometheus histogram_quantile).
+// The JSON form is what `pmwcm loadtest` scrapes for its
+// server-vs-client consistency gate.
 package obs
 
 import (
@@ -278,15 +279,12 @@ func (b BucketCount) MarshalJSON() ([]byte, error) {
 
 // SampleSnapshot is one rendered metric point. Counters and gauges carry
 // Value; histograms carry Count/Sum/Buckets (lifetime, Prometheus
-// semantics) plus P50/P90/P99 computed over the rolling window.
+// semantics).
 type SampleSnapshot struct {
 	Labels  Labels        `json:"labels,omitempty"`
 	Value   float64       `json:"value"`
 	Count   uint64        `json:"count,omitempty"`
 	Sum     float64       `json:"sum,omitempty"`
-	P50     float64       `json:"p50,omitempty"`
-	P90     float64       `json:"p90,omitempty"`
-	P99     float64       `json:"p99,omitempty"`
 	Buckets []BucketCount `json:"buckets,omitempty"`
 }
 

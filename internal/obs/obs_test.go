@@ -29,7 +29,7 @@ func TestNilRegistryAndInstrumentsNoOp(t *testing.T) {
 	}
 	h := r.Histogram("x", "", DefBuckets, nil)
 	h.Observe(0.1)
-	if h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if h.Sum() != 0 {
 		t.Fatal("nil histogram not a no-op")
 	}
 	r.RegisterCollector(func(emit func(Sample)) { emit(Sample{Name: "y"}) })
