@@ -11,7 +11,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/sample"
 	"repro/internal/service"
 	"repro/internal/universe"
-	"repro/internal/xeval"
 )
 
 // buildLogger constructs the serve command's slog logger from the
@@ -80,13 +78,14 @@ func serveCmd(args []string) error {
 	skew := fs.Float64("skew", 1.3, "synthetic population skew exponent")
 
 	// Default session budget; analysts can override per session.
-	eps := fs.Float64("eps", 1.0, "default session privacy budget ε")
-	delta := fs.Float64("delta", 1e-6, "default session privacy budget δ")
-	alpha := fs.Float64("alpha", 0.05, "default excess-risk accuracy target α")
-	beta := fs.Float64("beta", 0.05, "default failure probability β")
-	k := fs.Int("k", 100, "default per-session query cap K")
-	tBudget := fs.Int("tbudget", 12, "default MW update horizon (0 = paper worst case)")
-	scale := fs.Float64("s", 2, "default loss-family scale bound S")
+	defaults := service.DefaultSessionParams()
+	eps := fs.Float64("eps", defaults.Eps, "default session privacy budget ε")
+	delta := fs.Float64("delta", defaults.Delta, "default session privacy budget δ")
+	alpha := fs.Float64("alpha", defaults.Alpha, "default excess-risk accuracy target α")
+	beta := fs.Float64("beta", defaults.Beta, "default failure probability β")
+	k := fs.Int("k", defaults.K, "default per-session query cap K")
+	tBudget := fs.Int("tbudget", defaults.TBudget, "default MW update horizon (0 = paper worst case)")
+	scale := fs.Float64("s", defaults.S, "default loss-family scale bound S")
 
 	oracleName := fs.String("oracle", "noisygd", "single-query oracle (noisygd, netexp, outputperturb, glmreduce, laplace-linear)")
 	accountant := fs.String("accountant", "", "default privacy accountant per session ("+strings.Join(mech.AccountantNames(), ", ")+"; empty = "+mech.DefaultAccountant+")")
@@ -186,15 +185,8 @@ func serveCmd(args []string) error {
 		return fmt.Errorf("-max-resident/-idle-ttl require a durable store (-state-dir or -store-url): an evicted session must have somewhere to live")
 	}
 	// The metrics registry observes everything but perturbs nothing: the
-	// served answers are bit-identical with or without it. The xeval
-	// observer feeds universe-sweep durations labeled by worker count.
+	// served answers are bit-identical with or without it.
 	reg := obs.NewRegistry()
-	xeval.SetObserver(func(chunks, workers int, seconds float64) {
-		reg.Histogram("pmwcm_xeval_sweep_seconds",
-			"Universe-sweep duration in seconds, by effective worker count.",
-			obs.DefBuckets, obs.Labels{"workers": strconv.Itoa(workers)}).Observe(seconds)
-	})
-	defer xeval.SetObserver(nil)
 
 	mgr, err := service.New(service.Config{
 		Data:   data,

@@ -51,8 +51,9 @@ type Observer func(chunks, workers int, seconds float64)
 var observer atomic.Pointer[Observer]
 
 // SetObserver installs or (with nil) removes the process-wide sweep
-// observer. The serve command uses it to feed the sweep-duration
-// histogram; tests and library users normally leave it unset.
+// observer. The benchmark's traced run uses it to time sweeps; the
+// server leaves it unset, because a sweep count around a query is work
+// done on the private data.
 func SetObserver(f Observer) {
 	if f == nil {
 		observer.Store(nil)
