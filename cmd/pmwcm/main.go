@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -52,7 +53,7 @@ func main() {
 		fmt.Printf("\naccountants: %s (default %s)\n",
 			strings.Join(mech.AccountantNames(), ", "), mech.DefaultAccountant)
 	case "run":
-		if err := runCmd(os.Args[2:]); err != nil {
+		if err := runCmd(os.Args[2:], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "pmwcm:", err)
 			os.Exit(1)
 		}
@@ -116,7 +117,7 @@ func usage() {
   pmwcm version`)
 }
 
-func runCmd(args []string) error {
+func runCmd(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "random seed for the experiment sweep")
 	quick := fs.Bool("quick", false, "reduced sweeps (for smoke testing)")
@@ -129,6 +130,13 @@ func runCmd(args []string) error {
 	ids := fs.Args()
 	if len(ids) == 0 {
 		return fmt.Errorf("no experiments named; try 'pmwcm run all'")
+	}
+	// The flag package stops parsing at the first id, so a flag after it
+	// would be taken for an id.
+	for _, id := range ids {
+		if strings.HasPrefix(id, "-") {
+			return fmt.Errorf("flag %s follows the experiment ids; flags go before them: pmwcm run [flags] (all | ID...)", id)
+		}
 	}
 	var selected []expts.Experiment
 	if len(ids) == 1 && ids[0] == "all" {
@@ -149,11 +157,11 @@ func runCmd(args []string) error {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if *csv {
-			if err := tbl.CSV(os.Stdout); err != nil {
+			if err := tbl.CSV(stdout); err != nil {
 				return err
 			}
-			fmt.Println()
-		} else if err := tbl.Write(os.Stdout); err != nil {
+			fmt.Fprintln(stdout)
+		} else if err := tbl.Write(stdout); err != nil {
 			return err
 		}
 	}
