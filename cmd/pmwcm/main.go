@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/expts"
@@ -96,12 +95,12 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   pmwcm list
-  pmwcm run [-seed N] [-quick] [-csv] [-workers W] [-accountant NAME] (all | ID...)
+  pmwcm run [-seed N] [-quick] [-csv] [-accountant NAME] (all | ID...)
   pmwcm synth [-in data.csv] [-out synth.csv] [-dim D] [-levels L] [-labels M]
               [-eps E] [-delta D] [-alpha A] [-queries K] [-rows N] [-seed S]
   pmwcm serve [-addr :8787] [-data data.csv] [-dim D] [-levels L] [-labels M]
               [-eps E] [-delta D] [-alpha A] [-k K] [-oracle NAME]
-              [-accountant NAME] [-workers W] [-maxsessions N] [-seed S]
+              [-accountant NAME] [-maxsessions N] [-seed S]
               [-state-dir DIR | -store-url http://h:9099/v1/stores/NAME]
               [-compact-every N] [-max-resident N] [-idle-ttl D]
               [-log-level info] [-log-format text|json]
@@ -114,7 +113,11 @@ func usage() {
   pmwcm route [-addr :9100] -replicas r1=http://h1:8787,r2=http://h2:8787
               [-store-url http://h:9099] [-timeout D] [-retry-after D]
               [-log-level info] [-log-format text|json]
-  pmwcm version`)
+  pmwcm version
+
+run, synth and serve spread each universe-sized computation over
+GOMAXPROCS cores (default: all); set the GOMAXPROCS environment variable
+to use fewer. Answers are bit-identical for every value.`)
 }
 
 func runCmd(args []string, stdout io.Writer) error {
@@ -122,7 +125,6 @@ func runCmd(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed for the experiment sweep")
 	quick := fs.Bool("quick", false, "reduced sweeps (for smoke testing)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	workers := fs.Int("workers", runtime.NumCPU(), "xeval workers per universe-sized computation")
 	accountant := fs.String("accountant", "", "privacy accountant ("+strings.Join(mech.AccountantNames(), ", ")+"; empty = "+mech.DefaultAccountant+")")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -150,7 +152,7 @@ func runCmd(args []string, stdout io.Writer) error {
 			selected = append(selected, e)
 		}
 	}
-	cfg := expts.RunConfig{Seed: *seed, Quick: *quick, Workers: *workers, Accountant: *accountant}
+	cfg := expts.RunConfig{Seed: *seed, Quick: *quick, Accountant: *accountant}
 	for _, e := range selected {
 		tbl, err := e.Run(cfg)
 		if err != nil {

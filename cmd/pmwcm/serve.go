@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -89,7 +88,6 @@ func serveCmd(args []string) error {
 
 	oracleName := fs.String("oracle", "noisygd", "single-query oracle (noisygd, netexp, outputperturb, glmreduce, laplace-linear)")
 	accountant := fs.String("accountant", "", "default privacy accountant per session ("+strings.Join(mech.AccountantNames(), ", ")+"; empty = "+mech.DefaultAccountant+")")
-	workers := fs.Int("workers", runtime.NumCPU(), "xeval workers per universe-sized computation (intra-query parallelism)")
 	maxSessions := fs.Int("maxsessions", 64, "maximum concurrently open sessions")
 	maxK := fs.Int("maxk", 100000, "maximum per-session query cap an analyst may request")
 	seed := fs.Int64("seed", 1, "random seed for all mechanism noise")
@@ -138,7 +136,7 @@ func serveCmd(args []string) error {
 		data = dataset.SampleFrom(src.Split(), pop, *rows)
 	}
 
-	oracle, err := service.OracleByName(*oracleName, *workers)
+	oracle, err := service.OracleByName(*oracleName, 0)
 	if err != nil {
 		return err
 	}
@@ -196,7 +194,6 @@ func serveCmd(args []string) error {
 			Eps: *eps, Delta: *delta,
 			Alpha: *alpha, Beta: *beta,
 			K: *k, TBudget: *tBudget, S: *scale,
-			Workers:    *workers,
 			Accountant: *accountant,
 		},
 		Limits:       service.Limits{MaxSessions: *maxSessions, MaxK: *maxK},
@@ -227,7 +224,7 @@ func serveCmd(args []string) error {
 	srv := &http.Server{Handler: handler}
 	logger.Info("listening",
 		"addr", ln.Addr().String(), "n", data.N(), "universe", g.String(),
-		"oracle", oracle.Name(), "accountant", mgr.Defaults().Accountant, "workers", *workers,
+		"oracle", oracle.Name(), "accountant", mgr.Defaults().Accountant,
 		"eps", *eps, "delta", *delta, "alpha", *alpha, "k", *k)
 
 	// Graceful shutdown: stop accepting, drain in-flight requests, then

@@ -85,13 +85,11 @@ type Config struct {
 	// accounting exactly valid. Worst-case accuracy guarantees then hold
 	// only for the overridden horizon.
 	TBudget int
-	// Workers sets the xeval worker count for every universe-sized
-	// computation the server performs (public argmin solves, the err_ℓ
-	// query value, the Claim-3.5 certificate, MW materialization).
-	// 0 selects runtime.NumCPU(); negative values are rejected with
-	// ErrInvalidWorkers. The answers released are bit-identical for every
-	// worker count (xeval's reductions are deterministic), so this knob
-	// never touches the privacy analysis.
+	// Deprecated: ignored. Every universe-sized computation runs on
+	// min(GOMAXPROCS, chunks) xeval workers, and the released answers are
+	// bit-identical for every count. pmwbench still sets this field; the
+	// benchmark change of ROADMAP item 11 removes that setter, and the
+	// field is deleted after it.
 	Workers int
 	// Accountant names the privacy-accounting strategy, one of
 	// mech.AccountantNames ("basic", "advanced", "zcdp"; empty selects
@@ -146,15 +144,8 @@ func (c Config) validate() error {
 	if c.Oracle == nil {
 		return fmt.Errorf("core: nil oracle")
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: workers %d: %w", c.Workers, ErrInvalidWorkers)
-	}
 	return nil
 }
-
-// ErrInvalidWorkers is returned (wrapped) by New for a negative
-// Config.Workers. The HTTP layer maps it to 400.
-var ErrInvalidWorkers = errors.New("core: workers must be ≥ 0 (0 = all CPUs)")
 
 // Params are the derived algorithm parameters of Figure 3.
 type Params struct {
@@ -307,8 +298,7 @@ func newServer(cfg Config, data *dataset.Dataset, src *sample.Source, factored b
 	if err != nil {
 		return nil, err
 	}
-	// validate() rejected negatives; xeval.New maps 0 to runtime.NumCPU().
-	eng := xeval.New(cfg.Workers)
+	eng := xeval.New(0)
 	srv := &Server{
 		cfg:      cfg,
 		params:   p,

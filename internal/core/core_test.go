@@ -1,8 +1,8 @@
 package core
 
 import (
-	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/convex"
@@ -516,50 +516,23 @@ func TestPaperTGivesQuarterAlphaRegret(t *testing.T) {
 	}
 }
 
-// TestWorkersValidation checks the -workers bug-net: negative worker
-// counts are rejected with the typed error at every constructor that
-// accepts the knob, while 0 (= all CPUs) and positive values pass.
-func TestWorkersValidation(t *testing.T) {
-	g := testGrid(t)
-	data := skewedData(t, g, 100, 41)
-	src := sample.New(41)
-	cfg := validConfig()
-	cfg.Workers = -1
-	if _, err := New(cfg, data, src); !errors.Is(err, ErrInvalidWorkers) {
-		t.Errorf("New(workers=-1) err = %v, want ErrInvalidWorkers", err)
-	}
-	for _, w := range []int{0, 1, 8} {
-		cfg := validConfig()
-		cfg.Workers = w
-		if _, err := New(cfg, data, src); err != nil {
-			t.Errorf("New(workers=%d): %v", w, err)
-		}
-	}
-	if _, err := NewLinearPMW(LinearPMWConfig{Eps: 1, Delta: 1e-6, Alpha: 0.2, K: 5, Workers: -3}, data, src); !errors.Is(err, ErrInvalidWorkers) {
-		t.Error("NewLinearPMW accepted negative workers")
-	}
-	off := OfflineConfig{Eps: 1, Delta: 1e-6, Rounds: 2, S: 1, Oracle: erm.LaplaceLinear{}, Workers: -2}
-	if _, err := AnswerOffline(off, data, src, linearPool(t, g, 2, 42)); !errors.Is(err, ErrInvalidWorkers) {
-		t.Error("AnswerOffline accepted negative workers")
-	}
-}
-
 // TestServerDeterministicAcrossWorkers is the engine's end-to-end
 // acceptance test at the algorithm level: with the same seed, a serial
 // server and an 8-worker server must release the same answers on the
-// same CM-query stream — parallelism is invisible to the analyst.
+// same CM-query stream — parallelism is invisible to the analyst. The
+// worker count follows GOMAXPROCS, so each run sets it.
 func TestServerDeterministicAcrossWorkers(t *testing.T) {
 	g := testGrid(t)
 	data := skewedData(t, g, 30000, 43)
 	pool := squaredPool(t, g, 12, 44)
 	run := func(workers int) [][]float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		cfg := Config{
 			Eps: 1, Delta: 1e-6,
 			Alpha: 0.2, Beta: 0.05,
 			K: 20, S: convex.ScaleBound(pool[0]),
-			Oracle:  erm.NoisyGD{Iters: 8, Engine: xeval.New(workers)},
+			Oracle:  erm.NoisyGD{Iters: 8, Engine: xeval.New(0)},
 			TBudget: 4,
-			Workers: workers,
 		}
 		srv, err := New(cfg, data, sample.New(45))
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/convex"
@@ -65,24 +66,27 @@ func supportedSpecs(t *testing.T, d int) []convex.Spec {
 	}
 }
 
-func engineConfig(workers int) Config {
+func engineConfig() Config {
 	return Config{
 		Eps: 1, Delta: 1e-6,
 		Alpha: 0.05, Beta: 0.05,
 		K: 40, S: 1,
 		Oracle:  erm.LaplaceLinear{},
 		TBudget: 10,
-		Workers: workers,
 	}
 }
 
 // runEngine answers every spec on a fresh server over the 2^10 cube, dense
 // or forced factored, and returns the answers (nil entry when the server
-// halted first).
+// halted first). A positive workers sets GOMAXPROCS, which the server's
+// worker count follows, while the server is built.
 func runEngine(t *testing.T, factored bool, workers int, seed int64) ([][]float64, *Server) {
 	t.Helper()
 	f, data := hypercubeData(t, 10, 400, 11)
-	srv, err := newServer(engineConfig(workers), data, sample.New(seed), factored)
+	if workers > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	}
+	srv, err := newServer(engineConfig(), data, sample.New(seed), factored)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func TestEngineBitDeterminism(t *testing.T) {
 // server to continue bit-identically to the uninterrupted one.
 func TestFactoredSnapshotRoundTrip(t *testing.T) {
 	f, data := hypercubeData(t, 10, 400, 11)
-	cfg := engineConfig(0)
+	cfg := engineConfig()
 	specs := supportedSpecs(t, f.Dim())
 	cont, err := newServer(cfg, data, sample.New(23), true)
 	if err != nil {
@@ -244,14 +248,14 @@ func TestEngineResolution(t *testing.T) {
 	_, small := hypercubeData(t, 10, 50, 3)
 	_, large := hypercubeData(t, 30, 50, 4)
 
-	srv, err := New(engineConfig(0), small, sample.New(1))
+	srv, err := New(engineConfig(), small, sample.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if srv.EngineName() != EngineDense {
 		t.Fatalf("2^10: engine %q", srv.EngineName())
 	}
-	srv, err = New(engineConfig(0), large, sample.New(1))
+	srv, err = New(engineConfig(), large, sample.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +269,11 @@ func TestEngineResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(engineConfig(0), huge, sample.New(1)); !errors.Is(err, universe.ErrTooLarge) {
+	if _, err := New(engineConfig(), huge, sample.New(1)); !errors.Is(err, universe.ErrTooLarge) {
 		t.Fatalf("non-product universe past the limit: %v", err)
 	}
 	// Dense forced at d = 30 (a dense snapshot restored there): the same.
-	if _, err := newServer(engineConfig(0), large, sample.New(1), false); !errors.Is(err, universe.ErrTooLarge) {
+	if _, err := newServer(engineConfig(), large, sample.New(1), false); !errors.Is(err, universe.ErrTooLarge) {
 		t.Fatalf("dense on 2^30: %v", err)
 	}
 
@@ -282,13 +286,13 @@ func TestEngineResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newServer(engineConfig(0), pdata, sample.New(1), true); err == nil {
+	if _, err := newServer(engineConfig(), pdata, sample.New(1), true); err == nil {
 		t.Fatal("factored accepted on explicit points")
 	}
 
 	// Trace needs the dense engine: rejected past the limit, and under a
 	// forced factored engine.
-	cfg := engineConfig(0)
+	cfg := engineConfig()
 	cfg.Trace = true
 	if _, err := New(cfg, large, sample.New(1)); err == nil {
 		t.Fatal("Trace accepted on 2^30")
@@ -298,7 +302,7 @@ func TestEngineResolution(t *testing.T) {
 	}
 
 	// A loss without declared support is rejected with the typed error.
-	fsrv, err := newServer(engineConfig(0), small, sample.New(1), true)
+	fsrv, err := newServer(engineConfig(), small, sample.New(1), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +324,7 @@ func TestEngineResolution(t *testing.T) {
 // past dense materialization — and checks the release surfaces.
 func TestFactoredLargeDInteraction(t *testing.T) {
 	f, data := hypercubeData(t, 30, 500, 9)
-	srv, err := New(engineConfig(0), data, sample.New(17))
+	srv, err := New(engineConfig(), data, sample.New(17))
 	if err != nil {
 		t.Fatal(err)
 	}

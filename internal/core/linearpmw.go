@@ -52,9 +52,6 @@ type LinearPMWConfig struct {
 	// 16·log|X|/α², the linear-query specialization of Figure 3's T with
 	// S = 1 and the α/2 update threshold measured in answer units).
 	TBudget int
-	// Workers sets the xeval worker count (0 = all CPUs, negative
-	// rejected; see core.Config.Workers).
-	Workers int
 	// Accountant names the accounting strategy tracking the run's spends
 	// (see core.Config.Accountant). The HR10 mechanism is Laplace-based
 	// (pure-DP spends), so "zcdp" converts via ρ = ε²/2 and offers no
@@ -75,9 +72,6 @@ func (c LinearPMWConfig) validate() error {
 	}
 	if c.K < 1 {
 		return fmt.Errorf("core: K %d must be ≥ 1", c.K)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: workers %d: %w", c.Workers, ErrInvalidWorkers)
 	}
 	return nil
 }
@@ -109,8 +103,7 @@ func NewLinearPMW(cfg LinearPMWConfig, data *dataset.Dataset, src *sample.Source
 	if err != nil {
 		return nil, err
 	}
-	// validate() rejected negatives; xeval.New maps 0 to runtime.NumCPU().
-	eng := xeval.New(cfg.Workers)
+	eng := xeval.New(0)
 	state, err := mw.New(data.U, mw.Eta(1, T, xsize), 1)
 	if err != nil {
 		return nil, err

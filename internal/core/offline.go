@@ -32,9 +32,6 @@ type OfflineConfig struct {
 	S float64
 	// Oracle is the single-query algorithm A′.
 	Oracle erm.Oracle
-	// Workers sets the xeval worker count (0 = all CPUs, negative
-	// rejected; see core.Config.Workers).
-	Workers int
 	// Accountant names the accounting strategy used to track the run's
 	// spends (see core.Config.Accountant). The offline schedule itself is
 	// fixed — 2·Rounds mechanisms under the Theorem-3.10 split, so the
@@ -59,9 +56,6 @@ func (c OfflineConfig) validate() error {
 	}
 	if c.Oracle == nil {
 		return fmt.Errorf("core: nil oracle")
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: workers %d: %w", c.Workers, ErrInvalidWorkers)
 	}
 	return nil
 }
@@ -113,8 +107,7 @@ func AnswerOffline(cfg OfflineConfig, data *dataset.Dataset, src *sample.Source,
 	}
 	oracleCost := erm.CostOf(cfg.Oracle, eps0, delta0)
 
-	// validate() rejected negatives; xeval.New maps 0 to runtime.NumCPU().
-	eng := xeval.New(cfg.Workers)
+	eng := xeval.New(0)
 	xsize := data.U.Size()
 	state, err := mw.New(data.U, mw.Eta(cfg.S, cfg.Rounds, xsize), cfg.S)
 	if err != nil {

@@ -53,8 +53,8 @@ func ablationEta() Experiment {
 			}
 			for _, T := range budgets {
 				ccfg := core.Config{
-					Workers: cfg.Workers, Accountant: cfg.Accountant,
-					Eps: 1, Delta: 1e-6, Alpha: alpha, Beta: 0.05,
+					Accountant: cfg.Accountant,
+					Eps:        1, Delta: 1e-6, Alpha: alpha, Beta: 0.05,
 					K: k, S: 1, Oracle: erm.LaplaceLinear{}, TBudget: T,
 				}
 				ans, srv, err := runPMW(ccfg, data, src.Split(), losses)
@@ -113,7 +113,7 @@ func ablationUpdateVector() Experiment {
 				name string
 				vec  func(l convex.Loss, theta, thetaHat []float64) []float64
 			}
-			eng := xeval.New(cfg.Workers)
+			eng := xeval.New(0)
 			dual := rule{"dual-certificate", func(l convex.Loss, theta, thetaHat []float64) []float64 {
 				dir := vecmath.Sub(theta, thetaHat)
 				u := make([]float64, g.Size())
@@ -260,8 +260,8 @@ func ablationOracle() Experiment {
 			}
 			for _, bias := range biases {
 				ccfg := core.Config{
-					Workers: cfg.Workers, Accountant: cfg.Accountant,
-					Eps: 1, Delta: 1e-6, Alpha: 0.05, Beta: 0.05,
+					Accountant: cfg.Accountant,
+					Eps:        1, Delta: 1e-6, Alpha: 0.05, Beta: 0.05,
 					K: k, S: s, Oracle: biasedOracle{bias: bias}, TBudget: 14,
 				}
 				ans, srv, err := runPMW(ccfg, data, src.Split(), losses)

@@ -21,15 +21,11 @@ type RunConfig struct {
 	Seed int64
 	// Quick shrinks sweeps and repetition counts for CI/bench use.
 	Quick bool
-	// Workers sets the xeval worker count for universe-sized computations
-	// (0 = all CPUs). Results are worker-count independent; experiments
-	// stay reproducible for a given seed regardless of parallelism.
-	Workers int
 	// Accountant names the privacy-accounting strategy every core.Server
 	// the experiments build composes spends under ("" = "advanced", the
-	// paper's DRV10 accounting; see mech.NewAccountant). Unlike Workers
-	// this changes derived horizons: "zcdp" sessions sustain more MW
-	// updates at the same budget when oracles are Gaussian-based.
+	// paper's DRV10 accounting; see mech.NewAccountant). It changes
+	// derived horizons: "zcdp" sessions sustain more MW updates at the
+	// same budget when oracles are Gaussian-based.
 	Accountant string
 }
 

@@ -59,8 +59,8 @@ func fig1AccuracyGame() Experiment {
 						return nil, err
 					}
 					srv, err := core.New(core.Config{
-						Workers: cfg.Workers, Accountant: cfg.Accountant,
-						Eps: 1, Delta: 1e-6, Alpha: alpha, Beta: 0.05,
+						Accountant: cfg.Accountant,
+						Eps:        1, Delta: 1e-6, Alpha: alpha, Beta: 0.05,
 						K: k, S: 1, Oracle: erm.LaplaceLinear{}, TBudget: 12,
 					}, data, src.Split())
 					if err != nil {
@@ -185,8 +185,8 @@ func fig3AlgorithmInternals() Experiment {
 				return nil, err
 			}
 			ccfg := core.Config{
-				Workers: cfg.Workers, Accountant: cfg.Accountant,
-				Eps: 1, Delta: 1e-6, Alpha: alpha, Beta: 0.05,
+				Accountant: cfg.Accountant,
+				Eps:        1, Delta: 1e-6, Alpha: alpha, Beta: 0.05,
 				K: k, S: 1, Oracle: erm.LaplaceLinear{}, TBudget: 25, Trace: true,
 			}
 			srv, err := core.New(ccfg, data, src.Split())

@@ -78,8 +78,8 @@ func hr10Comparison() Experiment {
 			// (a) CM generalization with the Laplace linear oracle, at the
 			// excess-risk target its theory speaks (α here is excess).
 			cmSrv, err := core.New(core.Config{
-				Workers: cfg.Workers, Accountant: cfg.Accountant,
-				Eps: eps, Delta: delta,
+				Accountant: cfg.Accountant,
+				Eps:        eps, Delta: delta,
 				Alpha: 0.12, Beta: 0.05, K: k, S: 1,
 				Oracle: erm.LaplaceLinear{}, TBudget: 10,
 			}, data, src.Split())
@@ -104,8 +104,8 @@ func hr10Comparison() Experiment {
 
 			// (b) HR10's linear PMW (answer-unit target 0.1).
 			hrSrv, err := core.NewLinearPMW(core.LinearPMWConfig{
-				Workers: cfg.Workers, Accountant: cfg.Accountant,
-				Eps: eps, Delta: delta, Alpha: 0.1, K: k, TBudget: 60,
+				Accountant: cfg.Accountant,
+				Eps:        eps, Delta: delta, Alpha: 0.1, K: k, TBudget: 60,
 			}, data, src.Split())
 			if err != nil {
 				return nil, err

@@ -57,8 +57,8 @@ func offlineComparison() Experiment {
 
 			// Online run.
 			onlineCfg := core.Config{
-				Workers: cfg.Workers, Accountant: cfg.Accountant,
-				Eps: eps, Delta: delta, Alpha: 0.05, Beta: 0.05,
+				Accountant: cfg.Accountant,
+				Eps:        eps, Delta: delta, Alpha: 0.05, Beta: 0.05,
 				K: k, S: s, Oracle: oracle, TBudget: rounds,
 			}
 			onlineAns, srv, err := runPMW(onlineCfg, data, src.Split(), losses)
@@ -73,8 +73,8 @@ func offlineComparison() Experiment {
 
 			// Offline run with the same number of rounds.
 			res, err := core.AnswerOffline(core.OfflineConfig{
-				Workers: cfg.Workers, Accountant: cfg.Accountant,
-				Eps: eps, Delta: delta, Rounds: rounds, S: s, Oracle: oracle,
+				Accountant: cfg.Accountant,
+				Eps:        eps, Delta: delta, Rounds: rounds, S: s, Oracle: oracle,
 			}, data, src.Split(), losses)
 			if err != nil {
 				return nil, err

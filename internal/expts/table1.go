@@ -96,8 +96,8 @@ func table1Linear() Experiment {
 					return nil, err
 				}
 				pmwCfg := core.Config{
-					Workers: cfg.Workers, Accountant: cfg.Accountant,
-					Eps: eps, Delta: delta, Alpha: alpha, Beta: 0.05,
+					Accountant: cfg.Accountant,
+					Eps:        eps, Delta: delta, Alpha: alpha, Beta: 0.05,
 					K: k, S: 1, Oracle: erm.LaplaceLinear{}, TBudget: 6,
 				}
 				pmwAns, srv, err := runPMW(pmwCfg, data, src.Split(), losses)
@@ -189,8 +189,8 @@ func table1Lipschitz() Experiment {
 				}
 				s := convex.ScaleBound(losses[0])
 				pmwCfg := core.Config{
-					Workers: cfg.Workers, Accountant: cfg.Accountant,
-					Eps: eps, Delta: delta, Alpha: 0.15, Beta: 0.05,
+					Accountant: cfg.Accountant,
+					Eps:        eps, Delta: delta, Alpha: 0.15, Beta: 0.05,
 					K: c.k, S: s, Oracle: oracle, TBudget: 10,
 				}
 				pmwAns, srv, err := runPMW(pmwCfg, data, src.Split(), losses)
@@ -365,8 +365,8 @@ func table1StronglyConvex() Experiment {
 				}
 				s := convex.ScaleBound(losses[0])
 				pmwCfg := core.Config{
-					Workers: cfg.Workers, Accountant: cfg.Accountant,
-					Eps: eps, Delta: delta, Alpha: 0.15, Beta: 0.05,
+					Accountant: cfg.Accountant,
+					Eps:        eps, Delta: delta, Alpha: 0.15, Beta: 0.05,
 					K: k, S: s, Oracle: oracle, TBudget: 8,
 				}
 				ans, _, err := runPMW(pmwCfg, data, src.Split(), losses)

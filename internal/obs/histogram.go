@@ -24,7 +24,6 @@ var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 type Histogram struct {
 	bounds []float64 // sorted upper bounds; implicit +Inf overflow bucket
 
-	count   atomic.Uint64
 	sumBits atomic.Uint64
 	life    []atomic.Uint64 // len(bounds)+1, lifetime per-bucket counts
 }
@@ -43,7 +42,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	b := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) = overflow
 	h.life[b].Add(1)
-	h.count.Add(1)
 	addFloatBits(&h.sumBits, v)
 }
 

@@ -45,10 +45,10 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.count.Load() != workers*per {
-		t.Fatalf("count = %d, want %d", h.count.Load(), workers*per)
-	}
 	s := h.snapshot()
+	if s.Count != workers*per {
+		t.Fatalf("count = %d, want %d", s.Count, workers*per)
+	}
 	if s.Buckets[len(s.Buckets)-1].Count != workers*per {
 		t.Fatalf("+Inf bucket = %d, want %d", s.Buckets[len(s.Buckets)-1].Count, workers*per)
 	}

@@ -63,8 +63,8 @@ func TestMiddlewareMetricsByRouteAndClass(t *testing.T) {
 	// pattern, not its raw URL.
 	hist := reg.Histogram("pmwcm_http_request_seconds", "", DefBuckets,
 		Labels{"route": "GET /v1/ping"})
-	if hist.count.Load() != 3 {
-		t.Errorf("ping latency count = %d, want 3", hist.count.Load())
+	if n := hist.snapshot().Count; n != 3 {
+		t.Errorf("ping latency count = %d, want 3", n)
 	}
 }
 

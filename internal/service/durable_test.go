@@ -465,66 +465,75 @@ func TestRecoverRejectsDrift(t *testing.T) {
 	}
 }
 
-// TestEngineIsNotASessionParam checks that the engine follows the data, not
-// the request: a create that sends "engine" is a 400 from the strict
-// decoder and opens no session, while a stored params document that still
-// carries an "engine" field (written when the engine was a session
-// parameter) recovers and serves under the engine its snapshot holds.
+// TestEngineIsNotASessionParam checks that neither the engine nor the
+// worker count is a session parameter: the engine follows the data and the
+// worker count follows GOMAXPROCS. A create that sends either field is a
+// 400 from the strict decoder and opens no session, while a stored params
+// document that still carries it (written when it was a session parameter)
+// recovers, serves under the engine its snapshot holds, and answers its
+// next query.
 func TestEngineIsNotASessionParam(t *testing.T) {
-	hm, base := startServer(t)
-	var errResp struct {
-		Error string `json:"error"`
-	}
-	if st := doJSON(t, "POST", base+"/v1/sessions", map[string]any{"engine": "factored"}, &errResp); st != http.StatusBadRequest || errResp.Error == "" {
-		t.Fatalf("create with engine: status %d, %+v", st, errResp)
-	}
-	if n := hm.OpenSessions(); n != 0 {
-		t.Fatalf("rejected create opened %d sessions", n)
-	}
+	for _, field := range []struct {
+		name  string
+		value any
+	}{{"engine", "factored"}, {"workers", 8}} {
+		t.Run(field.name, func(t *testing.T) {
+			hm, base := startServer(t)
+			var errResp struct {
+				Error string `json:"error"`
+			}
+			if st := doJSON(t, "POST", base+"/v1/sessions", map[string]any{field.name: field.value}, &errResp); st != http.StatusBadRequest || errResp.Error == "" {
+				t.Fatalf("create with %s: status %d, %+v", field.name, st, errResp)
+			}
+			if n := hm.OpenSessions(); n != 0 {
+				t.Fatalf("rejected create opened %d sessions", n)
+			}
 
-	defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 10, TBudget: 6}
-	dir := t.TempDir()
-	m1 := durableManager(t, dir, 1, 9, defaults)
-	s1, err := m1.CreateSession(SessionParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := mixedSpecs(4)
-	if _, err := s1.Query(specs[0]); err != nil {
-		t.Fatal(err)
-	}
-	m1.Shutdown()
+			defaults := SessionParams{Eps: 1, Delta: 1e-6, Alpha: 0.1, K: 10, TBudget: 6}
+			dir := t.TempDir()
+			m1 := durableManager(t, dir, 1, 9, defaults)
+			s1, err := m1.CreateSession(SessionParams{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs := mixedSpecs(4)
+			if _, err := s1.Query(specs[0]); err != nil {
+				t.Fatal(err)
+			}
+			m1.Shutdown()
 
-	st, err := persist.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := st.LoadSession(s1.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(rec.Params, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc["engine"] = "factored"
-	if rec.Params, err = json.Marshal(doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveSession(rec); err != nil {
-		t.Fatal(err)
-	}
-	m2 := durableManager(t, dir, 1, 9, defaults)
-	defer m2.Shutdown()
-	s2, err := m2.Session(s1.ID())
-	if err != nil {
-		t.Fatalf("session with a stored engine field did not recover: %v", err)
-	}
-	if got := s2.Status().Engine; got != "dense" {
-		t.Fatalf("recovered engine %q, want the snapshot's dense", got)
-	}
-	if _, err := s2.Query(specs[1]); err != nil {
-		t.Fatal(err)
+			st, err := persist.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := st.LoadSession(s1.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]any
+			if err := json.Unmarshal(rec.Params, &doc); err != nil {
+				t.Fatal(err)
+			}
+			doc[field.name] = field.value
+			if rec.Params, err = json.Marshal(doc); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.SaveSession(rec); err != nil {
+				t.Fatal(err)
+			}
+			m2 := durableManager(t, dir, 1, 9, defaults)
+			defer m2.Shutdown()
+			s2, err := m2.Session(s1.ID())
+			if err != nil {
+				t.Fatalf("session with a stored %s field did not recover: %v", field.name, err)
+			}
+			if got := s2.Status().Engine; got != "dense" {
+				t.Fatalf("recovered engine %q, want the snapshot's dense", got)
+			}
+			if _, err := s2.Query(specs[1]); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

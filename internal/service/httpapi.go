@@ -300,12 +300,10 @@ func statusFor(err error) int {
 	case errors.Is(err, ErrCheckpoint):
 		// The durable write failed; the session state is intact in memory.
 		return http.StatusInternalServerError
-	case errors.Is(err, core.ErrInvalidWorkers), errors.Is(err, mech.ErrUnknownAccountant),
-		errors.Is(err, core.ErrNeedsSupport):
-		// Malformed session request (e.g. "workers": -1, an unknown
-		// accountant name, or a loss the factored engine cannot answer):
-		// a client error, listed explicitly so the mapping is
-		// load-bearing, not accidental.
+	case errors.Is(err, mech.ErrUnknownAccountant), errors.Is(err, core.ErrNeedsSupport):
+		// Malformed session request (an unknown accountant name, or a
+		// loss the factored engine cannot answer): a client error, listed
+		// explicitly so the mapping is load-bearing, not accidental.
 		return http.StatusBadRequest
 	default:
 		return http.StatusBadRequest

@@ -286,35 +286,6 @@ func TestHTTPSessionList(t *testing.T) {
 	}
 }
 
-// TestHTTPWorkersValidation checks the workers bug-net at the API edge: a
-// negative per-session worker count is a 400, valid counts create
-// sessions, and the parallel session answers queries normally.
-func TestHTTPWorkersValidation(t *testing.T) {
-	_, base := startServer(t)
-
-	var errResp map[string]string
-	status := doJSON(t, "POST", base+"/v1/sessions", SessionParams{Workers: -1}, &errResp)
-	if status != http.StatusBadRequest {
-		t.Fatalf("workers=-1 status = %d, want 400", status)
-	}
-	if errResp["error"] == "" {
-		t.Error("workers=-1 error body missing")
-	}
-
-	var st SessionStatus
-	if status := doJSON(t, "POST", base+"/v1/sessions", SessionParams{Workers: 8}, &st); status != http.StatusCreated {
-		t.Fatalf("workers=8 status = %d, want 201", status)
-	}
-	var qr QueryResult
-	q := map[string]any{"kind": "positive", "params": map[string]any{"coord": 0}}
-	if status := doJSON(t, "POST", base+"/v1/sessions/"+st.ID+"/query", q, &qr); status != http.StatusOK {
-		t.Fatalf("query on parallel session status = %d, want 200", status)
-	}
-	if len(qr.Answer) != 1 {
-		t.Errorf("answer = %v, want a scalar", qr.Answer)
-	}
-}
-
 // TestHTTPUnavailableCarriesRetryAfter: every 503 a replica sends — at
 // the session cap and after shutdown — tells the client when to retry,
 // and other failures carry no Retry-After. The replica is served by

@@ -120,22 +120,18 @@ type SessionParams struct {
 	TBudget int `json:"tbudget,omitempty"`
 	// S is the loss-family scale bound the session enforces.
 	S float64 `json:"s,omitempty"`
-	// Workers sets the xeval worker count for the session's universe
-	// computations — public argmin solves, the err_ℓ value, certificate
-	// and MW kernels (0 = the manager's default, which itself defaults to
-	// all CPUs). The single-query oracle is shared across sessions and
-	// keeps the manager-level engine, so ⊤-answer oracle solves are not
-	// governed by this per-session value. Negative values are rejected
-	// with HTTP 400 — the knob is a speed dial, never a correctness or
-	// privacy dial: xeval results are bit-identical for every worker
-	// count.
-	Workers int `json:"workers,omitempty"`
+	// Deprecated: ignored, and never read from or written to JSON, so a
+	// create that sends "workers" is a 400. Every session runs on
+	// min(GOMAXPROCS, chunks) xeval workers. pmwbench still sets this
+	// field on its defaults; the benchmark change of ROADMAP item 11
+	// removes that setter, and the field is deleted after it.
+	Workers int `json:"-"`
 	// Accountant names the session's privacy-accounting strategy, one of
 	// mech.AccountantNames ("basic", "advanced", "zcdp"; empty = the
-	// manager's default, itself defaulting to "advanced"). Unlike Workers
-	// this is a semantic dial: "zcdp" composes Gaussian-noise oracle calls
-	// more tightly and sustains a larger update horizon at the same
-	// (ε, δ, α). Unknown names are rejected with HTTP 400.
+	// manager's default, itself defaulting to "advanced"). This is a
+	// semantic dial: "zcdp" composes Gaussian-noise oracle calls more
+	// tightly and sustains a larger update horizon at the same (ε, δ, α).
+	// Unknown names are rejected with HTTP 400.
 	Accountant string `json:"accountant,omitempty"`
 }
 
@@ -161,9 +157,6 @@ func (p SessionParams) merged(def SessionParams) SessionParams {
 	}
 	if p.S == 0 {
 		p.S = def.S
-	}
-	if p.Workers == 0 {
-		p.Workers = def.Workers
 	}
 	if p.Accountant == "" {
 		p.Accountant = def.Accountant
@@ -283,11 +276,8 @@ func New(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("service: nil random source")
 	}
 	cfg.Defaults = cfg.Defaults.merged(DefaultSessionParams())
-	if cfg.Defaults.Workers < 0 {
-		return nil, fmt.Errorf("service: default workers %d: %w", cfg.Defaults.Workers, core.ErrInvalidWorkers)
-	}
 	if cfg.Oracle == nil {
-		cfg.Oracle = erm.NoisyGD{Engine: xeval.New(cfg.Defaults.Workers)}
+		cfg.Oracle = erm.NoisyGD{Engine: xeval.New(0)}
 	}
 	if cfg.Limits.MaxSessions <= 0 {
 		cfg.Limits.MaxSessions = 64
@@ -341,7 +331,6 @@ func (m *Manager) coreConfig(p SessionParams) core.Config {
 		K: p.K, S: p.S,
 		Oracle:     m.cfg.Oracle,
 		TBudget:    p.TBudget,
-		Workers:    p.Workers,
 		Accountant: p.Accountant,
 	}
 }
@@ -890,13 +879,14 @@ func (m *Manager) Shutdown() {
 }
 
 // OracleByName maps a CLI/config oracle name to an erm.Oracle running its
-// universe-sized computations on workers xeval workers (0 = all CPUs). The
-// empty name selects NoisyGD, the generic Lipschitz oracle.
-func OracleByName(name string, workers int) (erm.Oracle, error) {
-	if workers < 0 {
-		return nil, fmt.Errorf("service: oracle workers %d: %w", workers, core.ErrInvalidWorkers)
-	}
-	eng := xeval.New(workers)
+// universe-sized computations on min(GOMAXPROCS, chunks) xeval workers.
+// The empty name selects NoisyGD, the generic Lipschitz oracle.
+//
+// Deprecated: the second argument is ignored. pmwbench still passes a
+// worker count; the benchmark change of ROADMAP item 11 removes that
+// argument at its call sites, and the parameter is deleted after it.
+func OracleByName(name string, _ int) (erm.Oracle, error) {
+	eng := xeval.New(0)
 	switch name {
 	case "", "noisygd":
 		return erm.NoisyGD{Engine: eng}, nil

@@ -1,42 +1,29 @@
-// Inlined four-lane exponential for the hot softmax kernels.
+// Four-lane exponential for the hot softmax kernels.
 //
 // The histogram-materialization loop (ExpShiftedSum) spends nearly all its
 // time in math.Exp, and the released values of fixed-seed runs are pinned
 // bit-for-bit by golden tests — so a faster exponential is only usable if
-// it reproduces math.Exp exactly. This file carries a pure-Go translation
-// of the Go runtime's amd64 exp kernel (a simplified form of the SLEEF
-// scalar method of Naoki Shibata, "Efficient evaluation methods of
-// elementary functions suitable for SIMD computation", ISC'10), in both
-// its plain-SSE and FMA variants, restricted to arguments where the kernel
-// has no overflow/denormal branches.
+// it reproduces math.Exp exactly. On amd64, exp4_amd64.s interleaves four
+// lanes of the Go runtime's amd64 exp kernel, in both its plain-SSE and
+// FMA variants, restricted to arguments where the kernel has no
+// overflow/denormal branches.
 //
-// At package init the two variants are probed against math.Exp over a
-// dense deterministic grid; a variant is installed only if it matches
-// bit-for-bit on every probe. On platforms (or future Go versions) where
-// neither matches, exp4 stays nil and callers fall back to math.Exp —
-// slower, but always exactly the library function.
+// At package init each candidate kernel is probed against math.Exp over a
+// dense deterministic grid and installed only if it matches bit-for-bit on
+// every probe. Off amd64 there are no candidates: math.Exp there follows
+// the portable polynomial method (arm64's assembly implements it too),
+// which the amd64 kernel does not reproduce bit for bit.
+// Wherever no kernel is installed, exp4 stays nil and callers fall back to
+// math.Exp — slower, but always exactly the library function.
 package vecmath
 
 import "math"
 
 const (
-	expLog2e = 1.4426950408889634073599246810018920                  // 1/ln 2
-	expLn2u  = 0.69314718055966295651160180568695068359375           // upper half of ln 2
-	expLn2l  = 0.28235290563031577122588448175013436025525412068e-12 // lower half of ln 2
-
-	// Taylor coefficients of the reduced-argument series.
-	expC2 = 0.5
-	expC3 = 1.6666666666666666667e-1
-	expC4 = 4.1666666666666666667e-2
-	expC5 = 8.3333333333333333333e-3
-	expC6 = 1.3888888888888888889e-3
-	expC7 = 1.9841269841269841270e-4
-	expC8 = 2.4801587301587301587e-5
-
-	// expFastLo/Hi bound the arguments the inlined kernel accepts:
+	// expFastLo/Hi bound the arguments the four-lane kernel accepts:
 	// comfortably inside the overflow threshold (709.78) and above the
 	// region where 2^k leaves the normal range (≈ −709.09), so the
-	// translation needs none of the denormal/overflow branches. NaN fails
+	// kernel needs none of the denormal/overflow branches. NaN fails
 	// both comparisons and routes to the fallback.
 	expFastLo = -708.0
 	expFastHi = 709.0
@@ -84,162 +71,4 @@ func expProbe(f func(x0, x1, x2, x3 float64) (float64, float64, float64, float64
 		}
 	}
 	return true
-}
-
-// expFMA4 is the FMA variant (matches math.Exp on amd64 CPUs with AVX+FMA).
-// The four lanes are independent, letting the CPU overlap their latency
-// chains; math.FMA compiles to the hardware instruction where available
-// and to an exact softfloat elsewhere, so the arithmetic is identical
-// either way.
-func expFMA4(x0, x1, x2, x3 float64) (y0, y1, y2, y3 float64) {
-	k0 := int32(math.RoundToEven(expLog2e * x0))
-	k1 := int32(math.RoundToEven(expLog2e * x1))
-	k2 := int32(math.RoundToEven(expLog2e * x2))
-	k3 := int32(math.RoundToEven(expLog2e * x3))
-	kf0, kf1, kf2, kf3 := float64(k0), float64(k1), float64(k2), float64(k3)
-
-	r0 := math.FMA(-kf0, expLn2u, x0)
-	r1 := math.FMA(-kf1, expLn2u, x1)
-	r2 := math.FMA(-kf2, expLn2u, x2)
-	r3 := math.FMA(-kf3, expLn2u, x3)
-	r0 = math.FMA(-kf0, expLn2l, r0) * 0.0625
-	r1 = math.FMA(-kf1, expLn2l, r1) * 0.0625
-	r2 = math.FMA(-kf2, expLn2l, r2) * 0.0625
-	r3 = math.FMA(-kf3, expLn2l, r3) * 0.0625
-
-	p0 := math.FMA(expC8, r0, expC7)
-	p1 := math.FMA(expC8, r1, expC7)
-	p2 := math.FMA(expC8, r2, expC7)
-	p3 := math.FMA(expC8, r3, expC7)
-	p0 = math.FMA(p0, r0, expC6)
-	p1 = math.FMA(p1, r1, expC6)
-	p2 = math.FMA(p2, r2, expC6)
-	p3 = math.FMA(p3, r3, expC6)
-	p0 = math.FMA(p0, r0, expC5)
-	p1 = math.FMA(p1, r1, expC5)
-	p2 = math.FMA(p2, r2, expC5)
-	p3 = math.FMA(p3, r3, expC5)
-	p0 = math.FMA(p0, r0, expC4)
-	p1 = math.FMA(p1, r1, expC4)
-	p2 = math.FMA(p2, r2, expC4)
-	p3 = math.FMA(p3, r3, expC4)
-	p0 = math.FMA(p0, r0, expC3)
-	p1 = math.FMA(p1, r1, expC3)
-	p2 = math.FMA(p2, r2, expC3)
-	p3 = math.FMA(p3, r3, expC3)
-	p0 = math.FMA(p0, r0, expC2)
-	p1 = math.FMA(p1, r1, expC2)
-	p2 = math.FMA(p2, r2, expC2)
-	p3 = math.FMA(p3, r3, expC2)
-	p0 = math.FMA(p0, r0, 1)
-	p1 = math.FMA(p1, r1, 1)
-	p2 = math.FMA(p2, r2, 1)
-	p3 = math.FMA(p3, r3, 1)
-
-	r0 *= p0
-	r1 *= p1
-	r2 *= p2
-	r3 *= p3
-	r0 = r0 * (2 + r0)
-	r1 = r1 * (2 + r1)
-	r2 = r2 * (2 + r2)
-	r3 = r3 * (2 + r3)
-	r0 = r0 * (2 + r0)
-	r1 = r1 * (2 + r1)
-	r2 = r2 * (2 + r2)
-	r3 = r3 * (2 + r3)
-	r0 = r0 * (2 + r0)
-	r1 = r1 * (2 + r1)
-	r2 = r2 * (2 + r2)
-	r3 = r3 * (2 + r3)
-	r0 = math.FMA(r0, 2+r0, 1)
-	r1 = math.FMA(r1, 2+r1, 1)
-	r2 = math.FMA(r2, 2+r2, 1)
-	r3 = math.FMA(r3, 2+r3, 1)
-
-	y0 = r0 * math.Float64frombits(uint64(k0+1023)<<52)
-	y1 = r1 * math.Float64frombits(uint64(k1+1023)<<52)
-	y2 = r2 * math.Float64frombits(uint64(k2+1023)<<52)
-	y3 = r3 * math.Float64frombits(uint64(k3+1023)<<52)
-	return
-}
-
-// expSSE4 is the plain-SSE variant (matches math.Exp on amd64 CPUs without
-// AVX+FMA): every multiply and add rounds individually, exactly as the
-// non-FMA assembly path does.
-func expSSE4(x0, x1, x2, x3 float64) (y0, y1, y2, y3 float64) {
-	k0 := int32(math.RoundToEven(expLog2e * x0))
-	k1 := int32(math.RoundToEven(expLog2e * x1))
-	k2 := int32(math.RoundToEven(expLog2e * x2))
-	k3 := int32(math.RoundToEven(expLog2e * x3))
-	kf0, kf1, kf2, kf3 := float64(k0), float64(k1), float64(k2), float64(k3)
-
-	r0 := x0 - kf0*expLn2u
-	r1 := x1 - kf1*expLn2u
-	r2 := x2 - kf2*expLn2u
-	r3 := x3 - kf3*expLn2u
-	r0 = (r0 - kf0*expLn2l) * 0.0625
-	r1 = (r1 - kf1*expLn2l) * 0.0625
-	r2 = (r2 - kf2*expLn2l) * 0.0625
-	r3 = (r3 - kf3*expLn2l) * 0.0625
-
-	p0 := expC8*r0 + expC7
-	p1 := expC8*r1 + expC7
-	p2 := expC8*r2 + expC7
-	p3 := expC8*r3 + expC7
-	p0 = p0*r0 + expC6
-	p1 = p1*r1 + expC6
-	p2 = p2*r2 + expC6
-	p3 = p3*r3 + expC6
-	p0 = p0*r0 + expC5
-	p1 = p1*r1 + expC5
-	p2 = p2*r2 + expC5
-	p3 = p3*r3 + expC5
-	p0 = p0*r0 + expC4
-	p1 = p1*r1 + expC4
-	p2 = p2*r2 + expC4
-	p3 = p3*r3 + expC4
-	p0 = p0*r0 + expC3
-	p1 = p1*r1 + expC3
-	p2 = p2*r2 + expC3
-	p3 = p3*r3 + expC3
-	p0 = p0*r0 + expC2
-	p1 = p1*r1 + expC2
-	p2 = p2*r2 + expC2
-	p3 = p3*r3 + expC2
-	p0 = p0*r0 + 1
-	p1 = p1*r1 + 1
-	p2 = p2*r2 + 1
-	p3 = p3*r3 + 1
-
-	r0 *= p0
-	r1 *= p1
-	r2 *= p2
-	r3 *= p3
-	r0 = r0 * (2 + r0)
-	r1 = r1 * (2 + r1)
-	r2 = r2 * (2 + r2)
-	r3 = r3 * (2 + r3)
-	r0 = r0 * (2 + r0)
-	r1 = r1 * (2 + r1)
-	r2 = r2 * (2 + r2)
-	r3 = r3 * (2 + r3)
-	r0 = r0 * (2 + r0)
-	r1 = r1 * (2 + r1)
-	r2 = r2 * (2 + r2)
-	r3 = r3 * (2 + r3)
-	r0 = r0 * (2 + r0)
-	r1 = r1 * (2 + r1)
-	r2 = r2 * (2 + r2)
-	r3 = r3 * (2 + r3)
-	r0++
-	r1++
-	r2++
-	r3++
-
-	y0 = r0 * math.Float64frombits(uint64(k0+1023)<<52)
-	y1 = r1 * math.Float64frombits(uint64(k1+1023)<<52)
-	y2 = r2 * math.Float64frombits(uint64(k2+1023)<<52)
-	y3 = r3 * math.Float64frombits(uint64(k3+1023)<<52)
-	return
 }

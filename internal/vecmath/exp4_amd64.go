@@ -35,12 +35,12 @@ func haveAVXFMA() bool {
 }
 
 // expKernelCandidates lists four-lane exp kernels to probe at init, fastest
-// first: the assembly variants (FMA only when the CPU supports it — probing
-// it elsewhere would fault), then the portable Go translations.
+// first: FMA only when the CPU supports it (probing it elsewhere would
+// fault), then plain SSE.
 func expKernelCandidates() []func(x0, x1, x2, x3 float64) (float64, float64, float64, float64) {
 	var c []func(x0, x1, x2, x3 float64) (float64, float64, float64, float64)
 	if haveAVXFMA() {
 		c = append(c, expFMA4Asm)
 	}
-	return append(c, expSSE4Asm, expFMA4, expSSE4)
+	return append(c, expSSE4Asm)
 }

@@ -2,10 +2,9 @@
 
 package vecmath
 
-// expKernelCandidates lists four-lane exp kernels to probe at init. Off
-// amd64 only the portable Go translations are available; on platforms
-// where math.Exp uses a different algorithm the probe rejects both and
-// ExpShiftedSum stays on the math.Exp fallback.
+// expKernelCandidates returns no kernels off amd64: math.Exp there follows
+// the portable polynomial method, which the amd64 kernel does not
+// reproduce, so ExpShiftedSum stays on the math.Exp fallback.
 func expKernelCandidates() []func(x0, x1, x2, x3 float64) (float64, float64, float64, float64) {
-	return []func(x0, x1, x2, x3 float64) (float64, float64, float64, float64){expFMA4, expSSE4}
+	return nil
 }

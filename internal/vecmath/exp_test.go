@@ -3,15 +3,20 @@ package vecmath
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
-// TestExp4BitIdentical drives the installed inlined kernel over random and
-// adversarial arguments and requires bit equality with math.Exp on every
-// one — the contract that lets ExpShiftedSum keep golden outputs unchanged.
+// TestExp4BitIdentical drives the installed four-lane kernel over random
+// and adversarial arguments and requires bit equality with math.Exp on
+// every one — the contract that lets ExpShiftedSum keep golden outputs
+// unchanged. On amd64 a kernel must be installed.
 func TestExp4BitIdentical(t *testing.T) {
 	if exp4 == nil {
-		t.Skip("no verified exp kernel on this platform; math.Exp fallback in use")
+		if runtime.GOARCH == "amd64" {
+			t.Fatal("no exp kernel passed the init probe on amd64")
+		}
+		t.Skip("no exp kernel off amd64; math.Exp fallback in use")
 	}
 	check := func(x float64) {
 		t.Helper()

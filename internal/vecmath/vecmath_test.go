@@ -2,7 +2,6 @@ package vecmath
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -110,24 +109,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	v := []float64{math.Log(1), math.Log(2), math.Log(3)}
-	if got := LogSumExp(v); !almostEq(got, math.Log(6), 1e-12) {
-		t.Errorf("LogSumExp = %v, want log 6", got)
-	}
-	// Large shifts must not overflow.
-	v = []float64{1000, 1000}
-	if got := LogSumExp(v); !almostEq(got, 1000+math.Log(2), 1e-9) {
-		t.Errorf("LogSumExp big = %v", got)
-	}
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Errorf("LogSumExp(nil) = %v, want -Inf", got)
-	}
-	if got := LogSumExp([]float64{math.Inf(-1), math.Inf(-1)}); !math.IsInf(got, -1) {
-		t.Errorf("LogSumExp(-Inf...) = %v, want -Inf", got)
-	}
-}
-
 func TestSoftmax(t *testing.T) {
 	got := Softmax(nil, []float64{0, 0, 0})
 	want := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
@@ -162,71 +143,6 @@ func TestProjectL2Ball(t *testing.T) {
 	}
 }
 
-func TestProjectBox(t *testing.T) {
-	got := ProjectBox([]float64{-2, 0.5, 2}, 0, 1)
-	if !ApproxEqual(got, []float64{0, 0.5, 1}, 0) {
-		t.Errorf("ProjectBox = %v", got)
-	}
-}
-
-func TestProjectSimplex(t *testing.T) {
-	cases := [][]float64{
-		{0.2, 0.3, 0.5},      // already on simplex
-		{1, 0, 0},            // vertex
-		{5, 0, 0},            // projects to vertex
-		{-1, -1, -1},         // all negative -> uniform
-		{0.5, 0.5, 0.5, 0.5}, // symmetric
-	}
-	for _, c := range cases {
-		p := ProjectSimplex(c)
-		if !almostEq(Sum(p), 1, 1e-9) {
-			t.Errorf("ProjectSimplex(%v) sums to %v", c, Sum(p))
-		}
-		for _, v := range p {
-			if v < 0 {
-				t.Errorf("ProjectSimplex(%v) has negative entry %v", c, v)
-			}
-		}
-	}
-	// Fixed point: a simplex point projects to itself.
-	p := ProjectSimplex([]float64{0.2, 0.3, 0.5})
-	if !ApproxEqual(p, []float64{0.2, 0.3, 0.5}, 1e-9) {
-		t.Errorf("simplex point moved: %v", p)
-	}
-	if got := ProjectSimplex(nil); got != nil {
-		t.Errorf("ProjectSimplex(nil) = %v", got)
-	}
-}
-
-// Property: the simplex projection is the nearest simplex point — it must be
-// at least as close to the input as a bunch of random simplex points.
-func TestProjectSimplexIsNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		d := 2 + rng.Intn(6)
-		a := make([]float64, d)
-		for i := range a {
-			a[i] = rng.NormFloat64() * 2
-		}
-		p := ProjectSimplex(a)
-		dp := Dist2(a, p)
-		for probe := 0; probe < 20; probe++ {
-			q := make([]float64, d)
-			var s float64
-			for i := range q {
-				q[i] = rng.ExpFloat64()
-				s += q[i]
-			}
-			for i := range q {
-				q[i] /= s
-			}
-			if Dist2(a, q) < dp-1e-9 {
-				t.Fatalf("found simplex point closer than projection: a=%v p=%v q=%v", a, p, q)
-			}
-		}
-	}
-}
-
 // Property: projection onto the L2 ball is a contraction toward every ball
 // point, and idempotent.
 func TestProjectL2BallProperties(t *testing.T) {
@@ -250,22 +166,6 @@ func TestProjectL2BallProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLogSumExpMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(10)
-		a := make([]float64, n)
-		var naive float64
-		for i := range a {
-			a[i] = rng.NormFloat64() * 3
-			naive += math.Exp(a[i])
-		}
-		if got := LogSumExp(a); !almostEq(got, math.Log(naive), 1e-9) {
-			t.Fatalf("LogSumExp mismatch: got %v want %v (a=%v)", got, math.Log(naive), a)
-		}
 	}
 }
 
@@ -321,74 +221,4 @@ func TestAddScaledMax(t *testing.T) {
 	if m := AddScaledMax(nil, 1, nil); !math.IsInf(m, -1) {
 		t.Errorf("empty AddScaledMax = %v, want -Inf", m)
 	}
-}
-
-// LogSumExp, ProjectBox and ProjectSimplex have no caller outside the
-// tests in this file.
-
-// LogSumExp returns log Σ exp(aᵢ) computed stably. For an empty slice it
-// returns −Inf (the log of an empty sum).
-func LogSumExp(a []float64) float64 {
-	if len(a) == 0 {
-		return math.Inf(-1)
-	}
-	m, _ := Max(a)
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var s float64
-	for _, v := range a {
-		s += math.Exp(v - m)
-	}
-	return m + math.Log(s)
-}
-
-// ProjectBox returns the entrywise projection of a onto [lo, hi]^d.
-func ProjectBox(a []float64, lo, hi float64) []float64 {
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = Clamp(v, lo, hi)
-	}
-	return out
-}
-
-// ProjectSimplex returns the Euclidean projection of a onto the probability
-// simplex {p : pᵢ ≥ 0, Σpᵢ = 1}, using the sort-based algorithm of
-// Held, Wolfe and Crowder.
-func ProjectSimplex(a []float64) []float64 {
-	n := len(a)
-	if n == 0 {
-		return nil
-	}
-	sorted := Copy(a)
-	// Insertion sort descending; universes here are small enough that the
-	// O(n²) worst case never dominates, and it avoids an interface shim.
-	for i := 1; i < n; i++ {
-		v := sorted[i]
-		j := i - 1
-		for j >= 0 && sorted[j] < v {
-			sorted[j+1] = sorted[j]
-			j--
-		}
-		sorted[j+1] = v
-	}
-	var cum float64
-	var rho int
-	var theta float64
-	for i := 0; i < n; i++ {
-		cum += sorted[i]
-		t := (cum - 1) / float64(i+1)
-		if sorted[i]-t > 0 {
-			rho = i
-			theta = t
-		}
-	}
-	_ = rho
-	out := make([]float64, n)
-	for i, v := range a {
-		if w := v - theta; w > 0 {
-			out[i] = w
-		}
-	}
-	return out
 }

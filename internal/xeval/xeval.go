@@ -13,9 +13,9 @@
 //  1. Determinism. Chunk boundaries depend only on the range length n
 //     (fixed chunk size, never the worker count), and reductions combine
 //     per-chunk partials with a fixed pairwise tree. The result is
-//     bit-identical for every worker count, so "parallel" is a pure
-//     speedup knob: privacy-relevant released values do not depend on how
-//     many cores the server happens to have.
+//     bit-identical for every worker count, so parallelism only changes
+//     speed: privacy-relevant released values do not depend on how many
+//     cores the server happens to have.
 //
 //  2. Zero coordination inside a chunk. Workers claim whole chunks from an
 //     atomic counter and touch disjoint index ranges, so kernels may write
@@ -70,18 +70,20 @@ func SetObserver(f Observer) {
 // |X| = 2^16 for load balancing across 8–16 workers.
 const ChunkSize = 2048
 
-// Engine schedules chunked map/reduce calls over index ranges. The zero
-// of workers is resolved at construction; a nil *Engine runs serially.
+// Engine schedules chunked map/reduce calls over index ranges. The worker
+// count is resolved at construction; a nil *Engine runs serially.
 // Engines are stateless between calls and safe for concurrent use.
 type Engine struct {
 	workers int
 }
 
-// New returns an engine with the given worker count. workers <= 0 selects
-// runtime.NumCPU().
+// New returns an engine with the given worker count. workers <= 0, the
+// only value program code passes, selects runtime.GOMAXPROCS(0) as read
+// now, so an operator limits the count with the GOMAXPROCS environment
+// variable; a positive count lets tests pin bit-identity across counts.
 func New(workers int) *Engine {
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{workers: workers}
 }

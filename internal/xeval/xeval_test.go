@@ -2,6 +2,7 @@ package xeval
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -145,7 +146,9 @@ func TestEmptyAndTinyRanges(t *testing.T) {
 	}
 }
 
-// TestWorkersResolution checks the worker-count knob semantics.
+// TestWorkersResolution checks the worker-count rule: an explicit count is
+// kept, and 0 (or a negative count) follows GOMAXPROCS as read when the
+// engine is built.
 func TestWorkersResolution(t *testing.T) {
 	if w := (*Engine)(nil).Workers(); w != 1 {
 		t.Errorf("nil engine workers = %d", w)
@@ -153,11 +156,17 @@ func TestWorkersResolution(t *testing.T) {
 	if w := New(3).Workers(); w != 3 {
 		t.Errorf("New(3) workers = %d", w)
 	}
-	if w := New(0).Workers(); w < 1 {
-		t.Errorf("New(0) workers = %d, want NumCPU ≥ 1", w)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(5))
+	e := New(0)
+	if w := e.Workers(); w != 5 {
+		t.Errorf("New(0) workers = %d, want GOMAXPROCS 5", w)
 	}
-	if w := New(-5).Workers(); w < 1 {
-		t.Errorf("New(-5) workers = %d, want NumCPU ≥ 1", w)
+	if w := New(-5).Workers(); w != 5 {
+		t.Errorf("New(-5) workers = %d, want GOMAXPROCS 5", w)
+	}
+	runtime.GOMAXPROCS(2)
+	if w := e.Workers(); w != 5 {
+		t.Errorf("engine built at GOMAXPROCS 5 runs %d workers after it changed", w)
 	}
 }
 
