@@ -520,9 +520,17 @@ func TestPaperTGivesQuarterAlphaRegret(t *testing.T) {
 // acceptance test at the algorithm level: with the same seed, a serial
 // server and an 8-worker server must release the same answers on the
 // same CM-query stream — parallelism is invisible to the analyst. The
-// worker count follows GOMAXPROCS, so each run sets it.
+// worker count follows GOMAXPROCS, so each run sets it, and the universe
+// spans several xeval chunks, so the 8-worker run really sweeps in
+// parallel.
 func TestServerDeterministicAcrossWorkers(t *testing.T) {
-	g := testGrid(t)
+	g, err := universe.NewLabeledGrid(2, 40, 1.0, 3, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := xeval.Chunks(g.Size()); c < 2 {
+		t.Fatalf("|X| = %d is %d chunk; the comparison would run serially twice", g.Size(), c)
+	}
 	data := skewedData(t, g, 30000, 43)
 	pool := squaredPool(t, g, 12, 44)
 	run := func(workers int) [][]float64 {
